@@ -18,8 +18,8 @@ import (
 
 // Host speed. On the shared reference host the same study runs up to
 // 40% slower for minutes at a time while other tenants load the
-// machine, which no run length averages out. So before each set-up and
-// each repetition, while the benchmark process is idle, a child process
+// machine, which no run length averages out. So before each child set-up
+// and each repetition, while the benchmark process is idle, a child process
 // of this binary times a fixed piece of work on every P. The work uses
 // only the Go runtime and the standard library — float math, small
 // allocations with the collector running, JSON, maps and sorting, the

@@ -6,20 +6,25 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/harness"
 	"repro/internal/monitor"
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
-// Deployed-configuration settings. The monitor sweeps often enough that
-// its every-8th-sweep trace harvest lands inside every study.
+// Deployed-configuration settings. powerperfd's -trace-tail-sample is
+// off by default; the deployed configuration samples at the rate the
+// repository's SLO quickstart (README.md) and BenchmarkServedStudySLO
+// use. The monitor sweeps often enough that its every-8th-sweep trace
+// harvest lands inside every study.
 const (
 	sloLatency      = 2 * time.Second // powerperfd's -slo-latency-threshold default
-	tailSampleRate  = 0.1
+	tailSampleRate  = 0.05
 	monitorInterval = 50 * time.Millisecond
 )
 
@@ -43,6 +48,42 @@ type backend struct {
 	store   *store.Store
 	mon     *monitor.Monitor
 	stopMon context.CancelFunc
+	conns   connStates // deployed configuration only
+}
+
+// connStates counts a backend's connections with a request in progress,
+// through http.Server.ConnState, so the deployed read-back can tell when
+// every handler has returned.
+type connStates struct {
+	mu    sync.Mutex
+	state map[net.Conn]http.ConnState
+	busy  int
+}
+
+func (c *connStates) track(conn net.Conn, s http.ConnState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.state == nil {
+		c.state = map[net.Conn]http.ConnState{}
+	}
+	if c.state[conn] == http.StateActive {
+		c.busy--
+	}
+	if s == http.StateActive {
+		c.busy++
+	}
+	if s == http.StateClosed || s == http.StateHijacked {
+		delete(c.state, conn)
+	} else {
+		c.state[conn] = s
+	}
+}
+
+// active reports how many connections have a request in progress.
+func (c *connStates) active() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.busy
 }
 
 func startBackend(cfg backendConfig) (*backend, error) {
@@ -80,6 +121,9 @@ func startBackend(cfg backendConfig) (*backend, error) {
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      15 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
+	}
+	if cfg.storeDir != "" {
+		b.hs.ConnState = b.conns.track
 	}
 	go func() {
 		defer close(b.served)
@@ -159,17 +203,33 @@ func (f *fleet) close() error {
 	return err
 }
 
-// studyOn runs one untimed study on a single backend of the fleet,
-// through a scheduler of its own that shares the fleet's transport.
-func (f *fleet) studyOn(ctx context.Context, be *backend, seed int64, streams int, out *csvPair) error {
-	sched, err := cluster.NewScheduler([]string{be.url}, cluster.SchedulerOptions{
+// schedulerOn is a scheduler at seed over a single backend of the
+// fleet, sharing the fleet's transport.
+func (f *fleet) schedulerOn(be *backend, seed int64) (*cluster.Scheduler, error) {
+	return cluster.NewScheduler([]string{be.url}, cluster.SchedulerOptions{
 		Seed:       &seed,
 		HTTPClient: &http.Client{Transport: f.tr},
 	})
+}
+
+// studyOn runs one untimed study on a single backend of the fleet.
+func (f *fleet) studyOn(ctx context.Context, be *backend, seed int64, streams int, out *csvPair) error {
+	sched, err := f.schedulerOn(be, seed)
 	if err != nil {
 		return err
 	}
 	_, err = runStudy(ctx, sched, streams, out, nil)
+	return err
+}
+
+// fillOn caches the cells at seed on a single backend of the fleet, in
+// one batch.
+func (f *fleet) fillOn(ctx context.Context, be *backend, seed int64, jobs []harness.Job, streams int) error {
+	sched, err := f.schedulerOn(be, seed)
+	if err != nil {
+		return err
+	}
+	_, err = sched.MeasureBatch(ctx, jobs, streams)
 	return err
 }
 

@@ -19,11 +19,13 @@ import (
 // loadgen is the open-loop interactive request generator: single-cell
 // /v1/measure requests on the interactive lane, sent on a fixed schedule
 // whether or not earlier requests have returned, each timed from when it
-// was due. Its cells are a seeded permutation of the study grid under
-// another seed than the study's, so on a backend that has not served
-// them yet every request is a cache fill.
+// was due. Its cells are a seeded permutation of the 488 cells of the
+// eight stock configurations (harness.GridJobs' default), under another
+// seed than the study's, so on a backend that has not served them yet
+// every request is a cache fill.
 type loadgen struct {
 	seed     int64
+	interval time.Duration
 	cells    []harness.Job
 	client   *http.Client
 	resolver *cluster.Resolver
@@ -46,6 +48,10 @@ type reply struct {
 // workload seed; it always differs from the study seed.
 func interactiveSeed(seed int64) int64 { return seed ^ 0x5eed }
 
+// markerSeed is the seed of the deployed read-back's marker batch (see
+// awaitIngest); it differs from the study and interactive seeds.
+func markerSeed(seed int64) int64 { return seed ^ 0xa11 }
+
 func newLoadgen(seed int64) *loadgen {
 	iseed := interactiveSeed(seed)
 	grid := harness.GridJobs(nil, nil)
@@ -57,62 +63,55 @@ func newLoadgen(seed int64) *loadgen {
 	tr.MaxIdleConnsPerHost = 4
 	return &loadgen{
 		seed:     iseed,
+		interval: time.Second / interactiveRate,
 		cells:    cells,
 		client:   &http.Client{Transport: tr, Timeout: 30 * time.Second},
 		resolver: cluster.NewResolver(),
 	}
 }
 
-// run sends one request to url every interval, walking the cell
-// sequence from its start, until n requests are sent (n > 0) or stop is
-// closed, then waits for every outstanding reply.
-func (g *loadgen) run(ctx context.Context, url string, interval time.Duration, n int, stop <-chan struct{}) {
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	for k := 0; n <= 0 || k < n; k++ {
-		due := t0.Add(time.Duration(k) * interval)
-		timer.Reset(time.Until(due))
-		select {
-		case <-timer.C:
-		case <-stop:
-			wg.Wait()
-			return
-		case <-ctx.Done():
-			wg.Wait()
-			return
-		}
-		cell := k % len(g.cells)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.send(ctx, url, due, cell)
-		}()
-	}
-	wg.Wait()
-}
-
-// start runs the generator in the background until the returned stop
-// function is called; stop returns once every reply is in.
-func (g *loadgen) start(ctx context.Context, url string, interval time.Duration) (stop func()) {
-	ch := make(chan struct{})
+// start sends one request to url every interval, walking the cell
+// sequence from its start, until the returned stop function is called;
+// stop returns once every reply is in.
+func (g *loadgen) start(ctx context.Context, url string) (stop func()) {
+	stopc := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		g.run(ctx, url, interval, 0, ch)
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		t0 := time.Now()
+		timer := time.NewTimer(0)
+		defer timer.Stop()
+		for k := 0; ; k++ {
+			due := t0.Add(time.Duration(k) * g.interval)
+			timer.Reset(time.Until(due))
+			select {
+			case <-timer.C:
+			case <-stopc:
+				return
+			case <-ctx.Done():
+				return
+			}
+			cell := k % len(g.cells)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				g.send(ctx, url, due, cell)
+			}()
+		}
 	}()
 	return func() {
-		close(ch)
+		close(stopc)
 		<-done
 	}
 }
 
-func (g *loadgen) send(ctx context.Context, url string, due time.Time, cell int) {
-	j := g.cells[cell]
+// measureBody is a single-cell /v1/measure request body.
+func measureBody(seed int64, j harness.Job) ([]byte, error) {
 	cfg := j.CP.Config
-	body, err := json.Marshal(service.MeasureRequest{
-		Seed:   &g.seed,
+	return json.Marshal(service.MeasureRequest{
+		Seed:   &seed,
 		Detail: service.DetailFull,
 		Cells: []service.CellRequest{{
 			Benchmark: j.Bench.Name,
@@ -120,12 +119,16 @@ func (g *loadgen) send(ctx context.Context, url string, due time.Time, cell int)
 			Config:    &service.ConfigJSON{Cores: cfg.Cores, SMTWays: cfg.SMTWays, ClockGHz: cfg.ClockGHz, Turbo: cfg.Turbo},
 		}},
 	})
+}
+
+func (g *loadgen) send(ctx context.Context, url string, due time.Time, cell int) {
+	body, err := measureBody(g.seed, g.cells[cell])
 	if err != nil {
 		g.record(due, time.Now(), 0, cell, 0, err)
 		return
 	}
 	started := time.Now()
-	payload, err := g.post(ctx, url, body)
+	payload, err := post(ctx, g.client, url, body)
 	end := time.Now()
 	if err != nil {
 		g.record(due, started, 0, cell, 0, err)
@@ -148,13 +151,14 @@ func (g *loadgen) send(ctx context.Context, url string, due time.Time, cell int)
 	g.record(due, started, end.Sub(due), cell, measurementDigest(m), nil)
 }
 
-func (g *loadgen) post(ctx context.Context, url string, body []byte) ([]byte, error) {
+// post sends a /v1/measure request and returns the reply body.
+func post(ctx context.Context, client *http.Client, url string, body []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/measure", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := g.client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -34,6 +34,10 @@ type options struct {
 	seed     int64
 	seconds  float64
 	trace    bool
+	// setupOnly makes the process run the workload's set-up once, print
+	// setupReady and exit: the timed set-ups after a run's first (see
+	// bench.setup).
+	setupOnly bool
 }
 
 func parseFlags(args []string) (options, error) {
@@ -43,6 +47,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Int64Var(&o.seed, "seed", 0, "workload seed: study seed and interactive cell sequence")
 	fs.Float64Var(&o.seconds, "seconds", 30, "measuring window in seconds")
 	traceFlag := fs.Int("trace", 0, "1 = traced run reporting per-layer metrics")
+	fs.BoolVar(&o.setupOnly, "setup-only", false, "run the set-up once, print a line when it is done, and exit")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -115,6 +120,9 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "studybench:", err)
 		os.Exit(1)
+	}
+	if res == nil { // --setup-only
+		return
 	}
 	line, err := json.Marshal(res)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/harness"
+	"repro/internal/proc"
 	"repro/internal/service"
 )
 
@@ -67,6 +68,7 @@ var perLayer = []metricSpec{
 	{"store.collect_ms", "ms"},
 	{"store.ingest_dropped", "count"},
 	{"store.write_errors", "count"},
+	{"store.batches_lost", "count"},
 	{"monitor.sweeps_per_study", "count"},
 	{"monitor.sweep_ms", "ms"},
 	{"monitor.harvest_ms", "ms"},
@@ -218,7 +220,7 @@ func (b *bench) emit(res *result, specs []metricSpec, vals map[string]float64) {
 var countNames = []string{
 	"cluster.leases", "cluster.cells_requested", "cluster.cells_discarded", "cluster.steals",
 	"cluster.redispatches", "service.cache_hits", "service.cache_misses", "store.rows_per_study",
-	"store.bytes_per_study", "monitor.sweeps_per_study", "runtime.gc_cycles_per_study",
+	"store.bytes_per_study", "store.batches_lost", "monitor.sweeps_per_study", "runtime.gc_cycles_per_study",
 	"runtime.mallocs_per_study", "cluster.wire_bytes_per_cell",
 }
 
@@ -229,6 +231,7 @@ func (b *bench) report() {
 	for _, s := range b.studies {
 		all = append(all, s.s)
 	}
+	fmt.Fprintf(os.Stderr, "studybench: set-ups in s, this process first: %.4f\n", b.setups)
 	fmt.Fprintf(os.Stderr, "studybench: study_s over %d studies: p10 %.4f p50 %.4f p90 %.4f\n",
 		len(all), quantile(all, 0.1), quantile(all, 0.5), quantile(all, 0.9))
 	lat := b.gen.latency
@@ -244,9 +247,10 @@ func (b *bench) report() {
 }
 
 // reconcile splits the median traced study's wall time into per-layer
-// self times, which sum to it, checks that they do for every traced
-// study, and reports the tracing overhead against the run's untraced
-// studies.
+// self times, which sum to its span by construction, checks for every
+// traced study that the sum matches the study's own wall time as
+// study() measured it, and reports the tracing overhead against the
+// run's untraced studies.
 func (b *bench) reconcile(vals map[string]float64, untraced []float64) {
 	type tracedStudy struct {
 		self  []int64
@@ -262,10 +266,11 @@ func (b *bench) reconcile(vals map[string]float64, untraced []float64) {
 		spans := b.tr.studySpans(s.id)
 		self, total := selfTimes(spans)
 		ts = append(ts, tracedStudy{self, total})
+		diff := -int64(s.s * 1e9)
 		for _, ns := range self {
-			total -= ns
+			diff += ns
 		}
-		gap = max(gap, total, -total)
+		gap = max(gap, diff, -diff)
 		var r int64
 		for _, sp := range spans {
 			switch sp.Name {
@@ -318,7 +323,7 @@ func (b *bench) microLayers(vals map[string]float64) error {
 	}
 	vals["harness.new_ms"] = median(newMS)
 
-	jobs := harness.GridJobs(nil, nil)
+	jobs := harness.GridJobs(proc.ConfigSpace(), nil)
 	var native, managed []float64
 	for _, j := range jobs {
 		t0 := time.Now()

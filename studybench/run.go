@@ -1,19 +1,23 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
 	"sort"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -28,19 +32,21 @@ import (
 // enough interactive latencies are in for a p99 with at least ten
 // samples beyond it, and never runs past hardLimit.
 const (
-	setupRepeats        = 3
-	minLatencySamples   = 1000
-	minStudies          = 5
-	hardLimit           = 150 * time.Second
-	gridCells           = 45 * 61
-	interactiveRate     = 200              // requests/s during every study
-	warmInteractive     = 1000             // interactive cells cached by warm-study's set-up
-	ingestWaitLimit     = 10 * time.Second // deployed-mix read-back
-	ingestSettle        = 100 * time.Millisecond
-	studyPasses         = 3 // reference, measurements, aggregates
-	interactiveInterval = time.Second / interactiveRate
-	studyFleetBackends  = 2
+	setupRepeats       = 3
+	minLatencySamples  = 1000
+	minStudies         = 5
+	hardLimit          = 150 * time.Second
+	gridCells          = 45 * 61
+	interactiveRate    = 200              // requests/s during every study; README.md, "Interactive rate"
+	ingestWaitLimit    = 10 * time.Second // deployed-mix read-back
+	studyFleetBackends = 2
 )
+
+// setupReady is the line a --setup-only process prints when its set-up
+// is done; errSetupDone ends the workload there.
+const setupReady = "studybench: set-up done"
+
+var errSetupDone = errors.New("set-up done")
 
 var workloads = map[string]func(*bench) error{
 	"cold-study":   (*bench).coldStudy,
@@ -62,7 +68,6 @@ type bench struct {
 	out     csvPair
 	rb      bytes.Buffer // read-back measurements.csv
 
-	initS     float64 // process start to main
 	setups    []float64
 	calib     []float64 // calibration times, ms
 	nextStudy int64
@@ -94,7 +99,6 @@ func run(opts options, start time.Time) (*result, error) {
 		start:   start,
 		ctx:     context.Background(),
 		streams: runtime.GOMAXPROCS(0),
-		initS:   time.Since(start).Seconds(),
 		gen:     newLoadgen(opts.seed),
 		hc:      &http.Client{Timeout: time.Minute},
 		vals:    map[string][]float64{},
@@ -111,7 +115,11 @@ func run(opts options, start time.Time) (*result, error) {
 	if opts.trace {
 		b.tr = newTracer()
 	}
-	if err := workloads[opts.workload](b); err != nil {
+	err := workloads[opts.workload](b)
+	if errors.Is(err, errSetupDone) {
+		return nil, nil
+	}
+	if err != nil {
 		return nil, err
 	}
 	b.gen.client.CloseIdleConnections()
@@ -119,26 +127,67 @@ func run(opts options, start time.Time) (*result, error) {
 	return b.finish()
 }
 
-// setup runs one set-up phase setupRepeats times; phase keeps the last
-// one's state (last is true) and tears the others down.
-func (b *bench) setup(phase func(last bool) error) error {
-	for i := 0; i < setupRepeats; i++ {
+// setup times the workload's set-up phase setupRepeats times, each from
+// the start of a fresh process, so every sample pays process start,
+// package initialisation and the first use of every process-wide cache.
+// The first is this process's own set-up, whose state the timed window
+// then uses; each further one runs in a child process of this binary
+// (--setup-only), which runs the same phase, reports it done and exits.
+func (b *bench) setup(phase func() error) error {
+	if err := phase(); err != nil {
+		return fmt.Errorf("set-up: %w", err)
+	}
+	if b.studyErrs > 0 {
+		return fmt.Errorf("set-up: %d studies failed", b.studyErrs)
+	}
+	if b.opts.setupOnly {
+		fmt.Println(setupReady)
+		return errSetupDone
+	}
+	b.setups = append(b.setups, time.Since(b.start).Seconds())
+	for i := 1; i < setupRepeats; i++ {
 		if err := b.settle(); err != nil {
 			return err
 		}
-		t0 := time.Now()
-		if err := phase(i == setupRepeats-1); err != nil {
-			return fmt.Errorf("set-up: %w", err)
+		d, err := b.childSetup()
+		if err != nil {
+			return fmt.Errorf("set-up in a child process: %w", err)
 		}
-		b.setups = append(b.setups, b.initS+time.Since(t0).Seconds())
-		if b.studyErrs > 0 {
-			return fmt.Errorf("set-up: %d studies failed", b.studyErrs)
-		}
+		b.setups = append(b.setups, d.Seconds())
 	}
 	// Set-up traffic is not measured.
 	b.gen.reset()
 	b.vals, b.studies, b.readbacks = map[string][]float64{}, nil, nil
 	return nil
+}
+
+// childSetup runs one set-up in a child process and times it from just
+// before the child starts until it reports the set-up done.
+func (b *bench) childSetup() (time.Duration, error) {
+	self, err := os.Executable()
+	if err != nil {
+		return 0, err
+	}
+	cmd := exec.Command(self, "--workload", b.opts.workload, "--seed", strconv.FormatInt(b.opts.seed, 10), "--setup-only")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		return 0, err
+	}
+	t0 := time.Now()
+	if err := cmd.Start(); err != nil {
+		return 0, err
+	}
+	line, readErr := bufio.NewReader(out).ReadString('\n')
+	d := time.Since(t0)
+	_, _ = io.Copy(io.Discard, out)
+	if err := cmd.Wait(); err != nil {
+		return 0, err
+	}
+	if readErr != nil || strings.TrimSpace(line) != setupReady {
+		return 0, fmt.Errorf("child printed %q, want %q", line, setupReady)
+	}
+	return d, nil
 }
 
 // measure runs repetitions until the window is over. In a traced run
@@ -172,9 +221,9 @@ func (b *bench) measure(rep func(traced bool) error) error {
 
 func (b *bench) add(name string, v float64) { b.vals[name] = append(b.vals[name], v) }
 
-// settle runs before every set-up and repetition: it collects garbage,
-// so every study starts from the same heap state, and times the host
-// calibration.
+// settle runs before every child set-up and every repetition: it
+// collects garbage, so every study starts from the same heap state, and
+// times the host calibration.
 func (b *bench) settle() error {
 	runtime.GC()
 	d, err := calibrate()
@@ -371,7 +420,7 @@ func (b *bench) startFleet(n int, storeDir string) (*fleet, error) {
 // coldStudy: every repetition starts two fresh backends in the daemon's
 // default configuration and runs the study on them.
 func (b *bench) coldStudy() error {
-	err := b.setup(func(bool) error {
+	err := b.setup(func() error {
 		f, err := b.startFleet(studyFleetBackends, "")
 		if err != nil {
 			return err
@@ -390,7 +439,7 @@ func (b *bench) coldStudy() error {
 		if err != nil {
 			return err
 		}
-		stop := b.gen.start(b.ctx, f.backends[0].url, interactiveInterval)
+		stop := b.gen.start(b.ctx, f.backends[0].url)
 		ref := b.study(f, traced)
 		stop()
 		b.heap()
@@ -411,43 +460,41 @@ func (b *bench) coldStudy() error {
 // already hold every cell of it.
 func (b *bench) warmStudy() error {
 	var f *fleet
-	err := b.setup(func(last bool) error {
-		fl, err := b.startFleet(studyFleetBackends, "")
-		if err != nil {
+	err := b.setup(func() (err error) {
+		if f, err = b.startFleet(studyFleetBackends, ""); err != nil {
 			return err
 		}
 		// Each backend must hold every cell. Studies through the fleet's
 		// scheduler would get there only by chance, since a lease may
 		// keep landing on the same backend, so each backend runs the
 		// study once through a scheduler of its own.
-		for _, be := range fl.backends {
-			err := fl.studyOn(b.ctx, be, b.opts.seed, b.streams, &b.out)
+		for _, be := range f.backends {
+			err := f.studyOn(b.ctx, be, b.opts.seed, b.streams, &b.out)
 			if err == nil && be.srv.Stats().Cache.Entries < gridCells {
 				err = fmt.Errorf("backend holds %d cells after a study, want %d", be.srv.Stats().Cache.Entries, gridCells)
 			}
 			if err != nil {
-				fl.close()
 				return err
 			}
 		}
-		// The interactive cells are cached too, so warm interactive
-		// requests are hits.
-		for _, be := range fl.backends {
-			b.gen.run(b.ctx, be.url, time.Millisecond, warmInteractive, nil)
+		// Every interactive cell is cached too, in one batch per backend,
+		// so warm interactive requests are hits.
+		for _, be := range f.backends {
+			if err := f.fillOn(b.ctx, be, b.gen.seed, b.gen.cells, b.streams); err != nil {
+				return err
+			}
 		}
-		if !last {
-			return fl.close()
-		}
-		f = fl
 		return nil
 	})
+	if f != nil {
+		defer f.close()
+	}
 	if err != nil {
 		return err
 	}
-	defer f.close()
 	i := 0
 	return b.measure(func(traced bool) error {
-		stop := b.gen.start(b.ctx, f.backends[i%len(f.backends)].url, interactiveInterval)
+		stop := b.gen.start(b.ctx, f.backends[i%len(f.backends)].url)
 		i++
 		ref := b.study(f, traced)
 		stop()
@@ -479,7 +526,7 @@ func (b *bench) deployedMix() error {
 		be := f.backends[0]
 		runtime.GC()
 		answered := b.gen.answered()
-		stop := b.gen.start(b.ctx, be.url, interactiveInterval)
+		stop := b.gen.start(b.ctx, be.url)
 		before := f.sched.Stats()
 		ref := b.study(f, traced)
 		stop()
@@ -511,44 +558,30 @@ func (b *bench) deployedMix() error {
 		return nil
 	}
 	// Set-up is a warm-up repetition whose records are discarded.
-	if err := b.setup(func(bool) error { return one(false) }); err != nil {
+	if err := b.setup(func() error { return one(false) }); err != nil {
 		return err
 	}
 	return b.measure(one)
 }
 
-// readbackStore waits until the store has ingested every batch the
-// repetition committed, then reads the study back: both CSV exports
-// (checked after the window), the aggregates and the trend replay.
+// readbackStore waits until the store holds every batch of the
+// repetition that will ever arrive, then times reading the study back:
+// both CSV exports (checked after the window), the aggregates and the
+// trend replay.
 func (b *bench) readbackStore(be *backend, commits int64) {
-	seed := strconv.FormatInt(b.opts.seed, 10)
-	t0 := time.Now()
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "studybench: read-back failed:", err)
 		b.readbacks = append(b.readbacks, readbackRec{invalid: true})
 	}
-	// Every measure request that finished commits its batch, but the
-	// scheduler cancels a pass's last lease stream once its last cell is
-	// in, and a backend that sees the cancel before writing the stream's
-	// terminal line commits nothing. So up to one batch per pass may
-	// never arrive: past that point, wait until the ingest goes quiet.
-	last, changed := int64(-1), time.Now()
-	for {
-		st := be.srv.Stats().Store
-		n := st.Recorded + st.Dropped + st.WriteErrors
-		if n >= commits || (n >= commits-studyPasses && time.Since(changed) > ingestSettle) {
-			break
-		}
-		if n != last {
-			last, changed = n, time.Now()
-		}
-		if time.Since(t0) > ingestWaitLimit {
-			fail(fmt.Errorf("store ingested %d of %d batches", n, commits))
-			return
-		}
-		time.Sleep(time.Millisecond)
+	lost, err := b.awaitIngest(be, commits)
+	if err != nil {
+		fail(err)
+		return
 	}
+	b.add("store.batches_lost", float64(lost))
+	seed := strconv.FormatInt(b.opts.seed, 10)
 	base := be.url + "/v1/studies"
+	t0 := time.Now()
 	meas, err := b.get(base + "/export?table=measurements&seed=" + seed)
 	if err != nil {
 		fail(err)
@@ -583,6 +616,51 @@ func (b *bench) readbackStore(be *backend, commits int64) {
 	b.add("store.rows_per_study", float64(rows))
 	b.add("store.bytes_per_study", float64(bytes))
 	b.add("store.rows_per_cell", float64(rows)/gridCells)
+}
+
+// awaitIngest waits until the store holds every batch of the repetition
+// that will ever arrive, and returns how many of the commits expected
+// (one per lease and per interactive request) never did. Every measure
+// request that finished commits its batch, but the scheduler cancels a
+// pass's last lease stream once its last cell is in, and a backend that
+// sees the cancel before writing the stream's terminal line commits
+// nothing, so how many batches will arrive is not known in advance.
+// Instead: once no request is in progress on the backend, every batch
+// that will commit is in the ingest queue. A marker batch at a seed of
+// its own then goes in behind them, and the store's single writer
+// appends in queue order, so once the marker's segment is in, so is
+// every batch before it.
+func (b *bench) awaitIngest(be *backend, commits int64) (lost int64, err error) {
+	deadline := time.Now().Add(ingestWaitLimit)
+	wait := func(done func() bool, what string) error {
+		for !done() {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("%s after %v", what, ingestWaitLimit)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		return nil
+	}
+	if err := wait(func() bool { return be.conns.active() == 0 }, "backend still serving"); err != nil {
+		return 0, err
+	}
+	marker := markerSeed(b.opts.seed)
+	body, err := measureBody(marker, b.gen.cells[0])
+	if err != nil {
+		return 0, err
+	}
+	if _, err := post(b.ctx, b.hc, be.url, body); err != nil {
+		return 0, fmt.Errorf("marker batch: %w", err)
+	}
+	markerIn := func() bool {
+		segs := be.store.Studies()
+		return len(segs) > 0 && segs[len(segs)-1].Seed == marker
+	}
+	if err := wait(markerIn, "marker batch not in the store"); err != nil {
+		return 0, err
+	}
+	st := be.srv.Stats().Store
+	return commits + 1 - (st.Recorded + st.Dropped + st.WriteErrors), nil
 }
 
 // observeDeployed times the observation stack from outside after a
