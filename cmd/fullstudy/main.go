@@ -65,7 +65,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "study seed")
 	out := flag.String("out", "dataset", "output directory")
 	backends := flag.String("backends", "", "comma-separated powerperfd base URLs; when set, measure remotely")
-	sched := flag.String("sched", "steal", "remote scheduler: steal (pull-based work stealing, streamed results) or shard (rendezvous hashing, hedged batches)")
+	sched := flag.String("sched", "steal", "remote scheduler: steal (pull-based work stealing from rendezvous-hashed home backends, streamed results) or shard (cells pinned to rendezvous-hashed homes, hedged batches)")
 	hedgeDelay := flag.Duration("hedge-delay", 400*time.Millisecond, "duplicate a straggling batch to a second backend after this long (-sched shard; 0 disables)")
 	leaseExpiry := flag.Duration("lease-expiry", 2*time.Second, "steal a lease after it delivers no cell for this long (-sched steal)")
 	batchSize := flag.Int("batch-size", 0, "cells per scheduling block (local), per lease (-sched steal), or per measure request (-sched shard); 0 = automatic. Tune with `powerperf tune`")

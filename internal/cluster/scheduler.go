@@ -25,10 +25,11 @@ type SchedulerOptions struct {
 	// Seed is the study seed sent with every measure request; nil
 	// defaults to 42 (a pointer keeps seed 0 usable).
 	Seed *int64
-	// LeaseCells is how many consecutive grid cells one lease covers;
-	// <= 0 selects 16. Leases slice the job list in order, so a lease
-	// shares a configuration's benchmark row — the same locality the
-	// local harness's scheduling blocks exploit.
+	// LeaseCells is how many cells one lease covers; <= 0 selects 16.
+	// Each backend's home cells (see Scheduler) are sliced into leases in
+	// job order, so a lease shares a configuration's benchmark row — the
+	// same locality the local harness's scheduling blocks exploit — and
+	// each pass has at most one partial lease per home.
 	LeaseCells int
 	// LeaseExpiry is how long a lease may go without delivering a cell
 	// before another backend may steal it; <= 0 selects 2s. Streaming
@@ -118,16 +119,21 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 // mid-stream death costs only the unfinished remainder of its lease,
 // never completed cells.
 //
-// Where Cluster pushes batches to rendezvous-chosen homes (maximizing
-// backend cache reuse across runs), the Scheduler lets backend speed
-// set the division of labor: a 10x-slower backend simply pulls 10x
-// fewer leases. Both satisfy the harness.MeasureBatch contract and
-// return bit-identical results — scheduling is invisible under the
-// determinism contract.
+// Every cell has a home backend, chosen by the same rendezvous Router
+// over the same key as Cluster, and every lease holds cells of one
+// home. A puller takes its own home's leases first, so a cell asked for
+// again — by the next pass of a study or the next study — lands on the
+// backend whose cache already holds it. The home is a preference, not
+// a pin: a puller with no home lease left takes another home's idle
+// lease, so a slow, dead or breaker-open backend's share moves to its
+// peers, and backend speed still sets the division of labor. Both coordinators
+// satisfy the harness.MeasureBatch contract and return bit-identical
+// results — scheduling is invisible under the determinism contract.
 type Scheduler struct {
 	opts     SchedulerOptions
 	seed     int64
 	backends []string
+	router   *Router
 	clients  map[string]*Client
 	breakers map[string]*Breaker
 	resolver *Resolver
@@ -146,11 +152,11 @@ type Scheduler struct {
 }
 
 // NewScheduler builds a work-stealing scheduler over the given backend
-// base URLs.
+// base URLs. Its router deduplicates the member list and picks every
+// cell's home backend; a one-backend fleet homes every cell there.
 func NewScheduler(backends []string, opts SchedulerOptions) (*Scheduler, error) {
-	// The router is used only to normalize and dedupe the member list —
-	// the scheduler does not route by key.
-	members := NewRouter(backends).Members()
+	router := NewRouter(backends)
+	members := router.Members()
 	if len(members) == 0 {
 		return nil, errors.New("cluster: no backends")
 	}
@@ -165,6 +171,7 @@ func NewScheduler(backends []string, opts SchedulerOptions) (*Scheduler, error) 
 		opts:     opts,
 		seed:     *opts.Seed,
 		backends: members,
+		router:   router,
 		clients:  make(map[string]*Client, len(members)),
 		breakers: make(map[string]*Breaker, len(members)),
 		resolver: NewResolver(),
@@ -189,9 +196,10 @@ func (s *Scheduler) Tracer() *telemetry.Tracer { return s.tracer }
 // run's mutex.
 type lease struct {
 	id         int
-	idxs       []int // job indices covered, in job order
-	remaining  int   // cells of this lease not yet delivered
-	holders    int   // backends currently streaming this lease
+	home       string // backend every covered cell routes to
+	idxs       []int  // job indices covered, in job order
+	remaining  int    // cells of this lease not yet delivered
+	holders    int    // backends currently streaming this lease
 	holderOf   map[string]int
 	touched    time.Time // last dispatch or cell delivery; expiry base
 	dispatched bool      // has ever been dispatched (first vs re-dispatch)
@@ -222,19 +230,26 @@ func newRun(s *Scheduler, jobs []harness.Job, cancel context.CancelFunc) *run {
 		done:   make([]bool, len(jobs)),
 		wake:   make(chan struct{}),
 	}
-	for lo := 0; lo < len(jobs); lo += s.opts.LeaseCells {
-		hi := lo + s.opts.LeaseCells
-		if hi > len(jobs) {
-			hi = len(jobs)
+	// Each home's jobs, in job order, fill that home's open lease until
+	// it holds LeaseCells, so ids follow each lease's first job and each
+	// home's pullers sweep the job list front to back. With one backend
+	// this is exactly the in-order slicing of the whole job list.
+	open := make(map[string]*lease, len(s.backends))
+	for i, j := range jobs {
+		home := s.router.Route(routeKey(s.seed, j))
+		l := open[home]
+		if l == nil || len(l.idxs) == s.opts.LeaseCells {
+			l = &lease{
+				id:       len(r.leases),
+				home:     home,
+				idxs:     make([]int, 0, min(s.opts.LeaseCells, len(jobs)-i)),
+				holderOf: make(map[string]int),
+			}
+			r.leases = append(r.leases, l)
+			open[home] = l
 		}
-		idxs := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			idxs = append(idxs, i)
-		}
-		r.leases = append(r.leases, &lease{
-			id: len(r.leases), idxs: idxs, remaining: len(idxs),
-			holderOf: make(map[string]int),
-		})
+		l.idxs = append(l.idxs, i)
+		l.remaining++
 	}
 	return r
 }
@@ -290,9 +305,12 @@ func (r *run) sleep(ctx context.Context, d time.Duration) bool {
 }
 
 // acquire hands backend its next lease: the lowest-id idle incomplete
-// lease if any (the front-to-back sweep keeps early blocks finishing
-// first), otherwise the stalest in-flight lease past expiry that the
-// backend is not already holding — a steal. Returns the lease, the
+// lease of its own home if any; otherwise the highest-id idle
+// incomplete lease of another home, taken from the back of that home's
+// queue while its own pullers work from the front, so a helper takes
+// the same tail cells pass after pass and the next pass finds them in
+// its cache; otherwise the stalest in-flight lease past expiry that
+// the backend is not already holding — a steal. Returns the lease, the
 // job indices still undone at acquisition, and the dispatch kind
 // ("first" initial dispatch, "steal" expired-lease takeover,
 // "redispatch" re-issue after the previous holder released without
@@ -310,7 +328,9 @@ func (r *run) acquire(backend string) (*lease, []int, string) {
 	for _, l := range r.leases {
 		if l.remaining > 0 && l.holders == 0 {
 			pick = l
-			break
+			if l.home == backend {
+				break
+			}
 		}
 	}
 	steal := false

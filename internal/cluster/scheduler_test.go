@@ -325,3 +325,202 @@ func TestSchedulerStudyCSVProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerLeasePlanHomes: every lease holds cells of one home, that
+// home is the rendezvous owner of each cell's routeKey — so the
+// scheduler and the shard coordinator agree on every cell's home — and
+// each home's cells are sliced in job order, with at most one partial
+// lease per home. Lease ids follow the leases' first jobs.
+func TestSchedulerLeasePlanHomes(t *testing.T) {
+	members := testMembers(3)
+	s, err := NewScheduler(members, SchedulerOptions{Seed: seedPtr(7), LeaseCells: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := stockJobs(t, 8)
+	router := NewRouter(members)
+	r := newRun(s, jobs, func() {})
+
+	seen := make([]bool, len(jobs))
+	partial := map[string]int{}
+	last := map[string]int{}
+	prevFirst := -1
+	for id, l := range r.leases {
+		if l.id != id {
+			t.Fatalf("lease at %d has id %d", id, l.id)
+		}
+		if l.idxs[0] <= prevFirst {
+			t.Fatalf("lease %d starts at job %d, not after lease %d's %d", id, l.idxs[0], id-1, prevFirst)
+		}
+		prevFirst = l.idxs[0]
+		if len(l.idxs) < 16 {
+			partial[l.home]++
+		}
+		for _, i := range l.idxs {
+			if home := router.Route(routeKey(7, jobs[i])); home != l.home {
+				t.Fatalf("lease %d (home %s) holds job %d, whose home is %s", id, l.home, i, home)
+			}
+			if seen[i] {
+				t.Fatalf("job %d is in two leases", i)
+			}
+			seen[i] = true
+			if prev, ok := last[l.home]; ok && i <= prev {
+				t.Fatalf("home %s's jobs out of order: %d after %d", l.home, i, prev)
+			}
+			last[l.home] = i
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("job %d is in no lease", i)
+		}
+	}
+	if len(last) != len(members) {
+		t.Fatalf("%d of %d backends are home to a cell", len(last), len(members))
+	}
+	for home, n := range partial {
+		if n > 1 {
+			t.Fatalf("home %s has %d partial leases, want at most 1", home, n)
+		}
+	}
+}
+
+// TestSchedulerOneBackendPlanIsInOrder: with one backend every cell is
+// home there, and the plan is the in-order slicing of the job list.
+func TestSchedulerOneBackendPlanIsInOrder(t *testing.T) {
+	s, err := NewScheduler(testMembers(1), SchedulerOptions{LeaseCells: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := stockJobs(t, 3)
+	r := newRun(s, jobs, func() {})
+	if want := (len(jobs) + 15) / 16; len(r.leases) != want {
+		t.Fatalf("%d leases, want %d", len(r.leases), want)
+	}
+	for id, l := range r.leases {
+		lo := id * 16
+		hi := min(lo+16, len(jobs))
+		if len(l.idxs) != hi-lo || l.idxs[0] != lo || l.idxs[len(l.idxs)-1] != hi-1 || l.remaining != hi-lo {
+			t.Fatalf("lease %d covers %v, want jobs [%d, %d)", id, l.idxs, lo, hi)
+		}
+	}
+}
+
+// TestSchedulerAcquirePrefersHome: a puller takes the lowest-id idle
+// lease of its own home first, then the highest-id idle lease of
+// another home, and steals an expired lease only when nothing is idle.
+func TestSchedulerAcquirePrefersHome(t *testing.T) {
+	members := testMembers(2)
+	a, b := members[0], members[1]
+	s, err := NewScheduler(members, SchedulerOptions{LeaseCells: 8, LeaseExpiry: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRun(s, stockJobs(t, 2), func() {})
+	homeOf := func(home string) []*lease {
+		var ls []*lease
+		for _, l := range r.leases {
+			if l.home == home {
+				ls = append(ls, l)
+			}
+		}
+		return ls
+	}
+	ownA, ownB := homeOf(a), homeOf(b)
+	if len(ownA) < 2 || len(ownB) < 2 {
+		t.Fatalf("homes hold %d and %d leases, want at least 2 each", len(ownA), len(ownB))
+	}
+
+	// A drains its own home front to back.
+	for _, want := range ownA {
+		l, idxs, kind := r.acquire(a)
+		if l != want || kind != "first" || len(idxs) != len(want.idxs) {
+			t.Fatalf("acquire(A) = lease %v (%s), want own lease %d first", l, kind, want.id)
+		}
+	}
+	// With its home drained, A helps from the back of B's queue while B
+	// works from the front.
+	tail := ownB[len(ownB)-1]
+	if l, _, kind := r.acquire(a); l != tail || kind != "first" {
+		t.Fatalf("acquire(A) after own home = lease %v (%s), want B's last lease %d", l, kind, tail.id)
+	}
+	for _, l := range ownB[:len(ownB)-1] {
+		if got, _, _ := r.acquire(b); got != l {
+			t.Fatalf("acquire(B) = lease %v, want its lease %d", got, l.id)
+		}
+	}
+
+	// Nothing idle and nothing expired: no lease.
+	if l, _, _ := r.acquire(a); l != nil {
+		t.Fatalf("acquire(A) with every lease held = lease %d, want none", l.id)
+	}
+	// A released lease goes back to idle and is re-dispatched — to
+	// anyone, since only B's other leases are held.
+	r.release(ownA[0], a, nil)
+	if l, _, kind := r.acquire(b); l != ownA[0] || kind != "redispatch" {
+		t.Fatalf("acquire(B) after A's release = lease %v (%s), want redispatch of %d", l, kind, ownA[0].id)
+	}
+	// An expired lease held only by B is stolen by A, stalest first.
+	r.mu.Lock()
+	ownB[0].touched = time.Now().Add(-2 * time.Minute)
+	ownB[1].touched = time.Now().Add(-3 * time.Minute)
+	r.mu.Unlock()
+	if l, _, kind := r.acquire(a); l != ownB[1] || kind != "steal" {
+		t.Fatalf("acquire(A) with B's leases expired = lease %v (%s), want steal of %d", l, kind, ownB[1].id)
+	}
+}
+
+// TestSchedulerAffinityKeepsCachesWarm runs the same grid twice through
+// one scheduler over two backends. The second pass asks each backend
+// mostly for cells its own cache filled in the first, so it fills under
+// a quarter of the cells again (placement by chance refills about
+// half), and both passes return measurements identical to a local
+// harness.
+func TestSchedulerAffinityKeepsCachesWarm(t *testing.T) {
+	var srvs []*service.Server
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv := service.NewServer(service.Options{Seed: 42})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		srvs = append(srvs, srv)
+		urls = append(urls, ts.URL)
+	}
+	s, err := NewScheduler(urls, SchedulerOptions{Seed: seedPtr(42), LeaseCells: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fills := func() int64 {
+		var n int64
+		for _, srv := range srvs {
+			n += srv.Stats().Cache.Misses
+		}
+		return n
+	}
+	jobs := stockJobs(t, 4)
+	h, err := harness.New(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := h.MeasureBatch(context.Background(), jobs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		before := fills()
+		got, err := s.MeasureBatch(context.Background(), jobs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, local) {
+			t.Fatalf("pass %d: scheduled measurements differ from local", pass)
+		}
+		n := fills() - before
+		if pass == 1 && n != int64(len(jobs)) {
+			t.Fatalf("pass 1 filled %d cells, want each of the %d once", n, len(jobs))
+		}
+		if pass == 2 && 4*n >= int64(len(jobs)) {
+			t.Fatalf("pass 2 filled %d of %d cells again, want under 25%%", n, len(jobs))
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -21,20 +22,32 @@ import (
 	"repro/internal/traceanalytics"
 )
 
-// TestCriticalPathUnderChaos is the PR's acceptance scenario: a
-// scheduled (work-stealing) seed-42 study over three backends — one a
-// 10x straggler, one killed mid-run — with the fleet monitor's trace
-// analytics armed throughout. The monitor must assemble complete
-// cross-backend waterfalls from the per-process span harvests, the
-// critical path must attribute nonzero wall time to the steal
-// re-dispatch that absorbed the death, per-stage self-times must sum
-// to each trace's wall time within 1%, and the study's CSVs must stay
-// byte-identical to a local serial run — observation and chaos both
-// invisible under the determinism contract.
+// TestCriticalPathUnderChaos is the trace-analytics acceptance
+// scenario: a scheduled (work-stealing) seed-42 study over three
+// backends — one a 10x straggler, one that hangs on a lease and dies —
+// with the fleet monitor's trace analytics armed throughout. The
+// monitor must assemble complete cross-backend waterfalls from the
+// per-process span harvests, the critical path must attribute nonzero
+// wall time to the re-dispatch that absorbed the death, per-stage
+// self-times must sum to each trace's wall time within 1%, and the
+// study's CSVs must stay byte-identical to a local serial run —
+// observation and chaos both invisible under the determinism contract.
+//
+// The death is placed so the re-dispatch is on the critical path by
+// construction, not by timing: the victim hangs on the first lease it
+// is sent (by lease affinity, one of its own home leases) until every
+// other lease of the study has ended, then dies. The re-dispatched lease starts after the
+// victim's lease ended and after every other lease ended, so it is the
+// study's last lease, and the critical-path walk, which starts from the
+// latest-ending lease, goes through it.
 func TestCriticalPathUnderChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos scenario; skipped in -short")
 	}
+	// Cancelled before the servers close, so a hung handler gives up
+	// instead of blocking their shutdown if the study fails.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
 	// Backend 0: the straggler. Every cache fill sleeps ~10x a typical
 	// fill, so the work-stealing division of labor shifts around it.
@@ -53,24 +66,55 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 	ts1 := httptest.NewServer(srv1.Handler())
 	defer ts1.Close()
 
-	// Backend 2: the victim, killed mid-study after its 30th cache fill.
-	// The scheduler reaches it through a chaos proxy (so the kill severs
-	// the scheduler's streams) while the monitor scrapes the backend
-	// directly (so the victim's span retention stays harvestable, the
-	// way a sidecar monitor outlives a torn-down route).
+	// Backend 2: the victim. The scheduler reaches it through a chaos
+	// proxy (so the kill severs the scheduler's streams) while the
+	// monitor scrapes the backend directly (so the victim's span
+	// retention stays harvestable, the way a sidecar monitor outlives a
+	// torn-down route). Its backend hangs on the first lease it is sent
+	// until every other cell is delivered and every other lease has
+	// ended, then dies. The hang holds no worker, so the victim's other
+	// puller keeps serving leases meanwhile.
+	const total = 6 * 61
 	var proxy2 *chaoshttp.Proxy
 	var pts2 *httptest.Server
-	var victimFills atomic.Int64
-	hooks2 := &service.Hooks{BeforeMeasure: func(int64, string, string) error {
-		if victimFills.Add(1) == 30 {
-			proxy2.Kill()
-			pts2.CloseClientConnections()
+	var coordinator atomic.Pointer[cluster.Scheduler]
+	var hung atomic.Bool
+	othersEnded := func(hungCells int) bool {
+		sched := coordinator.Load()
+		st := sched.Stats()
+		if st.CellsMeasured != int64(total-hungCells) {
+			return false
 		}
-		return nil
-	}}
-	srv2 := service.NewServer(service.Options{Seed: 42, Hooks: hooks2})
+		ended := 0
+		for _, sp := range sched.Tracer().Snapshot() {
+			if sp.Name == "scheduler.lease" {
+				ended++
+			}
+		}
+		return int64(ended) == st.LeasesIssued-1
+	}
+	srv2 := service.NewServer(service.Options{Seed: 42})
 	defer srv2.Drain()
-	ts2 := httptest.NewServer(srv2.Handler())
+	h2 := srv2.Handler()
+	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/measure" || !hung.CompareAndSwap(false, true) {
+			h2.ServeHTTP(w, r)
+			return
+		}
+		var lease struct{ Cells []json.RawMessage }
+		if err := json.NewDecoder(r.Body).Decode(&lease); err != nil {
+			t.Errorf("victim: decode lease: %v", err)
+			return
+		}
+		for !othersEnded(len(lease.Cells)) {
+			if ctx.Err() != nil {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		proxy2.Kill()
+		pts2.CloseClientConnections()
+	}))
 	defer ts2.Close()
 	proxy2 = chaoshttp.New(ts2.URL, chaoshttp.Options{Seed: 2})
 	pts2 = httptest.NewServer(proxy2)
@@ -85,14 +129,15 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 		Timeout:  2 * time.Second,
 		Seed:     7,
 	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	mon.Start(ctx)
 
+	// The expiry outlasts the hang: the hung lease must move because its
+	// holder died, not because another backend stole it while the rest
+	// of the study ran.
 	sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL, pts2.URL}, cluster.SchedulerOptions{
 		Seed:             seedPtr(42),
 		LeaseCells:       8,
-		LeaseExpiry:      150 * time.Millisecond,
+		LeaseExpiry:      time.Minute,
 		BreakerThreshold: 3,
 		BreakerCooldown:  250 * time.Millisecond,
 		BackoffBase:      2 * time.Millisecond,
@@ -103,6 +148,7 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	coordinator.Store(sched)
 
 	// Local serial run at the same seed: the byte-identity oracle.
 	h, err := harness.New(42)
@@ -126,7 +172,7 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 			gotM.Len(), wantM.Len())
 	}
 	if !proxy2.Dead() {
-		t.Fatalf("victim was never killed (fills=%d)", victimFills.Load())
+		t.Fatal("victim was never killed: it was sent no lease")
 	}
 	st := sched.Stats()
 	if st.Steals+st.Redispatches == 0 {

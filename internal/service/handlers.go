@@ -154,7 +154,8 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 // goroutines at once) for each measured cell, and returns the first
 // error. Real computation is admitted by the shared worker pool through
 // lane l; these goroutines mostly wait on cache fills, so the cap only
-// bounds bookkeeping, not parallelism.
+// bounds bookkeeping, not parallelism. A batch whose every cell reached
+// sink is complete even if ctx ended afterwards.
 func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, full bool, cells []cell, sink func(i int, m *harness.Measurement, res *CellResult)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -162,7 +163,7 @@ func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, full boo
 	if fan > 64 {
 		fan = 64
 	}
-	var next atomic.Int64
+	var next, sunk atomic.Int64
 	// Mutex, not atomic.Value: measureCell failures carry heterogeneous
 	// concrete error types, which atomic.Value.CompareAndSwap rejects by
 	// panicking.
@@ -189,6 +190,7 @@ func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, full boo
 					return
 				}
 				sink(i, m, cellResult(cells[i], m, full))
+				sunk.Add(1)
 			}
 		}()
 	}
@@ -198,8 +200,11 @@ func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, full boo
 	if firstErr != nil {
 		return firstErr
 	}
-	// Parent cancellation (client disconnect) with no cell error still
-	// means the batch is incomplete.
+	if sunk.Load() == int64(len(cells)) {
+		return nil
+	}
+	// Parent cancellation (client disconnect) before every cell reached
+	// sink means the batch is incomplete.
 	return ctx.Err()
 }
 
@@ -240,10 +245,11 @@ func (s *Server) measureStream(w http.ResponseWriter, r *http.Request, seed int6
 		cancel()
 		for range ch {
 		}
-		return
 	}
-	// run saw the channel close, so fanErr is settled: a clean fan-out
-	// means every cell measured, and the study commits.
+	// The channel is closed, so fanErr is settled: a clean fan-out means
+	// every cell measured, and the study commits — even when the client
+	// left before the terminal line, as a coordinator does once the
+	// last cell it needed has arrived.
 	if fanErr == nil {
 		s.commitStudy(ctx, rec)
 	}

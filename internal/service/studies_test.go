@@ -2,17 +2,21 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/harness"
 	"repro/internal/proc"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -341,6 +345,106 @@ func TestStreamedStudyRecorded(t *testing.T) {
 	stats := st.Stats()
 	if stats.Segments != 1 || stats.Rows != 2 {
 		t.Fatalf("streamed study stored %d segments / %d rows, want 1/2", stats.Segments, stats.Rows)
+	}
+}
+
+// leavingClient is a response writer whose client goes away mid-stream:
+// writes fail once gone is set, and cancel (when set) ends the request
+// context the moment the client leaves, as a severed connection does.
+type leavingClient struct {
+	header http.Header
+	cells  int
+	leave  func(line []byte, cells int) bool
+	cancel context.CancelFunc
+	gone   bool
+}
+
+func (c *leavingClient) Header() http.Header { return c.header }
+func (c *leavingClient) WriteHeader(int)     {}
+
+func (c *leavingClient) Write(p []byte) (int, error) {
+	if c.gone {
+		return 0, errors.New("client gone")
+	}
+	if bytes.HasPrefix(p, []byte(`{"cell":`)) {
+		c.cells++
+	}
+	if c.leave(p, c.cells) {
+		c.gone = true
+		if c.cancel != nil {
+			c.cancel()
+			return len(p), nil // the line left before the client did
+		}
+		return 0, errors.New("client gone")
+	}
+	return len(p), nil
+}
+
+// TestStreamCommitsWhenClientLeavesAfterLastCell: a streamed batch whose
+// every cell reached the client lands in the store even when the client
+// leaves before the terminal done line — the scheduler cancels a pass's
+// streams as soon as the pass's last cell arrives, and a lost commit
+// would leave the stored study one lease short.
+func TestStreamCommitsWhenClientLeavesAfterLastCell(t *testing.T) {
+	body := `{"lane":"bulk","cells":[
+		{"benchmark":"jess","processor":"i5 (32)"},
+		{"benchmark":"sunflow","processor":"i5 (32)"},
+		{"benchmark":"mcf","processor":"i5 (32)"}
+	]}`
+	for _, tc := range []struct {
+		name   string
+		cancel bool
+		leave  func(line []byte, cells int) bool
+	}{
+		{"cancelled after the last cell line", true,
+			func(_ []byte, cells int) bool { return cells == 3 }},
+		{"done line write fails", false,
+			func(line []byte, _ int) bool { return bytes.HasPrefix(line, []byte(`{"done":`)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _, st := storeServer(t, Options{Workers: 2})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			w := &leavingClient{header: http.Header{}, leave: tc.leave}
+			if tc.cancel {
+				w.cancel = cancel
+			}
+			req := httptest.NewRequest(http.MethodPost, "/v1/measure?stream=1", strings.NewReader(body)).WithContext(ctx)
+			srv.Handler().ServeHTTP(w, req)
+			if !w.gone || w.cells != 3 {
+				t.Fatalf("client saw %d cells (gone %v), want all 3 before leaving", w.cells, w.gone)
+			}
+			srv.Drain()
+			if stats := st.Stats(); stats.Segments != 1 || stats.Rows != 3 {
+				t.Fatalf("stored %d segments / %d rows, want 1/3", stats.Segments, stats.Rows)
+			}
+		})
+	}
+}
+
+// TestFanOutCompleteDespiteLateCancel: a fan-out whose every cell
+// reached its sink is complete, even if the caller cancelled right after
+// the last one.
+func TestFanOutCompleteDespiteLateCancel(t *testing.T) {
+	srv := NewServer(Options{Seed: 42, Workers: 2})
+	defer srv.Drain()
+	_, cells, err := DecodeMeasureRequest(strings.NewReader(`{"cells":[
+		{"benchmark":"jess","processor":"i5 (32)"},
+		{"benchmark":"sunflow","processor":"i5 (32)"}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var sunk atomic.Int64
+	err = srv.fanOutMeasure(ctx, 42, laneBulk, false, cells, func(int, *harness.Measurement, *CellResult) {
+		if sunk.Add(1) == int64(len(cells)) {
+			cancel()
+		}
+	})
+	if err != nil {
+		t.Fatalf("complete fan-out reported %v", err)
 	}
 }
 
