@@ -434,14 +434,14 @@ func BenchmarkFindings(b *testing.B) {
 	}
 }
 
-// BenchmarkServedStudy is the tentpole end-to-end benchmark: a cold
-// 2-backend cluster study (6 stock configurations x 61 benchmarks, 366
-// cells) through the full serving path — HTTP, JSON, the sharded cache,
-// the worker pool, and batched kernel evaluation on the backends.
-// BENCH_pr6.json records its numbers against the PR 5 baseline; the CI
-// perf lane replays it at -benchtime=3x. Fresh backends per iteration
-// keep the cache cold so the number tracks real study work, not cache
-// hits.
+// BenchmarkServedStudy is the end-to-end served-study benchmark: a cold
+// 2-backend study (6 stock configurations x 61 benchmarks, 366 cells)
+// through the work-stealing scheduler and the full serving path —
+// leases, NDJSON streaming, HTTP, the sharded cache, the worker pool,
+// and batched kernel evaluation on the backends. The CI perf lane
+// replays it at -benchtime=3x and gates its allocs/op. Fresh backends
+// per iteration keep the cache cold so the number tracks real study
+// work, not cache hits.
 func BenchmarkServedStudy(b *testing.B) {
 	telemetry.SetLogLevel(slog.LevelError)
 	jobs := harness.GridJobs(nil, nil)[:6*61]
@@ -452,13 +452,13 @@ func BenchmarkServedStudy(b *testing.B) {
 		b.StopTimer()
 		ts0 := httptest.NewServer(service.NewServer(service.Options{Seed: seed}).Handler())
 		ts1 := httptest.NewServer(service.NewServer(service.Options{Seed: seed}).Handler())
-		cl, err := cluster.New([]string{ts0.URL, ts1.URL}, cluster.Options{Seed: &seed})
+		sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL}, cluster.SchedulerOptions{Seed: &seed})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 
-		if _, err := cl.MeasureBatch(context.Background(), jobs, 0); err != nil {
+		if _, err := sched.MeasureBatch(context.Background(), jobs, 0); err != nil {
 			b.Fatal(err)
 		}
 
@@ -477,7 +477,14 @@ func BenchmarkServedStudy(b *testing.B) {
 // means something on the per-cell path started allocating again —
 // almost always an escape or a dropped pool, worth catching at test
 // time rather than in the e2e benchmark's noise.
+//
+// The race detector's instrumentation allocates on its own (9–10 allocs
+// for a native cell and 32–33 for a managed one), so a -race build skips
+// the test; every build without -race enforces the budget.
 func TestMeasurePathAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the 6/7 budget is enforced by `go test ./...` and CI's race-free alloc-budget step")
+	}
 	h, err := harness.New(42)
 	if err != nil {
 		t.Fatal(err)
@@ -513,7 +520,7 @@ func TestMeasurePathAllocBudget(t *testing.T) {
 
 // BenchmarkServedStudyStored is BenchmarkServedStudy with the
 // persistent study store enabled on both backends: the same cold
-// 366-cell cluster study, but every measure batch also runs through the
+// 366-cell scheduled study, but every lease also runs through the
 // ingest recorder (row capture + async enqueue). The store's write path
 // is a single background goroutine per backend, so the timed section
 // covers exactly what a client sees — the ingest-overhead gate in CI
@@ -540,43 +547,6 @@ func BenchmarkServedStudyStored(b *testing.B) {
 		srv1 := service.NewServer(service.Options{Seed: seed, Store: st1})
 		ts0 := httptest.NewServer(srv0.Handler())
 		ts1 := httptest.NewServer(srv1.Handler())
-		cl, err := cluster.New([]string{ts0.URL, ts1.URL}, cluster.Options{Seed: &seed})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-
-		if _, err := cl.MeasureBatch(context.Background(), jobs, 0); err != nil {
-			b.Fatal(err)
-		}
-
-		b.StopTimer()
-		srv0.Drain()
-		srv1.Drain()
-		ts0.Close()
-		ts1.Close()
-		st0.Close()
-		st1.Close()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkScheduledStudy is BenchmarkServedStudy's work-stealing
-// sibling: the same cold 2-backend 366-cell study, but measured through
-// the pull-based scheduler and the NDJSON streaming path instead of
-// rendezvous-sharded buffered batches. BENCH_pr7.json records both
-// numbers; the gate is that the scheduler's no-fault overhead versus
-// the sharded coordinator stays under 10%.
-func BenchmarkScheduledStudy(b *testing.B) {
-	telemetry.SetLogLevel(slog.LevelError)
-	jobs := harness.GridJobs(nil, nil)[:6*61]
-	seed := int64(42)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ts0 := httptest.NewServer(service.NewServer(service.Options{Seed: seed}).Handler())
-		ts1 := httptest.NewServer(service.NewServer(service.Options{Seed: seed}).Handler())
 		sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL}, cluster.SchedulerOptions{Seed: &seed})
 		if err != nil {
 			b.Fatal(err)
@@ -588,8 +558,12 @@ func BenchmarkScheduledStudy(b *testing.B) {
 		}
 
 		b.StopTimer()
+		srv0.Drain()
+		srv1.Drain()
 		ts0.Close()
 		ts1.Close()
+		st0.Close()
+		st1.Close()
 		b.StartTimer()
 	}
 }
@@ -614,13 +588,13 @@ func BenchmarkServedStudySLO(b *testing.B) {
 		srv1 := service.NewServer(service.Options{Seed: seed, SLO: service.DefaultSLOConfig(), TailSampling: tail})
 		ts0 := httptest.NewServer(srv0.Handler())
 		ts1 := httptest.NewServer(srv1.Handler())
-		cl, err := cluster.New([]string{ts0.URL, ts1.URL}, cluster.Options{Seed: &seed})
+		sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL}, cluster.SchedulerOptions{Seed: &seed})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 
-		if _, err := cl.MeasureBatch(context.Background(), jobs, 0); err != nil {
+		if _, err := sched.MeasureBatch(context.Background(), jobs, 0); err != nil {
 			b.Fatal(err)
 		}
 
@@ -659,7 +633,7 @@ func BenchmarkServedStudyTraced(b *testing.B) {
 		srv1 := service.NewServer(service.Options{Seed: seed})
 		ts0 := httptest.NewServer(srv0.Handler())
 		ts1 := httptest.NewServer(srv1.Handler())
-		cl, err := cluster.New([]string{ts0.URL, ts1.URL}, cluster.Options{Seed: &seed})
+		sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL}, cluster.SchedulerOptions{Seed: &seed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -675,7 +649,7 @@ func BenchmarkServedStudyTraced(b *testing.B) {
 		}
 		b.StartTimer()
 
-		if _, err := cl.MeasureBatch(context.Background(), jobs, 0); err != nil {
+		if _, err := sched.MeasureBatch(context.Background(), jobs, 0); err != nil {
 			b.Fatal(err)
 		}
 

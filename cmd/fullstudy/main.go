@@ -6,26 +6,25 @@
 //
 // Usage:
 //
-//	fullstudy [-seed N] [-out DIR] [-backends URL,URL,...] [-sched steal|shard]
+//	fullstudy [-seed N] [-out DIR] [-backends URL,URL,...] [-lease-expiry D]
 //	          [-batch-size N] [-trace-out trace.json]
 //
 // With -backends the study runs remotely against a fleet of powerperfd
-// instances. The default scheduler (-sched steal) is pull-based work
-// stealing: cells are sliced into leases that backends pull as fast as
-// they finish, results stream back cell-by-cell over NDJSON, and a
-// lease that stalls — straggler or death — is stolen by an idle backend
-// with the first result per cell winning. -sched shard selects the
-// rendezvous coordinator instead: cells shard by hash (maximizing
-// backend cache reuse across runs), stragglers hedge to a second
-// backend, failures retry and fail over. Either way the CSVs are
-// byte-identical to a local run, because every cell is a pure function
-// of its identity no matter which backend computes it.
+// instances through the work-stealing scheduler: every cell has a
+// rendezvous-hashed home backend (so a backend's cache keeps its slice
+// of the grid across runs), cells are sliced into leases that backends
+// pull as fast as they finish — their own home's first — results stream
+// back cell-by-cell over NDJSON, and a lease that stalls or fails —
+// straggler or death — is stolen or re-leased by another backend with
+// the first result per cell winning. The CSVs are byte-identical to a
+// local run, because every cell is a pure function of its identity no
+// matter which backend computes it.
 //
-// With -trace-out the run records spans of every batch, cell, and (in
-// cluster mode) routing/retry/hedge/failover decision, and writes them
-// as Chrome trace-event JSON — load the file in chrome://tracing or
-// Perfetto for a flame view of where the study spent its time. Tracing
-// never changes the dataset's bytes.
+// With -trace-out the run records spans of every batch, cell, and (with
+// -backends) lease, steal, and re-dispatch, and writes them as Chrome
+// trace-event JSON — load the file in chrome://tracing or Perfetto for
+// a flame view of where the study spent its time. Tracing never changes
+// the dataset's bytes.
 //
 // Writes:
 //
@@ -49,7 +48,6 @@ import (
 	powerperf "repro"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/harness"
 	"repro/internal/profiling"
 	"repro/internal/telemetry"
 )
@@ -65,10 +63,8 @@ func main() {
 	seed := flag.Int64("seed", 42, "study seed")
 	out := flag.String("out", "dataset", "output directory")
 	backends := flag.String("backends", "", "comma-separated powerperfd base URLs; when set, measure remotely")
-	sched := flag.String("sched", "steal", "remote scheduler: steal (pull-based work stealing from rendezvous-hashed home backends, streamed results) or shard (cells pinned to rendezvous-hashed homes, hedged batches)")
-	hedgeDelay := flag.Duration("hedge-delay", 400*time.Millisecond, "duplicate a straggling batch to a second backend after this long (-sched shard; 0 disables)")
-	leaseExpiry := flag.Duration("lease-expiry", 2*time.Second, "steal a lease after it delivers no cell for this long (-sched steal)")
-	batchSize := flag.Int("batch-size", 0, "cells per scheduling block (local), per lease (-sched steal), or per measure request (-sched shard); 0 = automatic. Tune with `powerperf tune`")
+	leaseExpiry := flag.Duration("lease-expiry", 2*time.Second, "steal a lease after it delivers no cell for this long (with -backends)")
+	batchSize := flag.Int("batch-size", 0, "cells per scheduling block (local) or per lease (with -backends); 0 = automatic. Tune with `powerperf tune`")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run's spans to this file")
 	traceBuffer := flag.Int("trace-buffer", 65536, "completed spans retained for -trace-out")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -76,8 +72,8 @@ func main() {
 	flag.Parse()
 
 	// A negative batch size would silently fall back to the automatic
-	// block (local) or the 61-cell default (cluster) — reject it so a
-	// typo'd flag fails loudly instead of changing the schedule.
+	// block (local) or the 16-cell default lease (remote) — reject it so
+	// a typo'd flag fails loudly instead of changing the schedule.
 	if *batchSize < 0 {
 		fatal("flags", fmt.Errorf("-batch-size must be >= 0 (0 = automatic), got %d", *batchSize))
 	}
@@ -102,7 +98,7 @@ func main() {
 	}
 
 	start := time.Now()
-	measurements, aggregates, err := streamers(ctx, *seed, *backends, *sched, *hedgeDelay, *leaseExpiry, *batchSize, tracer)
+	measurements, aggregates, err := streamers(ctx, *seed, *backends, *leaseExpiry, *batchSize, tracer)
 	if err != nil {
 		fatal("setup", err)
 	}
@@ -137,21 +133,12 @@ func main() {
 
 type streamFunc = func(ctx context.Context, w io.Writer) error
 
-// remoteSource is what both remote schedulers (work-stealing and
-// rendezvous) provide on top of the measuring Source contract.
-type remoteSource interface {
-	experiments.Source
-	Reference(context.Context, int) (*harness.Reference, error)
-	Backends() []string
-	StartProber(context.Context, time.Duration)
-}
-
 // streamers builds the two CSV writers, local (in-process harness) or
-// remote (a scheduler over powerperfd backends). All paths produce
+// remote (the scheduler over powerperfd backends). Both paths produce
 // byte-identical files at the same seed, traced or not, at any batch
 // or lease size — scheduling is pure plumbing under the determinism
 // contract.
-func streamers(ctx context.Context, seed int64, backends, sched string, hedgeDelay, leaseExpiry time.Duration, batchSize int, tracer *telemetry.Tracer) (measurements, aggregates streamFunc, err error) {
+func streamers(ctx context.Context, seed int64, backends string, leaseExpiry time.Duration, batchSize int, tracer *telemetry.Tracer) (measurements, aggregates streamFunc, err error) {
 	if backends == "" {
 		study, err := powerperf.NewStudy(seed)
 		if err != nil {
@@ -176,72 +163,42 @@ func streamers(ctx context.Context, seed int64, backends, sched string, hedgeDel
 			urls = append(urls, u)
 		}
 	}
-	var src remoteSource
-	var logStats func()
-	switch sched {
-	case "steal":
-		sc, err := cluster.NewScheduler(urls, cluster.SchedulerOptions{
-			Seed: &seed, LeaseCells: batchSize, LeaseExpiry: leaseExpiry, Tracer: tracer})
-		if err != nil {
-			return nil, nil, err
-		}
-		src = sc
-		logStats = func() {
-			st := sc.Stats()
-			logger.Info("scheduler stats",
-				slog.Int64("leases", st.LeasesIssued), slog.Int64("steals", st.Steals),
-				slog.Int64("redispatches", st.Redispatches), slog.Int64("cells", st.CellsMeasured),
-				slog.Int64("cells_discarded", st.CellsDiscarded),
-				slog.Int64("truncations", st.StreamTruncations),
-				slog.Int64("dispatch_failures", st.DispatchFailures),
-				slog.Int64("breaker_opens", st.BreakerOpens))
-			logBackends(st.Backends)
-		}
-	case "shard":
-		cl, err := cluster.New(urls, cluster.Options{Seed: &seed, HedgeDelay: hedgeDelay, BatchSize: batchSize, Tracer: tracer})
-		if err != nil {
-			return nil, nil, err
-		}
-		src = cl
-		logStats = func() {
-			st := cl.Stats()
-			logger.Info("cluster stats",
-				slog.Int64("batches", st.BatchesSent), slog.Int64("cells", st.CellsMeasured),
-				slog.Int64("retries", st.Retries), slog.Int64("hedges_fired", st.HedgesFired),
-				slog.Int64("hedge_wins", st.HedgeWins), slog.Int64("failovers", st.Failovers),
-				slog.Int64("breaker_opens", st.BreakerOpens))
-			logBackends(st.Backends)
-		}
-	default:
-		return nil, nil, fmt.Errorf("unknown -sched %q (want steal or shard)", sched)
+	sc, err := cluster.NewScheduler(urls, cluster.SchedulerOptions{
+		Seed: &seed, LeaseCells: batchSize, LeaseExpiry: leaseExpiry, Tracer: tracer})
+	if err != nil {
+		return nil, nil, err
 	}
-	src.StartProber(ctx, 2*time.Second)
-	logger.Info("measuring through backends", slog.String("sched", sched),
-		slog.Int("count", len(src.Backends())),
-		slog.String("backends", strings.Join(src.Backends(), ", ")))
-	ref, err := src.Reference(ctx, 0)
+	logStats := func() {
+		st := sc.Stats()
+		logger.Info("scheduler stats",
+			slog.Int64("leases", st.LeasesIssued), slog.Int64("steals", st.Steals),
+			slog.Int64("redispatches", st.Redispatches), slog.Int64("cells", st.CellsMeasured),
+			slog.Int64("cells_discarded", st.CellsDiscarded),
+			slog.Int64("truncations", st.StreamTruncations),
+			slog.Int64("dispatch_failures", st.DispatchFailures),
+			slog.Int64("breaker_opens", st.BreakerOpens))
+		for _, be := range st.Backends {
+			logger.Info("backend latency", slog.String("backend", be.URL),
+				slog.Int64("requests", be.Requests), slog.Float64("p50_ms", be.P50Ms),
+				slog.Float64("p90_ms", be.P90Ms), slog.Float64("p99_ms", be.P99Ms))
+		}
+	}
+	sc.StartProber(ctx, 2*time.Second)
+	logger.Info("measuring through backends", slog.Int("count", len(sc.Backends())),
+		slog.String("backends", strings.Join(sc.Backends(), ", ")))
+	ref, err := sc.Reference(ctx, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("building normalization reference: %w", err)
 	}
 	return func(ctx context.Context, w io.Writer) error {
-			err := experiments.StreamMeasurementsCSVFrom(ctx, src, ref, nil, w, 0)
+			err := experiments.StreamMeasurementsCSVFrom(ctx, sc, ref, nil, w, 0)
 			logStats()
 			return err
 		}, func(ctx context.Context, w io.Writer) error {
-			err := experiments.StreamAggregatesCSVFrom(ctx, src, ref, nil, w, 0)
+			err := experiments.StreamAggregatesCSVFrom(ctx, sc, ref, nil, w, 0)
 			logStats()
 			return err
 		}, nil
-}
-
-// logBackends logs each backend's request count and latency quantiles,
-// shared by both schedulers' stat dumps.
-func logBackends(backends []cluster.BackendStats) {
-	for _, be := range backends {
-		logger.Info("backend latency", slog.String("backend", be.URL),
-			slog.Int64("requests", be.Requests), slog.Float64("p50_ms", be.P50Ms),
-			slog.Float64("p90_ms", be.P90Ms), slog.Float64("p99_ms", be.P99Ms))
-	}
 }
 
 func writeCSV(ctx context.Context, path string, stream streamFunc) error {

@@ -1,16 +1,19 @@
-// Package cluster is the scale-out layer over powerperfd: a coordinator
-// that runs study workloads against N backends, sharding cells with
-// rendezvous hashing and wrapping every request in retries, a
-// per-backend circuit breaker, tail-latency hedging, and failover.
+// Package cluster is the scale-out layer over powerperfd: a pull-based
+// work-stealing Scheduler that runs study workloads against N backends.
+// Every cell has a rendezvous-hashed home backend whose pullers lease it
+// first; results stream back cell by cell, each puller retries with
+// jittered exponential backoff behind its backend's circuit breaker, and
+// whatever a dead or stalled backend left undelivered is re-leased to
+// its peers.
 //
 // The whole layer leans on the repository's determinism contract: a
 // measurement is a pure function of the (benchmark, processor, config,
 // seed) tuple, bit-identical wherever it is computed. That makes every
-// resilience tactic trivially correct — a retried, hedged, or failed-
-// over cell returns exactly the bytes the first attempt would have, so
-// the coordinator can duplicate work freely and take whichever answer
-// arrives first, and backend caches deduplicate whatever the duplicated
-// work recomputes.
+// resilience tactic trivially correct — a retried, stolen, or
+// re-dispatched cell returns exactly the bytes the first attempt would
+// have, so the scheduler can duplicate work freely and keep whichever
+// answer arrives first, and backend caches deduplicate whatever the
+// duplicated work recomputes.
 package cluster
 
 import (
@@ -30,13 +33,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Version identifies the coordinator on the wire; backends see it in
+// Version identifies the scheduler on the wire; backends see it in
 // the User-Agent header of every request.
 const Version = "0.4.0"
 
 // userAgent is the User-Agent header value sent with every request; the
 // build token lets backend access logs attribute traffic to an exact
-// coordinator binary.
+// scheduler binary.
 var userAgent = "powerperf-cluster/" + Version + " " + telemetry.BuildInfo().UserAgentToken()
 
 // Client is a typed HTTP client for one powerperfd backend.
@@ -47,8 +50,8 @@ type Client struct {
 
 	// lat is this backend's measure-exchange latency distribution, one
 	// labeled series of the shared cluster family; it surfaces in the
-	// coordinator's Stats and in /metricsz when the coordinator shares a
-	// process with a served registry.
+	// scheduler's Stats and WriteMetrics, and in /metricsz when the
+	// scheduler shares a process with a served registry.
 	lat *telemetry.Histogram
 }
 
@@ -102,42 +105,38 @@ func permanent(err error) bool {
 	return false
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
-	}
+// send performs one exchange with the backend: it stamps the User-Agent
+// and the caller's trace headers, reports a transport failure as a
+// backend error (or the caller's cancellation as such), and turns a
+// non-200 answer into a backendError carrying the backend's message. On
+// success the caller owns the response body.
+func (c *Client) send(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("cluster: marshal request: %w", err)
-		}
-		rd = bytes.NewReader(buf)
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return fmt.Errorf("cluster: build request: %w", err)
+		return nil, fmt.Errorf("cluster: build request: %w", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	req.Header.Set("User-Agent", userAgent)
 	// Propagate the caller's trace so the backend's spans stitch into
-	// the coordinator's view (a no-op when ctx carries no span).
+	// the scheduler's view (a no-op when ctx carries no span).
 	telemetry.InjectHeaders(ctx, req.Header)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		// Surface the caller's cancellation as such; everything else is
 		// a transport failure attributable to the backend.
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
+			return nil, ctxErr
 		}
-		return &backendError{Backend: c.base, Msg: err.Error()}
+		return nil, &backendError{Backend: c.base, Msg: err.Error()}
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
 		msg := resp.Status
 		var eb struct {
 			Error string `json:"error"`
@@ -147,54 +146,31 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 				msg = eb.Error
 			}
 		}
-		return &backendError{Backend: c.base, Status: resp.StatusCode, Msg: msg}
+		return nil, &backendError{Backend: c.base, Status: resp.StatusCode, Msg: msg}
 	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return &backendError{Backend: c.base, Msg: "decode response: " + err.Error()}
-	}
-	return nil
-}
-
-// Measure posts a batch measure request and returns the response. The
-// exchange's wall time (success or failure) feeds the backend's
-// latency histogram.
-func (c *Client) Measure(ctx context.Context, req *service.MeasureRequest) (*service.MeasureResponse, error) {
-	var resp service.MeasureResponse
-	start := time.Now()
-	err := c.do(ctx, http.MethodPost, "/v1/measure", req, &resp)
-	c.lat.Observe(time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Cells) != len(req.Cells) {
-		return nil, &backendError{Backend: c.base,
-			Msg: fmt.Sprintf("response has %d cells, want %d", len(resp.Cells), len(req.Cells))}
-	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Healthz probes the backend's liveness endpoint.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
-// Stats fetches the backend's /statsz counters.
-func (c *Client) Stats(ctx context.Context) (*service.Stats, error) {
-	var st service.Stats
-	if err := c.do(ctx, http.MethodGet, "/statsz", nil, &st); err != nil {
-		return nil, err
+	if c.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
 	}
-	return &st, nil
+	resp, err := c.send(ctx, http.MethodGet, "/healthz", nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return nil
 }
 
 // Resolver memoizes one workload and fleet instance for reconstructing
 // wire cells: workload.ByName and proc.ByName hand out fresh
 // mutation-isolated copies on every call, which priced a full fleet
-// construction into every reconstructed cell. The coordinator never
+// construction into every reconstructed cell. The scheduler never
 // mutates the resolved values, so one resolver serves every cell of a
 // study. Read-only after construction; safe for concurrent use.
 type Resolver struct {
@@ -256,10 +232,4 @@ func (rv *Resolver) MeasurementFromCell(cr *service.CellResult) (*harness.Measur
 		m.Runs[i] = harness.RunSample{Seconds: r.Seconds, Watts: r.Watts, Counters: r.Counters.Counters()}
 	}
 	return m, nil
-}
-
-// MeasurementFromCell is the standalone form for one-off callers; batch
-// reconstruction should share a Resolver.
-func MeasurementFromCell(cr *service.CellResult) (*harness.Measurement, error) {
-	return NewResolver().MeasurementFromCell(cr)
 }

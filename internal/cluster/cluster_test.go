@@ -5,9 +5,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,32 +15,16 @@ import (
 	"repro/internal/service"
 )
 
-// deadable simulates a backend process death: once dead, every new
-// request is severed without a response (the client sees a transport
-// error, exactly as with a killed process), while the wrapped service
-// keeps running so in-flight compute drains harmlessly.
-type deadable struct {
-	h    http.Handler
-	dead atomic.Bool
-}
-
-func (d *deadable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if d.dead.Load() {
-		panic(http.ErrAbortHandler)
-	}
-	d.h.ServeHTTP(w, r)
-}
-
-func newBackend(t *testing.T, opts service.Options) (*service.Server, *httptest.Server, *deadable) {
+// newBackend serves a fresh powerperfd on a loopback listener for the
+// life of the test.
+func newBackend(t *testing.T, opts service.Options) *httptest.Server {
 	t.Helper()
-	srv := service.NewServer(opts)
-	d := &deadable{h: srv.Handler()}
-	ts := httptest.NewServer(d)
+	ts := httptest.NewServer(service.NewServer(opts).Handler())
 	t.Cleanup(ts.Close)
-	return srv, ts, d
+	return ts
 }
 
-// seedPtr builds a cluster Options seed pointer.
+// seedPtr builds a SchedulerOptions seed pointer.
 func seedPtr(v int64) *int64 { return &v }
 
 func stockJobs(t *testing.T, n int) []harness.Job {
@@ -55,223 +36,19 @@ func stockJobs(t *testing.T, n int) []harness.Job {
 	return harness.GridJobs(cps[:n], nil)
 }
 
-// TestClusterMatchesLocalHarness is the contract test: a single-backend
-// cluster returns measurements deeply equal to a local harness at the
-// same seed — same runs, counters, and confidence intervals, bit for
-// bit.
-func TestClusterMatchesLocalHarness(t *testing.T) {
-	_, ts, _ := newBackend(t, service.Options{Seed: 42})
-	cl, err := New([]string{ts.URL}, Options{Seed: seedPtr(42)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := stockJobs(t, 2)
-	remote, err := cl.MeasureBatch(context.Background(), jobs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	h, err := harness.New(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := h.MeasureBatch(context.Background(), jobs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remote) != len(local) {
-		t.Fatalf("got %d measurements, want %d", len(remote), len(local))
-	}
-	for i := range local {
-		if !reflect.DeepEqual(remote[i], local[i]) {
-			t.Fatalf("job %d (%s on %s): remote measurement differs from local",
-				i, jobs[i].Bench.Name, jobs[i].CP)
-		}
-	}
-	if st := cl.Stats(); st.CellsMeasured != int64(len(jobs)) {
-		t.Fatalf("cells_measured=%d, want %d", st.CellsMeasured, len(jobs))
-	}
-}
-
-// TestClusterStudyByteIdenticalAfterBackendDeath is the acceptance
-// test: a 3-backend cluster regenerates the full seed-42 study, one
-// backend is killed partway through, and the merged CSVs still match
-// the committed dataset byte for byte — the determinism contract makes
-// retry plus failover invisible in the output.
-func TestClusterStudyByteIdenticalAfterBackendDeath(t *testing.T) {
-	var victim *deadable
-	var victimTS *httptest.Server
-	var victimCells atomic.Int64
-	killAt := int64(150)
-
-	hooks := &service.Hooks{BeforeMeasure: func(seed int64, bench, processor string) error {
-		if victimCells.Add(1) == killAt {
-			victim.dead.Store(true)
-			victimTS.CloseClientConnections()
-		}
-		return nil
-	}}
-
-	_, ts0, d0 := newBackend(t, service.Options{Seed: 42, Hooks: hooks})
-	victim, victimTS = d0, ts0
-	_, ts1, _ := newBackend(t, service.Options{Seed: 42})
-	_, ts2, _ := newBackend(t, service.Options{Seed: 42})
-
-	cl, err := New([]string{ts0.URL, ts1.URL, ts2.URL}, Options{
-		Seed:             seedPtr(42),
-		MaxAttempts:      3,
-		BackoffBase:      5 * time.Millisecond,
-		BackoffMax:       50 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour, // dead stays dead for this test
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	ref, err := cl.Reference(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mbuf, abuf bytes.Buffer
-	if err := experiments.StreamMeasurementsCSVFrom(ctx, cl, ref, nil, &mbuf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := experiments.StreamAggregatesCSVFrom(ctx, cl, ref, nil, &abuf, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	if !victim.dead.Load() {
-		t.Fatalf("victim backend was never killed (computed %d cells, kill at %d)", victimCells.Load(), killAt)
-	}
-
-	for file, got := range map[string][]byte{
-		"measurements.csv": mbuf.Bytes(),
-		"aggregates.csv":   abuf.Bytes(),
-	} {
-		want, err := os.ReadFile(filepath.Join("..", "..", "dataset", file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: cluster bytes differ from committed dataset/%s (%d vs %d bytes)",
-				file, file, len(got), len(want))
-		}
-	}
-
-	st := cl.Stats()
-	if st.Failovers == 0 {
-		t.Errorf("expected failovers after backend death, got 0; stats %+v", st)
-	}
-	if st.Retries == 0 {
-		t.Errorf("expected retries after backend death, got 0; stats %+v", st)
-	}
-	if st.BreakerOpens == 0 {
-		t.Errorf("expected the dead backend's breaker to open, got 0 opens; stats %+v", st)
-	}
-
-	// The resilience counters must also be scrapeable.
-	var metrics bytes.Buffer
-	cl.WriteMetrics(&metrics)
-	for _, want := range []string{
-		"powerperf_cluster_retries_total",
-		"powerperf_cluster_failovers_total",
-		"powerperf_cluster_breaker_opens_total",
-		"powerperf_cluster_hedges_fired_total",
-	} {
-		if !bytes.Contains(metrics.Bytes(), []byte(want)) {
-			t.Errorf("cluster metrics missing %s", want)
-		}
-	}
-}
-
-// TestClusterHedging makes one backend straggle and asserts the
-// coordinator hedges its batches to the fast backend, wins there, and
-// still returns measurements identical to a local harness.
-func TestClusterHedging(t *testing.T) {
-	slowHooks := &service.Hooks{BeforeMeasure: func(seed int64, bench, processor string) error {
-		time.Sleep(40 * time.Millisecond)
-		return nil
-	}}
-	_, slow, _ := newBackend(t, service.Options{Seed: 42, Hooks: slowHooks})
-	_, fast, _ := newBackend(t, service.Options{Seed: 42})
-
-	cl, err := New([]string{slow.URL, fast.URL}, Options{
-		Seed:       seedPtr(42),
-		HedgeDelay: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := stockJobs(t, 1)
-	remote, err := cl.MeasureBatch(context.Background(), jobs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st := cl.Stats()
-	if st.HedgesFired == 0 {
-		t.Errorf("expected hedges against the straggling backend, got 0; stats %+v", st)
-	}
-	if st.HedgeWins == 0 {
-		t.Errorf("expected at least one hedge win, got 0; stats %+v", st)
-	}
-
-	// SLO attribution: every hedge must be charged against the straggler,
-	// never the fast backend that covered for it.
-	for _, be := range st.Backends {
-		switch be.URL {
-		case slow.URL:
-			if be.HedgedAway == 0 {
-				t.Errorf("straggler %s has no hedged_away attribution; stats %+v", be.URL, st)
-			}
-			if be.HedgeLosses == 0 {
-				t.Errorf("straggler %s has no hedge_losses attribution; stats %+v", be.URL, st)
-			}
-		case fast.URL:
-			// A cold-start hedge may fire against the fast backend too,
-			// but it must never lose the race to the 40ms straggler.
-			if be.HedgeLosses != 0 {
-				t.Errorf("fast backend %s charged with hedge losses (%d)", be.URL, be.HedgeLosses)
-			}
-		}
-	}
-	var metrics bytes.Buffer
-	cl.WriteMetrics(&metrics)
-	for _, want := range []string{
-		"powerperf_cluster_hedged_away_total{backend=",
-		"powerperf_cluster_hedge_losses_total{backend=",
-		"powerperf_cluster_failed_over_total{backend=",
-	} {
-		if !bytes.Contains(metrics.Bytes(), []byte(want)) {
-			t.Errorf("cluster metrics missing attribution family %s", want)
-		}
-	}
-
-	h, err := harness.New(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := h.MeasureBatch(context.Background(), jobs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range local {
-		if !reflect.DeepEqual(remote[i], local[i]) {
-			t.Fatalf("job %d: hedged measurement differs from local", i)
-		}
-	}
-}
-
 // TestClusterBreakerFedByHealthz verifies the /healthz prober trips an
-// unhealthy backend's breaker, traffic routes around it, and a
-// recovered backend rejoins.
+// unhealthy backend's breaker, the batch — the sick backend's home
+// cells included — completes on the good backend without a single
+// measure request reaching the sick one, and a recovered backend
+// rejoins.
 func TestClusterBreakerFedByHealthz(t *testing.T) {
-	_, good, _ := newBackend(t, service.Options{Seed: 42})
+	good := newBackend(t, service.Options{Seed: 42})
 	var healthy atomic.Bool
+	var sickMeasures atomic.Int64
 	sick := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			sickMeasures.Add(1)
+		}
 		if healthy.Load() {
 			w.WriteHeader(http.StatusOK)
 			return
@@ -280,7 +57,7 @@ func TestClusterBreakerFedByHealthz(t *testing.T) {
 	}))
 	t.Cleanup(sick.Close)
 
-	cl, err := New([]string{good.URL, sick.URL}, Options{
+	s, err := NewScheduler([]string{good.URL, sick.URL}, SchedulerOptions{
 		Seed:             seedPtr(42),
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Hour,
@@ -289,10 +66,10 @@ func TestClusterBreakerFedByHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cl.ProbeHealth(ctx)
-	cl.ProbeHealth(ctx)
+	s.ProbeHealth(ctx)
+	s.ProbeHealth(ctx)
 
-	st := cl.Stats()
+	st := s.Stats()
 	var sickState string
 	for _, b := range st.Backends {
 		if b.URL == sick.URL {
@@ -306,20 +83,24 @@ func TestClusterBreakerFedByHealthz(t *testing.T) {
 		t.Fatalf("expected breaker opens from health probes, got 0")
 	}
 
-	// With the breaker open, the whole batch routes to the good backend.
+	// With the breaker open the sick backend's pullers idle, and the good
+	// backend's pullers take its home leases too.
 	jobs := stockJobs(t, 1)
-	ms, err := cl.MeasureBatch(ctx, jobs, 0)
+	ms, err := s.MeasureBatch(ctx, jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ms) != len(jobs) {
 		t.Fatalf("got %d measurements, want %d", len(ms), len(jobs))
 	}
+	if n := sickMeasures.Load(); n != 0 {
+		t.Fatalf("sick backend received %d measure requests with its breaker open", n)
+	}
 
 	// Recovery: a healthy probe closes the breaker.
 	healthy.Store(true)
-	cl.ProbeHealth(ctx)
-	for _, b := range cl.Stats().Backends {
+	s.ProbeHealth(ctx)
+	for _, b := range s.Stats().Backends {
 		if b.URL == sick.URL && b.State != "closed" {
 			t.Fatalf("recovered backend breaker state %q, want closed", b.State)
 		}
@@ -327,18 +108,18 @@ func TestClusterBreakerFedByHealthz(t *testing.T) {
 }
 
 // TestClusterCSVMatchesLocalAtSeedZero pins the byte-identity contract
-// at a second seed: a 2-backend cluster and a local harness at seed 0
+// at a second seed: a 2-backend scheduler and a local harness at seed 0
 // must stream identical measurements.csv and aggregates.csv bytes over
 // a slice of the grid. Seed 42 is covered against the committed dataset
-// by TestClusterStudyByteIdenticalAfterBackendDeath; this test makes
-// sure nothing in the pipeline is accidentally specialized to the
-// default seed, and exercises a batch size that does not divide the
+// by TestSchedulerStudyByteIdenticalUnderChaos; this test makes sure
+// nothing in the pipeline is accidentally specialized to the default
+// seed, and exercises a lease size that does not divide the
 // per-configuration cell count.
 func TestClusterCSVMatchesLocalAtSeedZero(t *testing.T) {
 	const seed = 0
-	_, ts0, _ := newBackend(t, service.Options{Seed: seed})
-	_, ts1, _ := newBackend(t, service.Options{Seed: seed})
-	cl, err := New([]string{ts0.URL, ts1.URL}, Options{Seed: seedPtr(seed), BatchSize: 7})
+	ts0 := newBackend(t, service.Options{Seed: seed})
+	ts1 := newBackend(t, service.Options{Seed: seed})
+	s, err := NewScheduler([]string{ts0.URL, ts1.URL}, SchedulerOptions{Seed: seedPtr(seed), LeaseCells: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +148,11 @@ func TestClusterCSVMatchesLocalAtSeedZero(t *testing.T) {
 	}
 
 	localM, localA := stream(h)
-	clusterM, clusterA := stream(cl)
+	clusterM, clusterA := stream(s)
 	if localM != clusterM {
-		t.Errorf("measurements.csv: cluster bytes differ from local at seed %d", seed)
+		t.Errorf("measurements.csv: scheduled bytes differ from local at seed %d", seed)
 	}
 	if localA != clusterA {
-		t.Errorf("aggregates.csv: cluster bytes differ from local at seed %d", seed)
+		t.Errorf("aggregates.csv: scheduled bytes differ from local at seed %d", seed)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestMain quiets coordinator and backend access logging: the suite
-// deliberately provokes retries, hedges, and failovers, each of which
-// logs at Info. Warn keeps genuine failures visible.
+// TestMain quiets scheduler and backend access logging: the suite
+// deliberately provokes retries, steals, and re-dispatches, and backends
+// log every request at Info. Warn keeps genuine failures visible.
 func TestMain(m *testing.M) {
 	telemetry.SetLogLevel(slog.LevelWarn)
 	os.Exit(m.Run())

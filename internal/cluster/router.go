@@ -5,19 +5,18 @@ import (
 	"sort"
 )
 
-// Router shards cells across backends with rendezvous (highest-random-
-// weight) hashing: every (key, member) pair gets a pseudo-random score,
-// and a key belongs to the member with the highest score. Two properties
-// make it the right fit here:
+// Router picks every cell's home backend with rendezvous (highest-
+// random-weight) hashing: every (key, member) pair gets a pseudo-random
+// score, and a key belongs to the member with the highest score. The
+// property the scheduler relies on is stability: a key's owner depends
+// only on the member set, so every scheduler, every pass of a study, and
+// every later study homes the same cell on the same backend, keeping
+// that backend's cache hot for exactly its slice of the study grid.
 //
-//   - Stability: a key's owner depends only on the member set, so every
-//     coordinator (and every retry) routes the same cell to the same
-//     backend, keeping that backend's LRU shard hot for exactly its
-//     slice of the study grid.
-//
-//   - Minimal disruption: removing a member only reassigns the keys that
-//     member owned — each to its second-ranked backend — so failover
-//     after a backend death re-spreads only the dead backend's cells.
+// Rendezvous hashing is also minimally disruptive — removing a member
+// reassigns only the keys it owned, each to its second rank — which
+// FuzzRoute pins; the scheduler fails over by re-leasing instead, so it
+// never removes a member.
 type Router struct {
 	members []string
 }
@@ -55,8 +54,9 @@ func score(member, key string) uint64 {
 }
 
 // Rank returns the members ordered by descending score for key: Rank[0]
-// is the key's owner, Rank[1] its failover target, and so on. Ties break
-// by member name so the order is total and deterministic.
+// is the key's owner, Rank[1] the owner once Rank[0] leaves, and so on.
+// Ties break by member name so the order is total and deterministic. It
+// is the sorting reference the router tests check Route against.
 func (r *Router) Rank(key string) []string {
 	ranked := append([]string(nil), r.members...)
 	scores := make(map[string]uint64, len(ranked))
@@ -78,23 +78,6 @@ func (r *Router) Route(key string) string {
 	var best string
 	var bestScore uint64
 	for _, m := range r.members {
-		s := score(m, key)
-		if best == "" || s > bestScore || (s == bestScore && m < best) {
-			best, bestScore = m, s
-		}
-	}
-	return best
-}
-
-// RouteExcluding returns key's highest-ranked owner not in excluded, or
-// "" when every member is excluded — the failover routing step.
-func (r *Router) RouteExcluding(key string, excluded map[string]bool) string {
-	var best string
-	var bestScore uint64
-	for _, m := range r.members {
-		if excluded[m] {
-			continue
-		}
 		s := score(m, key)
 		if best == "" || s > bestScore || (s == bestScore && m < best) {
 			best, bestScore = m, s

@@ -89,25 +89,8 @@ func TestRouterMinimalDisruption(t *testing.T) {
 	}
 }
 
-func TestRouteExcluding(t *testing.T) {
-	members := testMembers(4)
-	r := NewRouter(members)
-	key := "42|mcf|i7 (45)|4|2|2.6|true"
-	rank := r.Rank(key)
-	excluded := map[string]bool{}
-	for i, want := range rank {
-		if got := r.RouteExcluding(key, excluded); got != want {
-			t.Fatalf("after excluding %d members: got %q, want rank[%d]=%q", i, got, i, want)
-		}
-		excluded[want] = true
-	}
-	if got := r.RouteExcluding(key, excluded); got != "" {
-		t.Fatalf("all members excluded: got %q, want empty", got)
-	}
-}
-
-// FuzzRoute fuzzes the rendezvous properties the resilience layer
-// depends on: determinism (same cell, same member set, same owner),
+// FuzzRoute fuzzes the rendezvous properties: determinism (same cell,
+// same member set, same owner — what keeps a cell's home stable),
 // membership (the owner is a member), and minimal disruption (removing
 // a non-owner never moves a key; removing the owner promotes exactly
 // the second rank).

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -15,8 +16,10 @@ import (
 	"log/slog"
 
 	"repro/internal/harness"
+	"repro/internal/proc"
 	"repro/internal/service"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // SchedulerOptions configures a Scheduler. The zero value selects sane
@@ -119,15 +122,19 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 // mid-stream death costs only the unfinished remainder of its lease,
 // never completed cells.
 //
-// Every cell has a home backend, chosen by the same rendezvous Router
-// over the same key as Cluster, and every lease holds cells of one
-// home. A puller takes its own home's leases first, so a cell asked for
-// again — by the next pass of a study or the next study — lands on the
-// backend whose cache already holds it. The home is a preference, not
+// Every cell has a home backend, chosen by a rendezvous Router over the
+// cell's determinism tuple, and every lease holds cells of one home. A
+// puller takes its own home's leases first, so a cell asked for again —
+// by the next pass of a study or the next study — lands on the backend
+// whose cache already holds it. The home is a preference, not
 // a pin: a puller with no home lease left takes another home's idle
 // lease, so a slow, dead or breaker-open backend's share moves to its
-// peers, and backend speed still sets the division of labor. Both coordinators
-// satisfy the harness.MeasureBatch contract and return bit-identical
+// peers, and backend speed still sets the division of labor.
+//
+// Each puller retries its own failures with jittered exponential backoff
+// and feeds its backend's circuit breaker; a failed lease goes back to
+// the queue for any puller, so failover is a re-lease. MeasureBatch
+// satisfies the harness.MeasureBatch contract and returns bit-identical
 // results — scheduling is invisible under the determinism contract.
 type Scheduler struct {
 	opts     SchedulerOptions
@@ -568,7 +575,14 @@ func (s *Scheduler) pull(ctx context.Context, r *run, backend string) {
 		s.logger.WarnContext(ctx, "lease dispatch failed",
 			slog.String("backend", backend), slog.Int("lease", l.id),
 			slog.Int("consecutive", consecFails), slog.Any("cause", err))
-		if !r.sleep(ctx, jitteredBackoff(s.opts.BackoffBase, s.opts.BackoffMax, consecFails)) {
+		// An exponential base capped at BackoffMax, with full jitter on
+		// the upper half so retry waves never synchronize across pullers
+		// while the exponential floor is preserved.
+		d := s.opts.BackoffBase << (consecFails - 1)
+		if d > s.opts.BackoffMax || d <= 0 {
+			d = s.opts.BackoffMax
+		}
+		if !r.sleep(ctx, d/2+time.Duration(rand.Int63n(int64(d/2)+1))) {
 			return
 		}
 	}
@@ -612,16 +626,49 @@ func (s *Scheduler) streamLease(ctx context.Context, c *Client, r *run, l *lease
 // Reference builds the Section 2.6 normalization table from scheduled
 // measurements — bit-identical to a local harness.Reference() at the
 // same seed, because both feed BuildReference the same measurements.
+// The accumulation is keyed by cell identity, so it is independent of
+// which backend measured what and in what order results arrived.
 func (s *Scheduler) Reference(ctx context.Context, workers int) (*harness.Reference, error) {
-	return referenceVia(ctx, s, workers)
+	refs, err := harness.ReferenceCells()
+	if err != nil {
+		return nil, err
+	}
+	jobs := harness.GridJobs(refs, nil)
+	ms, err := s.MeasureBatch(ctx, jobs, workers)
+	if err != nil {
+		return nil, err
+	}
+	byCell := make(map[string]*harness.Measurement, len(ms))
+	for i, m := range ms {
+		byCell[jobs[i].Bench.Name+"|"+jobs[i].CP.String()] = m
+	}
+	return harness.BuildReference(func(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*harness.Measurement, error) {
+		m, ok := byCell[b.Name+"|"+cp.String()]
+		if !ok {
+			return nil, fmt.Errorf("cluster: %s on %s missing from reference batch", b.Name, cp)
+		}
+		return m, nil
+	})
 }
 
-// ProbeHealth hits every backend's /healthz once and feeds the
-// breakers, exactly like Cluster.ProbeHealth: failures accumulate
-// toward the breaker threshold, a healthy answer closes the breaker
-// and readmits a recovered backend's pullers.
+// ProbeHealth hits every backend's /healthz once, concurrently, and
+// feeds the breakers: failures accumulate toward the breaker threshold,
+// a healthy answer closes the breaker and readmits a recovered
+// backend's pullers.
 func (s *Scheduler) ProbeHealth(ctx context.Context) {
-	probeBackends(ctx, s.clients, s.breakers)
+	var wg sync.WaitGroup
+	for be, c := range s.clients {
+		wg.Add(1)
+		go func(be string, c *Client) {
+			defer wg.Done()
+			if err := c.Healthz(ctx); err != nil && ctx.Err() == nil {
+				s.breakers[be].Failure()
+			} else if err == nil {
+				s.breakers[be].Success()
+			}
+		}(be, c)
+	}
+	wg.Wait()
 }
 
 // StartProber probes health on the given interval until ctx is done.
@@ -688,7 +735,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 }
 
 // WriteMetrics renders the scheduler counters in the Prometheus text
-// exposition format, the work-stealing sibling of Cluster.WriteMetrics.
+// exposition format, the client-side sibling of powerperfd's /metricsz.
 func (s *Scheduler) WriteMetrics(w io.Writer) {
 	st := s.Stats()
 	var b strings.Builder

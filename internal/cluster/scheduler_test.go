@@ -154,6 +154,11 @@ func TestSchedulerStudyByteIdenticalUnderChaos(t *testing.T) {
 	if st.Redispatches+st.Steals == 0 {
 		t.Errorf("expected the killed backend's leases to be re-dispatched or stolen; stats %+v", st)
 	}
+	for _, be := range st.Backends {
+		if be.URL == f0.URL && be.Opens == 0 {
+			t.Errorf("killed backend's breaker never opened; stats %+v", st)
+		}
+	}
 	if pst := p2.Stats(); pst.Truncated == 0 {
 		t.Logf("note: the truncating proxy never fired (%+v)", pst)
 	} else if st.StreamTruncations == 0 {
@@ -327,10 +332,9 @@ func TestSchedulerStudyCSVProperty(t *testing.T) {
 }
 
 // TestSchedulerLeasePlanHomes: every lease holds cells of one home, that
-// home is the rendezvous owner of each cell's routeKey — so the
-// scheduler and the shard coordinator agree on every cell's home — and
-// each home's cells are sliced in job order, with at most one partial
-// lease per home. Lease ids follow the leases' first jobs.
+// home is the rendezvous owner of each cell's routeKey, and each home's
+// cells are sliced in job order, with at most one partial lease per
+// home. Lease ids follow the leases' first jobs.
 func TestSchedulerLeasePlanHomes(t *testing.T) {
 	members := testMembers(3)
 	s, err := NewScheduler(members, SchedulerOptions{Seed: seedPtr(7), LeaseCells: 16})

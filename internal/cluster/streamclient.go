@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/service"
-	"repro/internal/telemetry"
 )
 
 // ErrStreamTruncated marks a measure stream that ended without a
@@ -31,9 +29,8 @@ var ErrStreamTruncated = errors.New("cluster: measure stream truncated")
 // back as a backend error. An onCell error aborts the stream and is
 // returned as-is.
 //
-// The exchange's wall time feeds the backend's latency histogram like
-// a batched Measure, so streamed and batched traffic share one
-// distribution per backend.
+// The exchange's wall time, to the end of the stream, feeds the
+// backend's latency histogram.
 func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest, onCell func(sc *service.StreamCell) error) error {
 	if c.timeout > 0 {
 		var cancel context.CancelFunc
@@ -44,36 +41,13 @@ func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest,
 	if err != nil {
 		return fmt.Errorf("cluster: marshal request: %w", err)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/measure?stream=1", bytes.NewReader(buf))
-	if err != nil {
-		return fmt.Errorf("cluster: build request: %w", err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("User-Agent", userAgent)
-	telemetry.InjectHeaders(ctx, hreq.Header)
-
 	start := time.Now()
 	defer func() { c.lat.Observe(time.Since(start)) }()
-	resp, err := c.hc.Do(hreq)
+	resp, err := c.send(ctx, http.MethodPost, "/v1/measure?stream=1", buf)
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
-		}
-		return &backendError{Backend: c.base, Msg: err.Error()}
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg := resp.Status
-		var eb struct {
-			Error string `json:"error"`
-		}
-		if b, err := io.ReadAll(io.LimitReader(resp.Body, 4096)); err == nil {
-			if json.Unmarshal(b, &eb) == nil && eb.Error != "" {
-				msg = eb.Error
-			}
-		}
-		return &backendError{Backend: c.base, Status: resp.StatusCode, Msg: msg}
-	}
 
 	dec := service.NewStreamDecoder(resp.Body)
 	delivered := 0
@@ -111,7 +85,8 @@ func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest,
 					Msg: fmt.Sprintf("stream done after %d cells, want %d", delivered, len(req.Cells))}
 			}
 			return nil
-		// Header and keep-alive lines carry no cells; skip them.
+		default:
+			// Header and keep-alive lines carry no cells; skip them.
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 // BenchmarkStudyMonitored quantifies the monitoring overhead gate (<2%
 // against the unmonitored path, recorded in BENCH_pr5.json): a
-// 2-backend cluster study with the scrape federation loop and detector
+// 2-backend scheduled study with the scrape federation loop and detector
 // sweeping every 250ms throughout — 20x the production default rate, so
 // the gate holds a wide margin over real deployments. (On a single-core
 // host every scrape cycle comes straight out of the study's wall clock,
@@ -64,7 +64,7 @@ func benchmarkStudy(b *testing.B, monitored bool) {
 		ts0 := httptest.NewServer(service.NewServer(service.Options{Seed: 42}).Handler())
 		ts1 := httptest.NewServer(service.NewServer(service.Options{Seed: 42}).Handler())
 		backends := []string{ts0.URL, ts1.URL}
-		cl, err := cluster.New(backends, cluster.Options{Seed: seedPtr(42)})
+		sched, err := cluster.NewScheduler(backends, cluster.SchedulerOptions{Seed: seedPtr(42)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func benchmarkStudy(b *testing.B, monitored bool) {
 		}
 		b.StartTimer()
 
-		if _, err := cl.MeasureBatch(ctx, jobs, 0); err != nil {
+		if _, err := sched.MeasureBatch(ctx, jobs, 0); err != nil {
 			b.Fatal(err)
 		}
 

@@ -26,7 +26,7 @@ import (
 )
 
 // deadable simulates a backend process death: once dead, every request
-// is severed without a response, exactly as the cluster tests do it.
+// is severed without a response, as a killed process's would be.
 // The handler binds late so a monitor can be attached to the server
 // after its sibling URLs are known.
 type deadable struct {
@@ -271,7 +271,7 @@ func findFamily(fams []telemetry.MetricFamily, name string) *telemetry.MetricFam
 }
 
 // TestAlertLifecycleOnBackendDeath is the acceptance test: a 3-backend
-// fleet runs a study through the cluster coordinator while the monitor
+// fleet runs a study through the work-stealing scheduler while the monitor
 // federates it; one backend is killed mid-study, the backend_down rule
 // walks pending→firing on /v1/alertz (served by a surviving powerperfd
 // via AttachMonitor), and after revival it resolves — with the
@@ -313,9 +313,8 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 	defer cancel()
 	mon.Start(ctx)
 
-	cl, err := cluster.New([]string{ts0.URL, ts1.URL, ts2.URL}, cluster.Options{
+	sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL, ts2.URL}, cluster.SchedulerOptions{
 		Seed:             seedPtr(42),
-		MaxAttempts:      3,
 		BackoffBase:      5 * time.Millisecond,
 		BackoffMax:       50 * time.Millisecond,
 		BreakerThreshold: 3,
@@ -328,7 +327,7 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 	jobs := harness.GridJobs(cps[:6], nil)
 	studyDone := make(chan error, 1)
 	go func() {
-		_, err := cl.MeasureBatch(ctx, jobs, 0)
+		_, err := sched.MeasureBatch(ctx, jobs, 0)
 		studyDone <- err
 	}()
 
@@ -376,7 +375,8 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 		t.Fatalf("victim was never killed (cells=%d)", victimCells.Load())
 	}
 
-	// The study must still complete correctly: failover absorbs the death.
+	// The study must still complete correctly: re-leasing the victim's
+	// undelivered cells to the survivors absorbs the death.
 	if err := <-studyDone; err != nil {
 		t.Fatalf("study failed during backend death: %v", err)
 	}
@@ -404,7 +404,7 @@ func TestAlertLifecycleOnBackendDeath(t *testing.T) {
 
 // TestCSVBytesUnchangedByMonitoring is the golden guard: with the
 // scrape loop and detector running against live backends, a full
-// seed-42 study through the cluster still produces CSVs byte-identical
+// seed-42 study through the scheduler still produces CSVs byte-identical
 // to the committed dataset — observation must not perturb measurement.
 func TestCSVBytesUnchangedByMonitoring(t *testing.T) {
 	if testing.Short() {
@@ -423,19 +423,19 @@ func TestCSVBytesUnchangedByMonitoring(t *testing.T) {
 	defer cancel()
 	mon.Start(ctx)
 
-	cl, err := cluster.New([]string{ts0.URL, ts1.URL}, cluster.Options{Seed: seedPtr(42)})
+	sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL}, cluster.SchedulerOptions{Seed: seedPtr(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := cl.Reference(ctx, 0)
+	ref, err := sched.Reference(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mbuf, abuf bytes.Buffer
-	if err := experiments.StreamMeasurementsCSVFrom(ctx, cl, ref, nil, &mbuf, 0); err != nil {
+	if err := experiments.StreamMeasurementsCSVFrom(ctx, sched, ref, nil, &mbuf, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := experiments.StreamAggregatesCSVFrom(ctx, cl, ref, nil, &abuf, 0); err != nil {
+	if err := experiments.StreamAggregatesCSVFrom(ctx, sched, ref, nil, &abuf, 0); err != nil {
 		t.Fatal(err)
 	}
 

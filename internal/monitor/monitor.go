@@ -43,10 +43,6 @@ type Options struct {
 	// Retention is how long resolved alerts stay visible; <= 0 selects
 	// 10m.
 	Retention time.Duration
-	// OnHealth, when set, observes every /healthz probe result — the
-	// cluster coordinator wires this into its circuit breakers so the
-	// federation loop doubles as the health prober.
-	OnHealth func(backend string, healthy bool)
 	// Seed seeds the jitter generator; 0 selects 1. Jitter is the one
 	// intentionally random element here, but tests still deserve
 	// reproducibility.
@@ -95,9 +91,8 @@ func (o Options) withDefaults() Options {
 }
 
 // DefaultRules is the stock rulebook, tuned to the series every
-// powerperfd backend exposes. Cluster-coordinator series (breaker
-// opens, failovers) evaluate only where present, so one rulebook serves
-// both shapes of scrape target.
+// powerperfd backend exposes, plus the synthetic "fleet" backend's
+// trace-analytics series.
 func DefaultRules() []Rule {
 	return []Rule{
 		{
@@ -131,11 +126,6 @@ func DefaultRules() []Rule {
 			Help: "Measure-endpoint latency left its rolling baseline confidence interval.",
 		},
 		{
-			Name: "breaker_opening", Series: "powerperf_cluster_breaker_opens_total",
-			Kind: KindRate, Cmp: Above, Value: 0, Window: 5,
-			Help: "Coordinator circuit breakers are tripping (scraped from a coordinator's metrics page).",
-		},
-		{
 			Name: "uptime_drift", Series: "statsz_uptime_s",
 			Kind: KindTrend, Cmp: Below, Window: 12, Value: 0.5, MinR2: 0.2,
 			Help: "Backend uptime trending down across scrapes: the process is crash-looping.",
@@ -164,11 +154,6 @@ func DefaultRules() []Rule {
 			Name: "critical_path_queue_shift", Series: `trace_stage_share{stage="queue_wait"}`,
 			Kind: KindCI, Cmp: Above, Window: 5, Baseline: 20, RelTol: 0.10,
 			Help: "Worker-queue wait is taking a growing share of the fleet's critical paths — backends are compute-saturated.",
-		},
-		{
-			Name: "critical_path_hedge_shift", Series: `trace_stage_share{stage="hedge_wait"}`,
-			Kind: KindCI, Cmp: Above, Window: 5, Baseline: 20, RelTol: 0.10,
-			Help: "Hedge-wait time is taking a growing share of the fleet's critical paths — primaries straggle often enough that duplicates gate completion.",
 		},
 	}
 }

@@ -58,7 +58,6 @@ type scraper struct {
 	store     *store
 	state     map[string]*backendState
 	logger    *slog.Logger
-	onHealth  func(backend string, healthy bool)
 	sweeps    atomic.Int64
 
 	// analytics receives every harvested raw span set for cross-backend
@@ -85,7 +84,6 @@ func newScraper(backends []string, o Options, st *store, logger *slog.Logger) *s
 		store:     st,
 		state:     make(map[string]*backendState, len(backends)),
 		logger:    logger,
-		onHealth:  o.OnHealth,
 	}
 	if sc.hc == nil {
 		sc.hc = &http.Client{}
@@ -169,9 +167,6 @@ func (sc *scraper) scrapeOne(ctx context.Context, backend string, withTraces boo
 	if lastErr != "" {
 		sc.logger.DebugContext(ctx, "scrape failed",
 			slog.String("backend", backend), slog.String("error", lastErr))
-	}
-	if sc.onHealth != nil {
-		sc.onHealth(backend, up)
 	}
 }
 

@@ -55,14 +55,14 @@ func latencyStatus(snap slo.Snapshot) *slo.ObjectiveStatus {
 	return nil
 }
 
-// TestSLOBurnLifecycleUnderChaos is the PR's acceptance scenario: a
-// three-backend cluster study with one backend killed mid-run and a 10x
-// straggler behind a chaoshttp proxy. The straggler's latency SLO must
-// walk the full fast-burn lifecycle at /v1/sloz —
+// TestSLOBurnLifecycleUnderChaos is the SLO acceptance scenario: a
+// three-backend scheduled study with one backend killed mid-run and a
+// 10x straggler behind a chaoshttp proxy. The straggler's latency SLO
+// must walk the full fast-burn lifecycle at /v1/sloz —
 // inactive→pending→firing→resolved — the firing alert must carry a
 // breach exemplar whose trace resolves at /v1/traces, the study must
-// survive the death with failover attributed to the victim, and the
-// fleet profiler's federated allocation diff must be non-empty.
+// survive the death with the intervention attributed to the victim, and
+// the fleet profiler's federated allocation diff must be non-empty.
 func TestSLOBurnLifecycleUnderChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos scenario; skipped in -short")
@@ -98,7 +98,7 @@ func TestSLOBurnLifecycleUnderChaos(t *testing.T) {
 	defer srv0.Drain()
 	ts0 := httptest.NewServer(srv0.Handler())
 	defer ts0.Close()
-	// The cluster reaches the straggler through a chaos proxy that adds
+	// The scheduler reaches the straggler through a chaos proxy that adds
 	// a 10x network delay on every request.
 	proxy0 := chaoshttp.New(ts0.URL, chaoshttp.Options{Seed: 1, DelayProb: 1, Delay: 30 * time.Millisecond})
 	pts0 := httptest.NewServer(proxy0)
@@ -144,10 +144,8 @@ func TestSLOBurnLifecycleUnderChaos(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	cl, err := cluster.New([]string{pts0.URL, ts1.URL, pts2.URL}, cluster.Options{
+	sched, err := cluster.NewScheduler([]string{pts0.URL, ts1.URL, pts2.URL}, cluster.SchedulerOptions{
 		Seed:             seedPtr(42),
-		HedgeDelay:       10 * time.Millisecond,
-		MaxAttempts:      3,
 		BackoffBase:      5 * time.Millisecond,
 		BackoffMax:       50 * time.Millisecond,
 		BreakerThreshold: 3,
@@ -159,7 +157,7 @@ func TestSLOBurnLifecycleUnderChaos(t *testing.T) {
 	jobs := harness.GridJobs(proc.StockConfigs()[:6], nil)
 	studyDone := make(chan error, 1)
 	go func() {
-		_, err := cl.MeasureBatch(ctx, jobs, 0)
+		_, err := sched.MeasureBatch(ctx, jobs, 0)
 		studyDone <- err
 	}()
 
@@ -215,20 +213,20 @@ func TestSLOBurnLifecycleUnderChaos(t *testing.T) {
 	if !proxy2.Dead() {
 		t.Fatalf("victim was never killed (fills=%d)", victimCells.Load())
 	}
-	// The coordinator absorbs the death through whichever resilience
-	// path gets there first — a hedge duplicate winning against the
-	// severed primary, or retries exhausting into failover. Either way
-	// the victim's breaker must register the failures, and the
-	// intervention must be attributed to the victim, not a survivor.
-	st := cl.Stats()
+	// The scheduler absorbs the death through whichever resilience path
+	// gets there first — the victim's failed leases re-dispatched to the
+	// survivors, or a stalled one stolen. Either way the victim's breaker
+	// or its failed leases must register the death, and the intervention
+	// must be attributed to the victim, not a survivor.
+	st := sched.Stats()
 	for _, be := range st.Backends {
 		if be.URL != pts2.URL {
 			continue
 		}
-		if be.Opens == 0 && be.FailedOver == 0 {
-			t.Errorf("killed backend shows no breaker opens and no failover; stats %+v", st)
+		if be.Opens+be.LeaseFailures == 0 {
+			t.Errorf("killed backend shows no breaker opens and no failed leases; stats %+v", st)
 		}
-		if be.FailedOver+be.HedgeLosses == 0 {
+		if be.StolenFrom+be.LeaseFailures == 0 {
 			t.Errorf("death not attributed to the killed backend; stats %+v", st)
 		}
 	}

@@ -169,7 +169,7 @@ func TestFleetProfilingFederates(t *testing.T) {
 // TestCSVBytesUnchangedBySLOAndProfiling is this PR's golden guard:
 // with SLO engines, tail-sampled tracers, the scrape federation loop,
 // AND the fleet profiler's pprof harvests all running against live
-// backends, a full seed-42 study through the cluster still produces
+// backends, a full seed-42 study through the scheduler still produces
 // CSVs byte-identical to the committed dataset — objectives and
 // profiling must observe the serving plane without perturbing the
 // measured bits.
@@ -206,19 +206,19 @@ func TestCSVBytesUnchangedBySLOAndProfiling(t *testing.T) {
 	defer cancel()
 	mon.Start(ctx)
 
-	cl, err := cluster.New([]string{ts0.URL, ts1.URL}, cluster.Options{Seed: seedPtr(42)})
+	sched, err := cluster.NewScheduler([]string{ts0.URL, ts1.URL}, cluster.SchedulerOptions{Seed: seedPtr(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := cl.Reference(ctx, 0)
+	ref, err := sched.Reference(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mbuf, abuf bytes.Buffer
-	if err := experiments.StreamMeasurementsCSVFrom(ctx, cl, ref, nil, &mbuf, 0); err != nil {
+	if err := experiments.StreamMeasurementsCSVFrom(ctx, sched, ref, nil, &mbuf, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := experiments.StreamAggregatesCSVFrom(ctx, cl, ref, nil, &abuf, 0); err != nil {
+	if err := experiments.StreamAggregatesCSVFrom(ctx, sched, ref, nil, &abuf, 0); err != nil {
 		t.Fatal(err)
 	}
 

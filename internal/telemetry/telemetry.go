@@ -5,7 +5,7 @@
 //
 // The package exists for the same reason the paper's rig pairs every
 // benchmark run with a 50 Hz power logger: averages hide phase
-// structure. A sharded study that retries, hedges, and fails over is
+// structure. A scheduled study that leases, steals, and re-dispatches is
 // opaque unless every decision is timestamped and attributable, so the
 // tracer records where a slow study spent its time and the histograms
 // record the full latency distribution, not just means.
@@ -23,8 +23,8 @@ import (
 )
 
 // TraceID identifies one request tree end to end, across processes:
-// the cluster coordinator mints it and backends adopt it from the
-// X-Trace-Id header, so backend spans stitch into the coordinator's
+// the cluster scheduler mints it and backends adopt it from the
+// X-Trace-Id header, so backend spans stitch into the scheduler's
 // trace.
 type TraceID uint64
 

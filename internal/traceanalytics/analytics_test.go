@@ -186,8 +186,6 @@ func TestStageOf(t *testing.T) {
 		{Span{SpanData: mkSpan(1, 1, 0, "scheduler.lease", 0, 1, telemetry.String("kind", "first"))}, StageLease},
 		{Span{SpanData: mkSpan(1, 1, 0, "scheduler.lease", 0, 1, telemetry.String("kind", "steal"))}, StageSteal},
 		{Span{SpanData: mkSpan(1, 1, 0, "scheduler.lease", 0, 1, telemetry.String("kind", "redispatch"))}, StageSteal},
-		{Span{SpanData: mkSpan(1, 1, 0, "cluster.hedge", 0, 1)}, StageHedgeWait},
-		{Span{SpanData: mkSpan(1, 1, 0, "cluster.attempt", 0, 1)}, StageNetwork},
 		{Span{SpanData: mkSpan(1, 1, 0, "scheduler.MeasureBatch", 0, 1)}, StageNetwork},
 		{Span{SpanData: mkSpan(1, 1, 0, "http.measure", 0, 1)}, StageNetwork},
 		{Span{SpanData: mkSpan(1, 1, 0, "study.commit", 0, 1)}, StageOther},

@@ -1,8 +1,9 @@
 // Package tune is the experiment-grid auto-tuner: it sweeps the
 // study pipeline's performance knobs — backend worker count, cache
-// shard count, coordinator batch size, and hedge delay — over a
-// declarative grid, runs a short calibration study per point against
-// in-process backends, and selects the knee of the cost/benefit curve.
+// shard count, and the scheduler's lease size — over a declarative
+// grid, runs a short calibration study per point through the
+// work-stealing scheduler against in-process backends, and selects the
+// knee of the cost/benefit curve.
 //
 // Every knob it sweeps is pure scheduling: the determinism contract
 // guarantees the measured bytes are identical at every grid point, so
@@ -35,12 +36,10 @@ type Grid struct {
 	// CacheShards is the backend cache shard count
 	// (service.Options.CacheShards); 0 entries mean the default (16).
 	CacheShards []int
-	// BatchSizes is the coordinator's cells-per-request
-	// (cluster.Options.BatchSize); 0 entries mean the default (61).
+	// BatchSizes is the scheduler's cells-per-lease
+	// (cluster.SchedulerOptions.LeaseCells, fullstudy -batch-size);
+	// 0 entries mean the default (16).
 	BatchSizes []int
-	// HedgeDelays is the coordinator's straggler hedge delay
-	// (cluster.Options.HedgeDelay); 0 entries disable hedging.
-	HedgeDelays []time.Duration
 }
 
 // QuickGrid is the default sweep: a coarse pass over the knobs that
@@ -50,7 +49,6 @@ func QuickGrid() Grid {
 		Workers:     []int{0},
 		CacheShards: []int{16},
 		BatchSizes:  []int{16, 61, 122},
-		HedgeDelays: []time.Duration{0},
 	}
 }
 
@@ -60,42 +58,33 @@ func FullGrid() Grid {
 		Workers:     []int{0, 1, 2, 4, 8},
 		CacheShards: []int{1, 4, 16, 64},
 		BatchSizes:  []int{8, 16, 32, 61, 122},
-		HedgeDelays: []time.Duration{0, 50 * time.Millisecond, 250 * time.Millisecond},
 	}
 }
 
 // Point is one grid cell: a complete knob assignment.
 type Point struct {
-	Workers     int           `json:"workers"`
-	CacheShards int           `json:"cache_shards"`
-	BatchSize   int           `json:"batch_size"`
-	HedgeDelay  time.Duration `json:"hedge_delay_ns"`
+	Workers     int `json:"workers"`
+	CacheShards int `json:"cache_shards"`
+	BatchSize   int `json:"batch_size"`
 }
 
 // String renders the point compactly for logs and reports.
 func (p Point) String() string {
-	return fmt.Sprintf("workers=%d shards=%d batch=%d hedge=%s",
-		p.Workers, p.CacheShards, p.BatchSize, p.HedgeDelay)
+	return fmt.Sprintf("workers=%d shards=%d batch=%d", p.Workers, p.CacheShards, p.BatchSize)
 }
 
 // Points expands the grid into its cross product in deterministic
-// axis-major order (workers outermost, hedge delay innermost), so two
+// axis-major order (workers outermost, batch size innermost), so two
 // tuner runs visit identical points in identical order.
 func (g Grid) Points() []Point {
 	workers := orDefault(g.Workers)
 	shards := orDefault(g.CacheShards)
 	batches := orDefault(g.BatchSizes)
-	hedges := g.HedgeDelays
-	if len(hedges) == 0 {
-		hedges = []time.Duration{0}
-	}
-	pts := make([]Point, 0, len(workers)*len(shards)*len(batches)*len(hedges))
+	pts := make([]Point, 0, len(workers)*len(shards)*len(batches))
 	for _, w := range workers {
 		for _, s := range shards {
 			for _, b := range batches {
-				for _, h := range hedges {
-					pts = append(pts, Point{Workers: w, CacheShards: s, BatchSize: b, HedgeDelay: h})
-				}
+				pts = append(pts, Point{Workers: w, CacheShards: s, BatchSize: b})
 			}
 		}
 	}
@@ -124,7 +113,7 @@ type Config struct {
 	// rebuilt per repeat so every repeat pays the same cold cache.
 	Repeats int
 	// Backends is how many in-process powerperfd instances the
-	// calibration cluster spans; <= 0 selects 2.
+	// calibration scheduler spans; <= 0 selects 2.
 	Backends int
 	// Logf, when set, receives one line per scored point.
 	Logf func(format string, args ...any)
@@ -173,9 +162,8 @@ const KneeTolerance = 1.10
 
 // selectKnee picks the cheapest point whose time is within
 // KneeTolerance of the best. Cost is resource-lexicographic — fewer
-// workers, then fewer shards, then smaller batches, then no hedging —
-// so the tuner prefers the most frugal configuration that keeps the
-// speed. (Workers/shards/batch 0 mean "default", which is treated as
+// workers, then fewer shards, then smaller batches — so the tuner
+// prefers the most frugal configuration that keeps the speed. (Workers/shards/batch 0 mean "default", which is treated as
 // costlier than any explicit smaller value by comparing the resolved
 // magnitude.)
 func selectKnee(results []Result) (Result, error) {
@@ -209,10 +197,7 @@ func cheaper(a, b Point) bool {
 	if x, y := resolved(a.CacheShards, 16), resolved(b.CacheShards, 16); x != y {
 		return x < y
 	}
-	if x, y := resolved(a.BatchSize, 61), resolved(b.BatchSize, 61); x != y {
-		return x < y
-	}
-	return a.HedgeDelay < b.HedgeDelay
+	return resolved(a.BatchSize, 16) < resolved(b.BatchSize, 16)
 }
 
 // resolved maps the 0 = "default" sentinel to the default's magnitude
@@ -226,8 +211,9 @@ func resolved(v, def int) int {
 
 // Run sweeps the grid: for each point it stands up Config.Backends
 // in-process powerperfd instances with the point's backend knobs,
-// fronts them with a coordinator carrying the point's client knobs,
-// and times one calibration study per repeat. Backends are rebuilt per
+// fronts them with the work-stealing scheduler at the point's lease
+// size — the scheduler and lease size fullstudy -backends uses — and
+// times one calibration study per repeat. Backends are rebuilt per
 // repeat, so every repeat measures the same cold-cache work.
 func Run(ctx context.Context, cfg Config, grid Grid) (*Report, error) {
 	cfg = cfg.withDefaults()
@@ -304,16 +290,12 @@ func runOnce(ctx context.Context, cfg Config, p Point, jobs []harness.Job) (floa
 		urls = append(urls, ts.URL)
 	}
 	seed := cfg.Seed
-	cl, err := cluster.New(urls, cluster.Options{
-		Seed:       &seed,
-		BatchSize:  p.BatchSize,
-		HedgeDelay: p.HedgeDelay,
-	})
+	s, err := cluster.NewScheduler(urls, cluster.SchedulerOptions{Seed: &seed, LeaseCells: p.BatchSize})
 	if err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	if _, err := cl.MeasureBatch(ctx, jobs, 0); err != nil {
+	if _, err := s.MeasureBatch(ctx, jobs, 0); err != nil {
 		return 0, err
 	}
 	return time.Since(start).Seconds(), nil
@@ -325,11 +307,9 @@ func (r *Report) PowerperfdFlags() string {
 		resolved(r.Knee.Workers, 0), resolved(r.Knee.CacheShards, 16))
 }
 
-// FullstudyFlags renders the knee's coordinator knobs as fullstudy
-// flags.
+// FullstudyFlags renders the knee's scheduler knob as fullstudy flags.
 func (r *Report) FullstudyFlags() string {
-	return fmt.Sprintf("-batch-size %d -hedge-delay %s",
-		resolved(r.Knee.BatchSize, 61), r.Knee.HedgeDelay)
+	return fmt.Sprintf("-batch-size %d", resolved(r.Knee.BatchSize, 16))
 }
 
 // Env renders the knee as environment assignments for wrapper scripts.
@@ -337,7 +317,6 @@ func (r *Report) Env() []string {
 	return []string{
 		fmt.Sprintf("POWERPERF_WORKERS=%d", resolved(r.Knee.Workers, 0)),
 		fmt.Sprintf("POWERPERF_CACHE_SHARDS=%d", resolved(r.Knee.CacheShards, 16)),
-		fmt.Sprintf("POWERPERF_BATCH_SIZE=%d", resolved(r.Knee.BatchSize, 61)),
-		fmt.Sprintf("POWERPERF_HEDGE_DELAY=%s", r.Knee.HedgeDelay),
+		fmt.Sprintf("POWERPERF_BATCH_SIZE=%d", resolved(r.Knee.BatchSize, 16)),
 	}
 }

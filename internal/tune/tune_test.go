@@ -2,10 +2,10 @@ package tune
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestPointsDeterministicCrossProduct(t *testing.T) {
@@ -13,21 +13,23 @@ func TestPointsDeterministicCrossProduct(t *testing.T) {
 		Workers:     []int{1, 2},
 		CacheShards: []int{4},
 		BatchSizes:  []int{8, 61},
-		HedgeDelays: []time.Duration{0, time.Millisecond},
 	}
 	a, b := g.Points(), g.Points()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Points is not deterministic")
 	}
-	if len(a) != 2*1*2*2 {
-		t.Fatalf("got %d points, want 8", len(a))
+	if len(a) != 2*1*2 {
+		t.Fatalf("got %d points, want 4", len(a))
 	}
-	// Axis-major order: workers outermost, hedge delay innermost.
-	want0 := Point{Workers: 1, CacheShards: 4, BatchSize: 8, HedgeDelay: 0}
+	// Axis-major order: workers outermost, batch size innermost.
+	want0 := Point{Workers: 1, CacheShards: 4, BatchSize: 8}
 	if a[0] != want0 {
 		t.Fatalf("first point %+v, want %+v", a[0], want0)
 	}
-	wantLast := Point{Workers: 2, CacheShards: 4, BatchSize: 61, HedgeDelay: time.Millisecond}
+	if want1 := (Point{Workers: 1, CacheShards: 4, BatchSize: 61}); a[1] != want1 {
+		t.Fatalf("second point %+v, want %+v", a[1], want1)
+	}
+	wantLast := Point{Workers: 2, CacheShards: 4, BatchSize: 61}
 	if a[len(a)-1] != wantLast {
 		t.Fatalf("last point %+v, want %+v", a[len(a)-1], wantLast)
 	}
@@ -64,9 +66,10 @@ func TestSelectKneeEmpty(t *testing.T) {
 	}
 }
 
-// TestRunSweepsAndSelects drives the full tuner against in-process
-// backends on a tiny grid: every point must score, and the knee must be
-// one of the swept points.
+// TestRunSweepsAndSelects drives the full tuner through the scheduler
+// against in-process backends on a tiny grid: every point must score,
+// the knee must be one of the swept points, and it must print as the
+// lease size fullstudy -batch-size sets.
 func TestRunSweepsAndSelects(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins up live calibration clusters")
@@ -112,10 +115,10 @@ func TestRunSweepsAndSelects(t *testing.T) {
 	if !strings.Contains(rep.PowerperfdFlags(), "-cache-shards") {
 		t.Fatalf("bad powerperfd flags: %q", rep.PowerperfdFlags())
 	}
-	if !strings.Contains(rep.FullstudyFlags(), "-batch-size") {
-		t.Fatalf("bad fullstudy flags: %q", rep.FullstudyFlags())
+	if want := fmt.Sprintf("-batch-size %d", rep.Knee.BatchSize); rep.FullstudyFlags() != want {
+		t.Fatalf("fullstudy flags %q, want %q", rep.FullstudyFlags(), want)
 	}
-	if len(rep.Env()) != 4 {
-		t.Fatalf("Env emitted %d entries, want 4", len(rep.Env()))
+	if len(rep.Env()) != 3 {
+		t.Fatalf("Env emitted %d entries, want 3", len(rep.Env()))
 	}
 }
