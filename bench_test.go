@@ -437,8 +437,8 @@ func BenchmarkFindings(b *testing.B) {
 // BenchmarkServedStudy is the end-to-end served-study benchmark: a cold
 // 2-backend study (6 stock configurations x 61 benchmarks, 366 cells)
 // through the work-stealing scheduler and the full serving path —
-// leases, NDJSON streaming, HTTP, the sharded cache, the worker pool,
-// and batched kernel evaluation on the backends. The CI perf lane
+// leases, binary frame streaming, HTTP, the sharded cache, the worker
+// pool, and batched kernel evaluation on the backends. The CI perf lane
 // replays it at -benchtime=3x and gates its allocs/op. Fresh backends
 // per iteration keep the cache cold so the number tracks real study
 // work, not cache hits.

@@ -14,7 +14,7 @@
 // rendezvous-hashed home backend (so a backend's cache keeps its slice
 // of the grid across runs), cells are sliced into leases that backends
 // pull as fast as they finish — their own home's first — results stream
-// back cell-by-cell over NDJSON, and a lease that stalls or fails —
+// back cell by cell as binary frames, and a lease that stalls or fails —
 // straggler or death — is stolen or re-leased by another backend with
 // the first result per cell winning. The CSVs are byte-identical to a
 // local run, because every cell is a pure function of its identity no

@@ -197,9 +197,9 @@ func NewResolver() *Resolver {
 
 // MeasurementFromCell reconstructs the harness Measurement from a
 // full-detail wire cell. Benchmark and processor resolve to the same
-// values a local harness would use, and every float64 round-trips
-// through JSON exactly, so the reconstruction is bit-identical to a
-// local measurement.
+// values a local harness would use, and the measure stream carries
+// every float64 as its IEEE-754 bits, so the reconstruction is
+// bit-identical to a local measurement.
 func (rv *Resolver) MeasurementFromCell(cr *service.CellResult) (*harness.Measurement, error) {
 	if cr.Full == nil {
 		return nil, fmt.Errorf("cluster: cell %s/%s lacks full detail", cr.Benchmark, cr.Processor)

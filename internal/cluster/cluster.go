@@ -43,6 +43,15 @@ func cellRequest(j harness.Job) service.CellRequest {
 	}
 }
 
+// echoes reports whether a streamed cell carries the identity of the
+// job it answers. The scheduler always sends an explicit configuration,
+// so the echo must match it field for field.
+func echoes(cr *service.CellResult, j harness.Job) bool {
+	cfg := j.CP.Config
+	return cr.Benchmark == j.Bench.Name && cr.Processor == j.CP.Proc.Name &&
+		cr.Config == service.ConfigJSON{Cores: cfg.Cores, SMTWays: cfg.SMTWays, ClockGHz: cfg.ClockGHz, Turbo: cfg.Turbo}
+}
+
 // BackendStats is one backend's resilience state plus its measured
 // request-latency distribution (from the scheduler's vantage point:
 // queueing, network, and backend compute together).

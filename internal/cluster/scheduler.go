@@ -116,7 +116,7 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 // Scheduler is the pull-based work-stealing coordinator: a run's cells
 // are sliced into leases, per-backend pullers pull leases from the
 // shared queue as fast as their backend completes them, and results
-// stream back cell-by-cell over NDJSON (/v1/measure?stream=1). A lease
+// stream back cell by cell as binary frames (/v1/measure?stream=1). A lease
 // that stalls past LeaseExpiry is stolen by an idle backend — first
 // result per cell wins, duplicates are discarded — so a straggler or a
 // mid-stream death costs only the unfinished remainder of its lease,
@@ -589,8 +589,11 @@ func (s *Scheduler) pull(ctx context.Context, r *run, backend string) {
 }
 
 // streamLease streams one lease's undone cells from one backend,
-// delivering each cell as its line arrives. Completed cells survive a
-// failure partway — only the remainder is re-dispatched.
+// delivering each cell as its frame arrives. Completed cells survive a
+// failure partway — only the remainder is re-dispatched. A cell whose
+// echoed identity is not the job asked for at its index fails the
+// stream as a backend error, like an out-of-range index, so a
+// backend's mix-up never lands in another job's row.
 func (s *Scheduler) streamLease(ctx context.Context, c *Client, r *run, l *lease, idxs []int, kind string) error {
 	if len(idxs) == 0 {
 		return nil
@@ -610,11 +613,18 @@ func (s *Scheduler) streamLease(ctx context.Context, c *Client, r *run, l *lease
 		telemetry.Int("lease", l.id), telemetry.Int("cells", len(idxs)))
 	defer span.End()
 	return c.MeasureStream(ctx, req, func(sc *service.StreamCell) error {
+		idx := idxs[sc.Index]
+		if !echoes(&sc.Result, r.jobs[idx]) {
+			return &backendError{Backend: c.Base(),
+				Msg: fmt.Sprintf("stream cell %d answers %s on %s %+v, asked for %s on %s",
+					sc.Index, sc.Result.Benchmark, sc.Result.Processor, sc.Result.Config,
+					r.jobs[idx].Bench.Name, r.jobs[idx].CP)}
+		}
 		m, err := s.resolver.MeasurementFromCell(&sc.Result)
 		if err != nil {
 			return err
 		}
-		if r.deliver(l, idxs[sc.Index], m) {
+		if r.deliver(l, idx, m) {
 			s.cellsDone.Add(1)
 		} else {
 			s.cellsDup.Add(1)

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"crypto/md5"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -526,5 +531,94 @@ func TestSchedulerAffinityKeepsCachesWarm(t *testing.T) {
 		if pass == 2 && 4*n >= int64(len(jobs)) {
 			t.Fatalf("pass 2 filled %d of %d cells again, want under 25%%", n, len(jobs))
 		}
+	}
+}
+
+// TestSchedulerRejectsSwappedCells: a backend that answers one index
+// with another cell's result must not put that cell's numbers in the
+// wrong job's row. One backend of two swaps the first and last cells of
+// every lease it is sent, so it answers both indexes with the other
+// cell; the scheduler must check each echoed identity against the job
+// it asked for, fail those streams against that backend, and still
+// return a study equal to a local run.
+func TestSchedulerRejectsSwappedCells(t *testing.T) {
+	good := newBackend(t, service.Options{Seed: 42})
+	inner := service.NewServer(service.Options{Seed: 42}).Handler()
+	swapper := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/measure" {
+			var req service.MeasureRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			n := len(req.Cells)
+			req.Cells[0], req.Cells[n-1] = req.Cells[n-1], req.Cells[0]
+			body, err := json.Marshal(&req)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			r.ContentLength = int64(len(body))
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(swapper.Close)
+
+	s, err := NewScheduler([]string{good.URL, swapper.URL}, SchedulerOptions{
+		Seed:             seedPtr(42),
+		LeaseCells:       4,
+		BreakerCooldown:  20 * time.Millisecond,
+		BackoffBase:      time.Millisecond,
+		BackoffMax:       5 * time.Millisecond,
+		MaxLeaseFailures: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := stockJobs(t, 2)
+	remote, err := s.MeasureBatch(context.Background(), jobs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := harness.New(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := h.MeasureBatch(context.Background(), jobs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(remote, local) {
+		t.Fatal("study with a cell-swapping backend differs from a local run")
+	}
+	for _, be := range s.Stats().Backends {
+		if be.URL == swapper.URL && be.LeaseFailures == 0 {
+			t.Fatal("no lease failure charged to the cell-swapping backend")
+		}
+	}
+}
+
+// TestSchedulerRejectsForeignStreamType: a stream reply that is not a
+// frame stream — an older daemon's NDJSON, say — is a backend error
+// naming the type it got, charged to that backend, not bytes to decode
+// as garbage and retry as a truncated stream.
+func TestSchedulerRejectsForeignStreamType(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_, _ = io.WriteString(w, `{"header":{"seed":42,"cells":1}}`+"\n")
+	}))
+	t.Cleanup(ts.Close)
+	s, err := NewScheduler([]string{ts.URL}, SchedulerOptions{Seed: seedPtr(42), MaxLeaseFailures: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.MeasureBatch(context.Background(), stockJobs(t, 1)[:1], 0)
+	var be *backendError
+	if !errors.As(err, &be) || !strings.Contains(be.Msg, `"application/x-ndjson"`) || errors.Is(err, ErrStreamTruncated) {
+		t.Fatalf("foreign stream type returned %v, want a backend error naming application/x-ndjson", err)
+	}
+	if st := s.Stats(); st.Backends[0].LeaseFailures != 1 || st.StreamTruncations != 0 {
+		t.Fatalf("lease failures %d, truncations %d; want 1 and 0", st.Backends[0].LeaseFailures, st.StreamTruncations)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // ErrStreamTruncated marks a measure stream that ended without a
-// terminal done (or error) line: the backend died, the connection was
+// terminal done (or error) frame: the backend died, the connection was
 // severed, or a proxy cut the body mid-chunk. Cells delivered before
 // the cut are good — the determinism contract makes them bit-identical
 // wherever they were computed — so the scheduler keeps them and
@@ -21,13 +21,13 @@ import (
 var ErrStreamTruncated = errors.New("cluster: measure stream truncated")
 
 // MeasureStream posts req to /v1/measure?stream=1 and invokes onCell
-// for every cell line as it arrives, in backend completion order.
-// Keep-alive lines are consumed internally. A nil return means the
-// terminal done line arrived and every requested cell was delivered; a
-// stream severed before the terminal line (including mid-line) returns
-// an error wrapping ErrStreamTruncated; an in-band error line comes
-// back as a backend error. An onCell error aborts the stream and is
-// returned as-is.
+// for every cell frame as it arrives, in backend completion order.
+// Keep-alive frames are consumed internally. A nil return means the
+// terminal done frame arrived and every requested cell was delivered; a
+// stream severed before the terminal frame (including mid-frame)
+// returns an error wrapping ErrStreamTruncated; an in-band error frame,
+// or a reply that is not a frame stream at all, comes back as a backend
+// error. An onCell error aborts the stream and is returned as-is.
 //
 // The exchange's wall time, to the end of the stream, feeds the
 // backend's latency histogram.
@@ -48,6 +48,10 @@ func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest,
 		return err
 	}
 	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != service.StreamContentType {
+		return &backendError{Backend: c.base,
+			Msg: fmt.Sprintf("stream reply has Content-Type %q, want %q", ct, service.StreamContentType)}
+	}
 
 	dec := service.NewStreamDecoder(resp.Body)
 	delivered := 0
@@ -58,11 +62,11 @@ func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest,
 				return ctxErr
 			}
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				// The body ended (cleanly or mid-line) before a terminal
-				// line — the stream-truncation signature.
+				// The body ended (cleanly or mid-frame) before a terminal
+				// frame — the stream-truncation signature.
 				return fmt.Errorf("cluster: %s: %w after %d cells", c.base, ErrStreamTruncated, delivered)
 			}
-			// Malformed or oversized lines mean the byte stream itself was
+			// Malformed or oversized frames mean the byte stream itself was
 			// damaged in flight; classify with truncation — transient, and
 			// the delivered prefix is still good.
 			return fmt.Errorf("cluster: %s: %w: %v", c.base, ErrStreamTruncated, err)
@@ -86,7 +90,7 @@ func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest,
 			}
 			return nil
 		default:
-			// Header and keep-alive lines carry no cells; skip them.
+			// Header and keep-alive frames carry no cells; skip them.
 		}
 	}
 }

@@ -208,17 +208,17 @@ func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, full boo
 	return ctx.Err()
 }
 
-// measureStream serves one measure request over chunked NDJSON (see
-// stream.go for the line vocabulary): the header line first, one cell
-// line per completed cell in completion order, keep-alives while
-// nothing is ready, and a terminal done or error line. The 200 status
-// commits before any cell computes — a failure mid-batch surfaces as
-// the terminal error line, and a severed stream (no terminal line)
-// tells the client every unsent cell is unmeasured.
+// measureStream serves one measure request as a chunked stream of
+// binary frames (see stream.go for the frame vocabulary): the header
+// frame first, one cell frame per completed cell in completion order,
+// keep-alives while nothing is ready, and a terminal done or error
+// frame. The 200 status commits before any cell computes — a failure
+// mid-batch surfaces as the terminal error frame, and a severed stream
+// (no terminal frame) tells the client every unsent cell is unmeasured.
 func (s *Server) measureStream(w http.ResponseWriter, r *http.Request, seed int64, l lane, full bool, cells []cell, rec *studyRecorder) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", StreamContentType)
 	w.WriteHeader(http.StatusOK)
 	sw := newStreamWriter(w, flusherOf(w))
 	if err := sw.send(&StreamEvent{Header: &StreamHeader{Seed: seed, Cells: len(cells)}}); err != nil {
@@ -248,7 +248,7 @@ func (s *Server) measureStream(w http.ResponseWriter, r *http.Request, seed int6
 	}
 	// The channel is closed, so fanErr is settled: a clean fan-out means
 	// every cell measured, and the study commits — even when the client
-	// left before the terminal line, as a coordinator does once the
+	// left before the terminal frame, as a coordinator does once the
 	// last cell it needed has arrived.
 	if fanErr == nil {
 		s.commitStudy(ctx, rec)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"sync"
 
 	"repro/internal/counters"
 	"repro/internal/proc"
@@ -65,9 +66,10 @@ const (
 // identity echoed back (with the resolved configuration) plus the
 // aggregated methodology outputs. Field order is fixed, so two servers
 // answering the same request produce byte-identical JSON. Full is only
-// populated for detail=full requests; Go's JSON float encoding is
-// shortest-round-trip, so the float64s a full-detail client decodes are
-// bit-identical to the ones the backend measured.
+// populated for detail=full requests. The measure stream carries every
+// float64 as its raw IEEE-754 bits (stream.go), so the values a
+// streaming client decodes are bit-identical to the ones the backend
+// measured.
 type CellResult struct {
 	Benchmark  string      `json:"benchmark"`
 	Processor  string      `json:"processor"`
@@ -163,12 +165,33 @@ func DecodeMeasureRequest(r io.Reader) (*MeasureRequest, []cell, error) {
 	return &req, cells, nil
 }
 
+// nameIndex maps benchmark and processor names to one shared instance
+// each. workload.All and proc.Fleet hand out fresh mutation-isolated
+// copies on every call; nothing downstream of a resolved cell writes
+// through its Benchmark or Processor (both types have read-only methods
+// only), so one index built per process serves every request.
+type nameIndex struct {
+	benches map[string]*workload.Benchmark
+	procs   map[string]*proc.Processor
+}
+
+var names = sync.OnceValue(func() *nameIndex {
+	benches := workload.All()
+	fleet := proc.Fleet()
+	ix := &nameIndex{
+		benches: make(map[string]*workload.Benchmark, len(benches)),
+		procs:   make(map[string]*proc.Processor, len(fleet)),
+	}
+	for _, b := range benches {
+		ix.benches[b.Name] = b
+	}
+	for _, p := range fleet {
+		ix.procs[p.Name] = p
+	}
+	return ix
+})
+
 // resolveCells validates request cells against the fleet and workload.
-// Name lookups go through per-request maps built from one workload.All
-// and proc.Fleet call: both return fresh mutation-isolated copies, so
-// resolving a full 5490-cell study through ByName used to construct
-// 61 benchmarks + 8 processors per cell. One request never mutates its
-// cells, so sharing the copies within the request is safe.
 func resolveCells(reqs []CellRequest) ([]cell, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("service: request names no cells")
@@ -176,23 +199,14 @@ func resolveCells(reqs []CellRequest) ([]cell, error) {
 	if len(reqs) > MaxCells {
 		return nil, fmt.Errorf("service: %d cells exceeds the %d-cell request bound", len(reqs), MaxCells)
 	}
-	benches := workload.All()
-	benchByName := make(map[string]*workload.Benchmark, len(benches))
-	for _, b := range benches {
-		benchByName[b.Name] = b
-	}
-	fleet := proc.Fleet()
-	procByName := make(map[string]*proc.Processor, len(fleet))
-	for _, p := range fleet {
-		procByName[p.Name] = p
-	}
+	ix := names()
 	cells := make([]cell, 0, len(reqs))
 	for i, cr := range reqs {
-		b, ok := benchByName[cr.Benchmark]
+		b, ok := ix.benches[cr.Benchmark]
 		if !ok {
 			return nil, fmt.Errorf("service: cell %d: workload: unknown benchmark %q", i, cr.Benchmark)
 		}
-		p, ok := procByName[cr.Processor]
+		p, ok := ix.procs[cr.Processor]
 		if !ok {
 			return nil, fmt.Errorf("service: cell %d: proc: unknown processor %q", i, cr.Processor)
 		}

@@ -342,7 +342,7 @@ type QueueStats struct {
 }
 
 // ReqStats counts requests per endpoint family. MeasureStreams counts
-// the subset of measure requests served over chunked NDJSON.
+// the subset of measure requests served as a stream of binary frames.
 type ReqStats struct {
 	Measure        int64 `json:"measure"`
 	MeasureStreams int64 `json:"measure_streams"`

@@ -2,81 +2,107 @@ package service
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 )
 
-// The NDJSON measure stream (POST /v1/measure?stream=1): one JSON object
-// per line, cells in completion order, each tagged with its request
-// index so the client reassembles request order regardless of arrival
-// order. The line vocabulary is closed — exactly one of the StreamEvent
-// fields is set per line:
+// The measure stream (POST /v1/measure?stream=1, Content-Type
+// StreamContentType) is a sequence of length-prefixed binary frames,
+// cells in completion order, each tagged with its request index so the
+// client reassembles request order regardless of arrival order. A frame
+// is one kind byte, the payload length as a uvarint, and the payload.
+// The kind vocabulary is closed — exactly one of the StreamEvent fields
+// is set per frame:
 //
-//	{"header":{"seed":42,"cells":122}}     first line, echoes the batch shape
-//	{"cell":{"index":5,"result":{...}}}    one measured cell, any order
-//	{"keepalive":true}                     heartbeat while cells compute
-//	{"error":"..."}                        terminal: the batch failed
-//	{"done":{"cells":122}}                 terminal: every cell was sent
+//	'h' header      seed, cells          first frame, echoes the batch shape
+//	'c' cell        index, CellResult    one measured cell, any order
+//	'k' keep-alive  (empty)              heartbeat while cells compute
+//	'e' error       message (non-empty)  terminal: the batch failed
+//	'd' done        cells                terminal: every cell was sent
 //
-// A stream that ends without a terminal line was truncated (backend
+// Payloads hold zig-zag varints for Go ints, uvarint-length-prefixed
+// strings, one byte (0 or 1) per bool, and the raw little-endian
+// IEEE-754 bits of every float64 — the encoding internal/store segments
+// use — so a decoded CellResult holds exactly the float64s the backend
+// measured. A CellResult is laid out in field order; its Full detail
+// follows a presence byte as the run-sample count, each run (seconds,
+// watts, counters), the mean counters, and the two confidence
+// intervals (mean, half, level, n).
+//
+// A stream that ends without a terminal frame was truncated (backend
 // death, severed connection) and the client must treat every unsent cell
 // as unmeasured. Keep-alives let a client distinguish a slow backend
 // from a dead connection without lowering its read deadline below the
 // cost of a cold cell.
 
-// MaxStreamLineBytes bounds one stream line. The largest legitimate line
-// is a full-detail cell (twenty run samples with counters, ~6 KiB);
-// the bound leaves two orders of magnitude of headroom while keeping a
-// malicious or corrupted stream from ballooning the decoder's buffer.
-const MaxStreamLineBytes = 1 << 20
+// StreamContentType is the media type of a measure stream.
+const StreamContentType = "application/vnd.powerperf.frames"
 
-// ErrStreamLineTooLong marks a stream line exceeding MaxStreamLineBytes;
-// the decoder refuses to buffer it and the stream is poisoned.
-var ErrStreamLineTooLong = errors.New("service: stream line exceeds MaxStreamLineBytes")
+// Frame kinds.
+const (
+	frameHeader    = 'h'
+	frameCell      = 'c'
+	frameKeepAlive = 'k'
+	frameError     = 'e'
+	frameDone      = 'd'
+)
 
-// StreamHeader is the first line of a measure stream.
+// MaxStreamFrameBytes bounds one frame's payload. The largest legitimate
+// frame is a full-detail cell (twenty run samples with counters, about
+// 1.6 KiB); the bound leaves over two orders of magnitude of headroom
+// while keeping a malicious or corrupted stream from ballooning the
+// decoder's buffer.
+const MaxStreamFrameBytes = 1 << 20
+
+// ErrStreamFrameTooLong marks a frame whose declared length exceeds
+// MaxStreamFrameBytes; the decoder refuses it before reading any of
+// its payload and the stream is poisoned.
+var ErrStreamFrameTooLong = errors.New("service: stream frame exceeds MaxStreamFrameBytes")
+
+// StreamHeader is the first frame of a measure stream.
 type StreamHeader struct {
-	Seed  int64 `json:"seed"`
-	Cells int   `json:"cells"`
+	Seed  int64
+	Cells int
 }
 
 // StreamCell is one measured cell: the index into the request's cell
 // list plus the result, exactly the shape the buffered response carries.
 type StreamCell struct {
-	Index  int        `json:"index"`
-	Result CellResult `json:"result"`
+	Index  int
+	Result CellResult
 }
 
-// StreamDone is the terminal line of a successful stream.
+// StreamDone is the terminal frame of a successful stream.
 type StreamDone struct {
-	Cells int `json:"cells"`
+	Cells int
 }
 
-// StreamEvent is one line of the measure stream; exactly one field is
-// set per line.
+// StreamEvent is one frame of the measure stream; exactly one field is
+// set per frame.
 type StreamEvent struct {
-	Header    *StreamHeader `json:"header,omitempty"`
-	Cell      *StreamCell   `json:"cell,omitempty"`
-	KeepAlive bool          `json:"keepalive,omitempty"`
-	Error     string        `json:"error,omitempty"`
-	Done      *StreamDone   `json:"done,omitempty"`
+	Header    *StreamHeader
+	Cell      *StreamCell
+	KeepAlive bool
+	Error     string
+	Done      *StreamDone
 }
 
-// StreamDecoder reads measure-stream lines from r with a hard per-line
-// buffer bound: truncated streams surface as io.ErrUnexpectedEOF,
-// oversized lines as ErrStreamLineTooLong, and malformed JSON as a
-// normal decode error — never a panic, and never a buffer larger than
-// MaxStreamLineBytes (the line buffer is reused across lines, so a
-// long stream allocates one buffer, not one per line). Hardened by
-// FuzzStreamDecode.
+// StreamDecoder reads measure-stream frames from r with a hard
+// per-frame buffer bound: truncated streams surface as
+// io.ErrUnexpectedEOF, oversized frames as ErrStreamFrameTooLong, and
+// malformed payloads as a normal decode error — never a panic, and never
+// a buffer larger than MaxStreamFrameBytes (the payload buffer is reused
+// across frames, so a long stream allocates one buffer, not one per
+// frame). Hardened by FuzzStreamDecode.
 type StreamDecoder struct {
-	r    *bufio.Reader
-	line []byte
-	err  error // sticky: a poisoned stream stays poisoned
+	r   *bufio.Reader
+	buf []byte
+	err error // sticky: a poisoned stream stays poisoned
 }
 
 // NewStreamDecoder builds a decoder over r.
@@ -84,10 +110,11 @@ func NewStreamDecoder(r io.Reader) *StreamDecoder {
 	return &StreamDecoder{r: bufio.NewReader(r)}
 }
 
-// Next returns the next stream event. Keep-alive lines are returned
+// Next returns the next stream event. Keep-alive frames are returned
 // like any other event — callers skip them. io.EOF is returned only at
-// a clean boundary after a complete line; EOF mid-line means the stream
-// was severed and surfaces as io.ErrUnexpectedEOF.
+// a clean boundary after a complete frame; EOF inside a frame (its
+// length prefix or its payload) means the stream was severed and
+// surfaces as io.ErrUnexpectedEOF.
 func (d *StreamDecoder) Next() (*StreamEvent, error) {
 	if d.err != nil {
 		return nil, d.err
@@ -100,66 +127,303 @@ func (d *StreamDecoder) Next() (*StreamEvent, error) {
 }
 
 func (d *StreamDecoder) next() (*StreamEvent, error) {
-	d.line = d.line[:0]
-	for {
-		chunk, err := d.r.ReadSlice('\n')
-		if len(d.line)+len(chunk) > MaxStreamLineBytes {
-			return nil, ErrStreamLineTooLong
+	kind, err := d.r.ReadByte()
+	if err != nil {
+		return nil, err // io.EOF here falls on a frame boundary
+	}
+	n, err := binary.ReadUvarint(d.r)
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return nil, io.ErrUnexpectedEOF
+	case err != nil:
+		return nil, fmt.Errorf("service: decode stream frame length: %w", err)
+	case n > MaxStreamFrameBytes:
+		return nil, ErrStreamFrameTooLong
+	}
+	if uint64(cap(d.buf)) < n {
+		d.buf = make([]byte, min(max(int(n), 2*cap(d.buf)), MaxStreamFrameBytes))
+	}
+	p := d.buf[:n]
+	if _, err := io.ReadFull(d.r, p); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		d.line = append(d.line, chunk...)
-		switch err {
-		case nil:
-			// Complete line.
-		case bufio.ErrBufferFull:
-			continue // long line spanning reader buffers; keep accumulating
-		case io.EOF:
-			if len(d.line) == 0 {
-				return nil, io.EOF
-			}
-			// Bytes with no trailing newline: the stream died mid-line.
-			return nil, io.ErrUnexpectedEOF
-		default:
-			return nil, err
-		}
-		break
+		return nil, err
 	}
-	// Trim the newline (and a CR for robustness against proxies).
-	line := d.line[:len(d.line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	if len(line) == 0 {
-		// Blank lines are not part of the protocol, but tolerating them
-		// costs nothing and keeps hand-driven testing pleasant.
-		return d.next()
-	}
+	return decodeFrame(kind, p)
+}
+
+// decodeFrame decodes one frame payload; every byte must be consumed.
+func decodeFrame(kind byte, p []byte) (*StreamEvent, error) {
+	fr := frameReader{b: p}
 	var ev StreamEvent
-	if err := json.Unmarshal(line, &ev); err != nil {
-		return nil, fmt.Errorf("service: decode stream line: %w", err)
+	switch kind {
+	case frameHeader:
+		ev.Header = &StreamHeader{Seed: fr.varint(), Cells: fr.int()}
+	case frameCell:
+		ev.Cell = &StreamCell{Index: fr.int()}
+		fr.cellResult(&ev.Cell.Result)
+	case frameKeepAlive:
+		ev.KeepAlive = true
+	case frameError:
+		if len(p) == 0 {
+			return nil, errors.New("service: empty stream error frame")
+		}
+		ev.Error = string(p)
+		fr.off = len(p)
+	case frameDone:
+		ev.Done = &StreamDone{Cells: fr.int()}
+	default:
+		return nil, fmt.Errorf("service: unknown stream frame kind %#x", kind)
 	}
-	if ev.Header == nil && ev.Cell == nil && !ev.KeepAlive && ev.Error == "" && ev.Done == nil {
-		return nil, errors.New("service: unrecognized stream line")
+	if fr.err != nil {
+		return nil, fmt.Errorf("service: decode stream frame %q: %w", kind, fr.err)
+	}
+	if fr.off != len(p) {
+		return nil, fmt.Errorf("service: stream frame %q has %d trailing bytes", kind, len(p)-fr.off)
 	}
 	return &ev, nil
 }
 
-// streamWriter serializes measure-stream lines onto one HTTP response:
+// runSampleBytes is the encoded size of one run sample: seconds, watts
+// and seven counters, all float64.
+const runSampleBytes = 9 * 8
+
+// errShortPayload marks a frame whose payload ends before its fields do.
+var errShortPayload = errors.New("payload ends early")
+
+// frameReader is a bounds-checked cursor over one frame payload. The
+// first failed read sets err and every later read returns zero, so a
+// decoder checks err once at the end.
+type frameReader struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (r *frameReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.off = len(r.b)
+}
+
+func (r *frameReader) remaining() int { return len(r.b) - r.off }
+
+func (r *frameReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.fail(errors.New("bad uvarint"))
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+func (r *frameReader) varint() int64 {
+	v, n := binary.Varint(r.b[r.off:])
+	if n <= 0 {
+		r.fail(errors.New("bad varint"))
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+func (r *frameReader) int() int { return int(r.varint()) }
+
+func (r *frameReader) f64() float64 {
+	if r.remaining() < 8 {
+		r.fail(errShortPayload)
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
+	r.off += 8
+	return v
+}
+
+func (r *frameReader) bool() bool {
+	if r.remaining() < 1 {
+		r.fail(errShortPayload)
+		return false
+	}
+	v := r.b[r.off]
+	if v > 1 {
+		r.fail(fmt.Errorf("bool byte %#x", v))
+		return false
+	}
+	r.off++
+	return v == 1
+}
+
+func (r *frameReader) str() string {
+	n := r.uvarint()
+	if n > uint64(r.remaining()) {
+		r.fail(errShortPayload)
+		return ""
+	}
+	s := string(r.b[r.off : r.off+int(n)])
+	r.off += int(n)
+	return s
+}
+
+func (r *frameReader) counters() CountersJSON {
+	return CountersJSON{
+		Cycles: r.f64(), Instructions: r.f64(), AppInstructions: r.f64(), ServiceInstructions: r.f64(),
+		LLCMisses: r.f64(), DTLBMisses: r.f64(), BranchInstructions: r.f64(),
+	}
+}
+
+func (r *frameReader) ci() CIJSON {
+	return CIJSON{Mean: r.f64(), Half: r.f64(), Level: r.f64(), N: r.int()}
+}
+
+func (r *frameReader) cellResult(c *CellResult) {
+	c.Benchmark = r.str()
+	c.Processor = r.str()
+	c.Config = ConfigJSON{Cores: r.int(), SMTWays: r.int(), ClockGHz: r.f64(), Turbo: r.bool()}
+	c.Suite = r.str()
+	c.Group = r.str()
+	c.Runs = r.int()
+	c.Seconds = r.f64()
+	c.Watts = r.f64()
+	c.EnergyJ = r.f64()
+	c.TimeCIRel = r.f64()
+	c.PowerCIRel = r.f64()
+	if !r.bool() {
+		return
+	}
+	// The count is checked against the bytes present before the slice
+	// is sized from it, so a forged count cannot force a large
+	// allocation.
+	n := r.uvarint()
+	if n > uint64(r.remaining()/runSampleBytes) {
+		r.fail(fmt.Errorf("%d run samples exceed the frame", n))
+		return
+	}
+	d := &CellDetail{RunSamples: make([]RunJSON, n)}
+	for i := range d.RunSamples {
+		d.RunSamples[i] = RunJSON{Seconds: r.f64(), Watts: r.f64(), Counters: r.counters()}
+	}
+	d.Counters = r.counters()
+	d.TimeCI = r.ci()
+	d.PowerCI = r.ci()
+	c.Full = d
+}
+
+// streamWriter serializes measure-stream frames onto one HTTP response:
 // cells arrive on a channel from the measurement fan-out, keep-alives
 // fire while no cell is ready, and the response flushes whenever the
 // channel momentarily drains (batching flushes under load, staying
 // prompt when cells trickle).
 type streamWriter struct {
-	enc     *json.Encoder
+	w       io.Writer
 	flusher http.Flusher
+	buf     []byte // frame buffer, reused so a frame costs no allocation
 }
 
 func newStreamWriter(w io.Writer, f http.Flusher) *streamWriter {
-	// json.Encoder terminates every value with '\n' — exactly NDJSON.
-	return &streamWriter{enc: json.NewEncoder(w), flusher: f}
+	return &streamWriter{w: w, flusher: f}
 }
 
+// frameRoom is the space send reserves ahead of a payload for the kind
+// byte and the longest uvarint length.
+const frameRoom = 1 + binary.MaxVarintLen64
+
+// send writes ev as one frame with a single Write.
 func (sw *streamWriter) send(ev *StreamEvent) error {
-	return sw.enc.Encode(ev)
+	if cap(sw.buf) < frameRoom {
+		sw.buf = make([]byte, frameRoom, 2048)
+	}
+	b := sw.buf[:frameRoom]
+	var kind byte
+	switch {
+	case ev.Header != nil:
+		kind = frameHeader
+		b = binary.AppendVarint(b, ev.Header.Seed)
+		b = binary.AppendVarint(b, int64(ev.Header.Cells))
+	case ev.Cell != nil:
+		kind = frameCell
+		b = binary.AppendVarint(b, int64(ev.Cell.Index))
+		b = appendCellResult(b, &ev.Cell.Result)
+	case ev.KeepAlive:
+		kind = frameKeepAlive
+	case ev.Error != "":
+		kind = frameError
+		b = append(b, ev.Error...)
+	case ev.Done != nil:
+		kind = frameDone
+		b = binary.AppendVarint(b, int64(ev.Done.Cells))
+	default:
+		return errors.New("service: empty stream event")
+	}
+	sw.buf = b
+	var n [binary.MaxVarintLen64]byte
+	ln := binary.PutUvarint(n[:], uint64(len(b)-frameRoom))
+	start := frameRoom - 1 - ln
+	b[start] = kind
+	copy(b[start+1:], n[:ln])
+	_, err := sw.w.Write(b[start:])
+	return err
+}
+
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendCounters(b []byte, c *CountersJSON) []byte {
+	for _, v := range [...]float64{c.Cycles, c.Instructions, c.AppInstructions, c.ServiceInstructions,
+		c.LLCMisses, c.DTLBMisses, c.BranchInstructions} {
+		b = appendF64(b, v)
+	}
+	return b
+}
+
+func appendCI(b []byte, ci *CIJSON) []byte {
+	b = appendF64(b, ci.Mean)
+	b = appendF64(b, ci.Half)
+	b = appendF64(b, ci.Level)
+	return binary.AppendVarint(b, int64(ci.N))
+}
+
+func appendCellResult(b []byte, c *CellResult) []byte {
+	b = appendStr(b, c.Benchmark)
+	b = appendStr(b, c.Processor)
+	b = binary.AppendVarint(b, int64(c.Config.Cores))
+	b = binary.AppendVarint(b, int64(c.Config.SMTWays))
+	b = appendF64(b, c.Config.ClockGHz)
+	b = appendBool(b, c.Config.Turbo)
+	b = appendStr(b, c.Suite)
+	b = appendStr(b, c.Group)
+	b = binary.AppendVarint(b, int64(c.Runs))
+	for _, v := range [...]float64{c.Seconds, c.Watts, c.EnergyJ, c.TimeCIRel, c.PowerCIRel} {
+		b = appendF64(b, v)
+	}
+	b = appendBool(b, c.Full != nil)
+	if c.Full == nil {
+		return b
+	}
+	b = binary.AppendUvarint(b, uint64(len(c.Full.RunSamples)))
+	for i := range c.Full.RunSamples {
+		r := &c.Full.RunSamples[i]
+		b = appendF64(b, r.Seconds)
+		b = appendF64(b, r.Watts)
+		b = appendCounters(b, &r.Counters)
+	}
+	b = appendCounters(b, &c.Full.Counters)
+	b = appendCI(b, &c.Full.TimeCI)
+	return appendCI(b, &c.Full.PowerCI)
 }
 
 func (sw *streamWriter) flush() {
@@ -169,8 +433,8 @@ func (sw *streamWriter) flush() {
 }
 
 // run drains cells until the channel closes, then emits the terminal
-// line: the batch's error if errFn reports one, the done line otherwise.
-// keepAlive <= 0 selects the default heartbeat.
+// frame: the batch's error if errFn reports one, the done frame
+// otherwise. keepAlive <= 0 selects the default heartbeat.
 func (sw *streamWriter) run(cells <-chan StreamCell, total int, keepAlive time.Duration, errFn func() error) error {
 	if keepAlive <= 0 {
 		keepAlive = defaultStreamKeepAlive
@@ -190,7 +454,7 @@ func (sw *streamWriter) run(cells <-chan StreamCell, total int, keepAlive time.D
 			}
 			sent++
 			// Opportunistic flush: only when no further cell is ready,
-			// so a hot backend coalesces many lines per flush.
+			// so a hot backend coalesces many frames per flush.
 			if len(cells) == 0 {
 				sw.flush()
 			}

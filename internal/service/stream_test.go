@@ -1,12 +1,13 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -37,7 +38,7 @@ func decodeAll(t *testing.T, r io.Reader) []*StreamEvent {
 // TestMeasureStreamMatchesBuffered is the protocol contract: the
 // streamed response carries a header, every cell exactly once (tagged
 // with its request index, in whatever completion order), and a done
-// line — and the reassembled cells are deeply equal to the buffered
+// frame — and the reassembled cells are deeply equal to the buffered
 // endpoint's response for the same request.
 func TestMeasureStreamMatchesBuffered(t *testing.T) {
 	_, ts := testServer(t)
@@ -63,20 +64,20 @@ func TestMeasureStreamMatchesBuffered(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream: HTTP %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
+	if ct := resp.Header.Get("Content-Type"); ct != StreamContentType {
+		t.Fatalf("Content-Type = %q, want %s", ct, StreamContentType)
 	}
 
 	evs := decodeAll(t, resp.Body)
 	if len(evs) == 0 || evs[0].Header == nil {
-		t.Fatal("stream did not start with a header line")
+		t.Fatal("stream did not start with a header frame")
 	}
 	if evs[0].Header.Seed != 5 || evs[0].Header.Cells != 3 {
 		t.Fatalf("header = %+v, want seed 5, 3 cells", evs[0].Header)
 	}
 	last := evs[len(evs)-1]
 	if last.Done == nil || last.Done.Cells != 3 {
-		t.Fatalf("terminal line = %+v, want done with 3 cells", last)
+		t.Fatalf("terminal frame = %+v, want done with 3 cells", last)
 	}
 	got := make([]*CellResult, 3)
 	for _, ev := range evs[1 : len(evs)-1] {
@@ -84,7 +85,7 @@ func TestMeasureStreamMatchesBuffered(t *testing.T) {
 			continue
 		}
 		if ev.Cell == nil {
-			t.Fatalf("unexpected mid-stream line: %+v", ev)
+			t.Fatalf("unexpected mid-stream frame: %+v", ev)
 		}
 		if got[ev.Cell.Index] != nil {
 			t.Fatalf("cell index %d delivered twice", ev.Cell.Index)
@@ -104,7 +105,7 @@ func TestMeasureStreamMatchesBuffered(t *testing.T) {
 
 // TestMeasureStreamKeepAlive holds the measurement path long enough
 // that the shortened heartbeat must fire: a client waiting on a cold
-// cell sees liveness lines, not a silent connection.
+// cell sees liveness frames, not a silent connection.
 func TestMeasureStreamKeepAlive(t *testing.T) {
 	srv := NewServer(Options{
 		Seed:            42,
@@ -131,7 +132,7 @@ func TestMeasureStreamKeepAlive(t *testing.T) {
 		}
 	}
 	if keepalives == 0 {
-		t.Fatal("no keep-alive lines while the cell computed")
+		t.Fatal("no keep-alive frames while the cell computed")
 	}
 	if st := srv.Stats(); st.Requests.MeasureStreams != 1 {
 		t.Fatalf("measure_streams = %d, want 1", st.Requests.MeasureStreams)
@@ -139,7 +140,7 @@ func TestMeasureStreamKeepAlive(t *testing.T) {
 }
 
 // TestMeasureStreamError injects a measurement failure and expects the
-// in-band terminal error line: headers went out as 200 before the
+// in-band terminal error frame: headers went out as 200 before the
 // failure, so the stream protocol is the only way to signal it.
 func TestMeasureStreamError(t *testing.T) {
 	srv := NewServer(Options{
@@ -161,7 +162,7 @@ func TestMeasureStreamError(t *testing.T) {
 	evs := decodeAll(t, resp.Body)
 	last := evs[len(evs)-1]
 	if last.Error == "" || !strings.Contains(last.Error, "injected fault") {
-		t.Fatalf("terminal line = %+v, want the injected error", last)
+		t.Fatalf("terminal frame = %+v, want the injected error", last)
 	}
 }
 
@@ -180,65 +181,158 @@ func TestMeasureStreamLaneValidation(t *testing.T) {
 	}
 }
 
-func TestStreamDecoderTolerancesAndTermination(t *testing.T) {
-	in := "{\"header\":{\"seed\":1,\"cells\":2}}\n" +
-		"\r\n" + // blank CRLF line: tolerated
-		"{\"keepalive\":true}\r\n" + // CRLF line: CR trimmed
-		"{\"done\":{\"cells\":2}}\n"
-	evs := decodeAll(t, strings.NewReader(in))
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3 (blank line skipped)", len(evs))
+// frames encodes events with the stream writer, one frame each.
+func frames(t testing.TB, evs ...*StreamEvent) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sw := newStreamWriter(&buf, nil)
+	for _, ev := range evs {
+		if err := sw.send(ev); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if evs[0].Header == nil || !evs[1].KeepAlive || evs[2].Done == nil {
+	return buf.Bytes()
+}
+
+// rawFrame assembles a frame by hand, for payloads the writer would
+// never produce.
+func rawFrame(kind byte, payload []byte) []byte {
+	return append(binary.AppendUvarint([]byte{kind}, uint64(len(payload))), payload...)
+}
+
+// payloadOf returns the payload of ev's frame.
+func payloadOf(t *testing.T, ev *StreamEvent) []byte {
+	t.Helper()
+	f := frames(t, ev)
+	n, k := binary.Uvarint(f[1:])
+	if k <= 0 || int(n) != len(f)-1-k {
+		t.Fatalf("malformed frame %x", f)
+	}
+	return f[1+k:]
+}
+
+// testCell is a summary-only cell: its payload ends in the Full
+// presence byte.
+var testCell = &StreamCell{Index: 3, Result: CellResult{
+	Benchmark: "mcf", Processor: "i7 (45)",
+	Config: ConfigJSON{Cores: 4, SMTWays: 2, ClockGHz: 2.66, Turbo: true},
+	Suite:  "SPEC CINT2006", Group: "Native Non-scalable", Runs: 3,
+	Seconds: 1.5, Watts: 40, EnergyJ: 60, TimeCIRel: 0.01, PowerCIRel: 0.02,
+}}
+
+func TestStreamDecoderTolerancesAndTermination(t *testing.T) {
+	in := frames(t,
+		&StreamEvent{Header: &StreamHeader{Seed: 1, Cells: 2}},
+		&StreamEvent{KeepAlive: true},
+		&StreamEvent{Done: &StreamDone{Cells: 2}})
+	// decodeAll fails on anything but io.EOF after the last frame.
+	evs := decodeAll(t, bytes.NewReader(in))
+	if len(evs) != 3 {
+		t.Fatalf("got %d events, want 3", len(evs))
+	}
+	if evs[0].Header == nil || *evs[0].Header != (StreamHeader{Seed: 1, Cells: 2}) ||
+		!evs[1].KeepAlive || evs[2].Done == nil || evs[2].Done.Cells != 2 {
 		t.Fatalf("unexpected event sequence: %+v", evs)
 	}
 }
 
 func TestStreamDecoderTruncatedMidLine(t *testing.T) {
-	d := NewStreamDecoder(strings.NewReader("{\"keepalive\":true}\n{\"cell\":{\"ind"))
-	if _, err := d.Next(); err != nil {
-		t.Fatalf("first line: %v", err)
-	}
-	if _, err := d.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("mid-line truncation returned %v, want io.ErrUnexpectedEOF", err)
-	}
-	// Poisoned streams stay poisoned.
-	if _, err := d.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("sticky error: got %v", err)
-	}
-}
-
-func TestStreamDecoderOversizedLine(t *testing.T) {
-	r := io.MultiReader(
-		strings.NewReader(`{"error":"`),
-		strings.NewReader(strings.Repeat("x", MaxStreamLineBytes)),
-		strings.NewReader("\"}\n"),
-	)
-	if _, err := NewStreamDecoder(r).Next(); !errors.Is(err, ErrStreamLineTooLong) {
-		t.Fatalf("oversized line returned %v, want ErrStreamLineTooLong", err)
-	}
-}
-
-func TestStreamDecoderRejectsUnknownLines(t *testing.T) {
-	for _, in := range []string{"{}\n", `{"surprise":1}` + "\n", "not json\n"} {
-		if _, err := NewStreamDecoder(strings.NewReader(in)).Next(); err == nil || err == io.EOF {
-			t.Fatalf("line %q decoded without error", in)
+	ka := frames(t, &StreamEvent{KeepAlive: true})
+	ka = ka[:len(ka):len(ka)] // each append below copies
+	cell := frames(t, &StreamEvent{Cell: testCell})
+	for name, in := range map[string][]byte{
+		"inside a payload":       append(ka, cell[:len(cell)/2]...),
+		"inside a length prefix": append(ka, frameError, 0x80),
+		"before a length prefix": append(ka, frameError),
+	} {
+		d := NewStreamDecoder(bytes.NewReader(in))
+		if _, err := d.Next(); err != nil {
+			t.Fatalf("%s: first frame: %v", name, err)
+		}
+		if _, err := d.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: truncation returned %v, want io.ErrUnexpectedEOF", name, err)
+		}
+		// Poisoned streams stay poisoned.
+		if _, err := d.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: sticky error: got %v", name, err)
 		}
 	}
 }
 
-// FuzzStreamDecode hardens the NDJSON stream decoder against arbitrary
-// bytes: truncated chunks, interleaved keep-alives, binary garbage, and
-// oversized lines must surface as clean errors — never a panic, an
-// infinite loop, or a buffer beyond the per-line bound.
+// tripwire fails the test if the decoder reads from it.
+type tripwire struct{ t *testing.T }
+
+func (tw tripwire) Read([]byte) (int, error) {
+	tw.t.Error("decoder read the payload of an oversized frame")
+	return 0, io.EOF
+}
+
+func TestStreamDecoderOversizedLine(t *testing.T) {
+	head := binary.AppendUvarint([]byte{frameError}, MaxStreamFrameBytes+1)
+	d := NewStreamDecoder(io.MultiReader(bytes.NewReader(head), tripwire{t}))
+	if _, err := d.Next(); !errors.Is(err, ErrStreamFrameTooLong) {
+		t.Fatalf("oversized frame returned %v, want ErrStreamFrameTooLong", err)
+	}
+	if cap(d.buf) != 0 {
+		t.Fatalf("decoder sized a %d-byte buffer for a refused frame", cap(d.buf))
+	}
+}
+
+func TestStreamDecoderRejectsUnknownLines(t *testing.T) {
+	cell := payloadOf(t, &StreamEvent{Cell: testCell})
+	last := len(cell) - 1
+	badBool := append(append([]byte(nil), cell[:last]...), 2)
+	// A Full presence byte, then a run-sample count no payload could
+	// hold: sizing a slice from it would panic, so a clean error shows
+	// the count was refused before any allocation.
+	hugeRuns := binary.AppendUvarint(append(append([]byte(nil), cell[:last]...), 1), 1<<62)
+	// One run sample fewer than the count claims.
+	shortRuns := binary.AppendUvarint(append(append([]byte(nil), cell[:last]...), 1), 2)
+	shortRuns = append(shortRuns, make([]byte, runSampleBytes+7*8+2*(3*8+1))...)
+	for name, in := range map[string][]byte{
+		"unknown kind":          rawFrame('x', nil),
+		"NDJSON line":           []byte(`{"keepalive":true}` + "\n"),
+		"keep-alive payload":    rawFrame(frameKeepAlive, []byte{0}),
+		"trailing cell bytes":   rawFrame(frameCell, append(append([]byte(nil), cell...), 0)),
+		"trailing done bytes":   rawFrame(frameDone, []byte{4, 0}),
+		"bool byte 2":           rawFrame(frameCell, badBool),
+		"empty error":           rawFrame(frameError, nil),
+		"huge run count":        rawFrame(frameCell, hugeRuns),
+		"run count over frame":  rawFrame(frameCell, shortRuns),
+		"cell without a result": rawFrame(frameCell, []byte{6}),
+	} {
+		if _, err := NewStreamDecoder(bytes.NewReader(in)).Next(); err == nil || err == io.EOF {
+			t.Fatalf("%s: frame %x decoded without error", name, in)
+		}
+	}
+	// The untampered payload decodes, so each rejection above is the
+	// tampering's doing.
+	ev, err := NewStreamDecoder(bytes.NewReader(rawFrame(frameCell, cell))).Next()
+	if err != nil || !reflect.DeepEqual(ev.Cell, testCell) {
+		t.Fatalf("untampered cell: %+v, %v", ev, err)
+	}
+}
+
+// FuzzStreamDecode hardens the stream decoder against arbitrary bytes:
+// truncated chunks, interleaved keep-alives, binary garbage, and
+// oversized frames must surface as clean errors — never a panic, an
+// infinite loop, or a buffer beyond the per-frame bound.
 func FuzzStreamDecode(f *testing.F) {
-	f.Add([]byte("{\"header\":{\"seed\":42,\"cells\":1}}\n{\"keepalive\":true}\n{\"cell\":{\"index\":0,\"result\":{}}}\n{\"done\":{\"cells\":1}}\n"))
-	f.Add([]byte("{\"keepalive\":true}\n{\"cell\":{\"ind")) // severed mid-line
-	f.Add([]byte("\r\n\r\n{\"error\":\"boom\"}\r\n"))
-	f.Add([]byte("{\"done\":{\"cells\":0}}\n{\"done\":{\"cells\":0}}\n"))
-	f.Add([]byte(`{"error":"` + strings.Repeat("y", 4096) + `"}` + "\n"))
+	full := *testCell
+	full.Result.Full = &CellDetail{
+		RunSamples: []RunJSON{{Seconds: 1, Watts: 2, Counters: CountersJSON{Cycles: 3}}},
+		TimeCI:     CIJSON{Mean: 1, Half: 0.1, Level: 0.95, N: 1},
+	}
+	whole := frames(f, &StreamEvent{Header: &StreamHeader{Seed: 42, Cells: 1}}, &StreamEvent{KeepAlive: true},
+		&StreamEvent{Cell: &full}, &StreamEvent{Done: &StreamDone{Cells: 1}})
+	f.Add(whole)
+	f.Add(whole[:len(whole)/2]) // severed mid-frame
+	f.Add(frames(f, &StreamEvent{Error: "boom"}))
+	f.Add(frames(f, &StreamEvent{Done: &StreamDone{}}, &StreamEvent{Done: &StreamDone{}}))
+	f.Add(frames(f, &StreamEvent{Error: strings.Repeat("y", 4096)}))
 	f.Add([]byte{0xff, 0xfe, 0x00, '\n', '\n'})
-	f.Add(bytes.Repeat([]byte("{\"keepalive\":true}\n"), 64))
+	f.Add(bytes.Repeat(frames(f, &StreamEvent{KeepAlive: true}), 64))
+	f.Add(binary.AppendUvarint([]byte{frameCell}, MaxStreamFrameBytes+1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewStreamDecoder(bytes.NewReader(data))
@@ -271,17 +365,16 @@ func FuzzStreamDecode(f *testing.F) {
 			if ev.Done != nil {
 				set++
 			}
-			if set == 0 {
-				t.Fatalf("decoded event with no field set from %q", data)
+			if set != 1 {
+				t.Fatalf("decoded event with %d fields set from %q", set, data)
 			}
 			if events++; events > len(data) {
 				t.Fatal("more events than input bytes: decoder is looping")
 			}
 		}
-		// The per-line buffer must respect the documented bound (plus one
-		// bufio chunk of slack for the read that detected the overflow).
-		if cap(d.line) > MaxStreamLineBytes+bufio.MaxScanTokenSize {
-			t.Fatalf("line buffer grew to %d, bound is %d", cap(d.line), MaxStreamLineBytes)
+		// The payload buffer must respect the documented bound.
+		if cap(d.buf) > MaxStreamFrameBytes {
+			t.Fatalf("frame buffer grew to %d, bound is %d", cap(d.buf), MaxStreamFrameBytes)
 		}
 		// Errors are sticky: the poisoned decoder repeats itself.
 		if firstErr != io.EOF {
@@ -290,6 +383,84 @@ func FuzzStreamDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzStreamFrameRoundTrip: any names, index and float64 bit patterns
+// survive encode → decode bit for bit — NaN payloads, signed zeros,
+// infinities and subnormals included, none of which JSON can carry
+// exactly (NaN and ±Inf not at all).
+func FuzzStreamFrameRoundTrip(f *testing.F) {
+	f.Add("mcf", "i7 (45)", 5, uint8(3), uint64(0x7ff8000000000001), uint64(0x8000000000000000), uint64(0x7ff0000000000000))
+	f.Add("", "\xff\x00", -1, uint8(0), uint64(0xfff0000000000000), uint64(1), uint64(0x000fffffffffffff))
+	f.Add("lusearch", "Atom (45)", 1<<40, uint8(20), uint64(0xfff4000000000000), uint64(0), uint64(0x3ff0000000000001))
+
+	f.Fuzz(func(t *testing.T, bench, proc string, index int, runs uint8, a, b, c uint64) {
+		// Spread the three patterns over every float field, rotated so
+		// neighbouring fields differ.
+		pats := [...]uint64{a, b, c, a ^ b, b ^ c, ^a, a + c}
+		k := 0
+		fl := func() float64 {
+			k++
+			return math.Float64frombits(pats[k%len(pats)])
+		}
+		cnt := func() CountersJSON {
+			return CountersJSON{fl(), fl(), fl(), fl(), fl(), fl(), fl()}
+		}
+		want := &StreamCell{Index: index, Result: CellResult{
+			Benchmark: bench, Processor: proc,
+			Config: ConfigJSON{Cores: index, SMTWays: -index, ClockGHz: fl(), Turbo: a&1 == 1},
+			Suite:  proc + bench, Group: bench, Runs: int(runs),
+			Seconds: fl(), Watts: fl(), EnergyJ: fl(), TimeCIRel: fl(), PowerCIRel: fl(),
+		}}
+		if runs%2 == 1 {
+			d := &CellDetail{RunSamples: make([]RunJSON, runs), Counters: cnt(),
+				TimeCI: CIJSON{fl(), fl(), fl(), int(runs)}, PowerCI: CIJSON{fl(), fl(), fl(), -int(runs)}}
+			for i := range d.RunSamples {
+				d.RunSamples[i] = RunJSON{Seconds: fl(), Watts: fl(), Counters: cnt()}
+			}
+			want.Result.Full = d
+		}
+		ev, err := NewStreamDecoder(bytes.NewReader(frames(t, &StreamEvent{Cell: want}))).Next()
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if ev.Cell == nil || !bitsEqual(reflect.ValueOf(*ev.Cell), reflect.ValueOf(*want)) {
+			t.Fatalf("round trip changed the cell:\n got %+v\nwant %+v", ev.Cell, want)
+		}
+	})
+}
+
+// bitsEqual is reflect.DeepEqual with float64s compared by their bits,
+// so a NaN equals only the same NaN and -0 differs from +0.
+func bitsEqual(x, y reflect.Value) bool {
+	switch x.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(x.Float()) == math.Float64bits(y.Float())
+	case reflect.Pointer:
+		if x.IsNil() || y.IsNil() {
+			return x.IsNil() == y.IsNil()
+		}
+		return bitsEqual(x.Elem(), y.Elem())
+	case reflect.Struct:
+		for i := 0; i < x.NumField(); i++ {
+			if !bitsEqual(x.Field(i), y.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if x.Len() != y.Len() {
+			return false
+		}
+		for i := 0; i < x.Len(); i++ {
+			if !bitsEqual(x.Index(i), y.Index(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return reflect.DeepEqual(x.Interface(), y.Interface())
+	}
 }
 
 // TestPoolLanePriority saturates the pool with bulk work and then

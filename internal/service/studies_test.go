@@ -325,7 +325,7 @@ func TestFailedBatchNotRecorded(t *testing.T) {
 	}
 }
 
-// TestStreamedStudyRecorded: the NDJSON streaming path records the
+// TestStreamedStudyRecorded: the streaming path records the
 // completed study just like the buffered path.
 func TestStreamedStudyRecorded(t *testing.T) {
 	_, ts, st := storeServer(t, Options{Workers: 2})
@@ -354,7 +354,7 @@ func TestStreamedStudyRecorded(t *testing.T) {
 type leavingClient struct {
 	header http.Header
 	cells  int
-	leave  func(line []byte, cells int) bool
+	leave  func(frame []byte, cells int) bool
 	cancel context.CancelFunc
 	gone   bool
 }
@@ -366,14 +366,16 @@ func (c *leavingClient) Write(p []byte) (int, error) {
 	if c.gone {
 		return 0, errors.New("client gone")
 	}
-	if bytes.HasPrefix(p, []byte(`{"cell":`)) {
+	// The stream writer makes one Write per frame, so p[0] is the
+	// frame's kind byte.
+	if p[0] == frameCell {
 		c.cells++
 	}
 	if c.leave(p, c.cells) {
 		c.gone = true
 		if c.cancel != nil {
 			c.cancel()
-			return len(p), nil // the line left before the client did
+			return len(p), nil // the frame left before the client did
 		}
 		return 0, errors.New("client gone")
 	}
@@ -382,7 +384,7 @@ func (c *leavingClient) Write(p []byte) (int, error) {
 
 // TestStreamCommitsWhenClientLeavesAfterLastCell: a streamed batch whose
 // every cell reached the client lands in the store even when the client
-// leaves before the terminal done line — the scheduler cancels a pass's
+// leaves before the terminal done frame — the scheduler cancels a pass's
 // streams as soon as the pass's last cell arrives, and a lost commit
 // would leave the stored study one lease short.
 func TestStreamCommitsWhenClientLeavesAfterLastCell(t *testing.T) {
@@ -394,12 +396,12 @@ func TestStreamCommitsWhenClientLeavesAfterLastCell(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cancel bool
-		leave  func(line []byte, cells int) bool
+		leave  func(frame []byte, cells int) bool
 	}{
 		{"cancelled after the last cell line", true,
 			func(_ []byte, cells int) bool { return cells == 3 }},
 		{"done line write fails", false,
-			func(line []byte, _ int) bool { return bytes.HasPrefix(line, []byte(`{"done":`)) }},
+			func(frame []byte, _ int) bool { return frame[0] == frameDone }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, _, st := storeServer(t, Options{Workers: 2})

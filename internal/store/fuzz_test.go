@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzSegmentDecode hardens the segment decoder the way FuzzStreamDecode
-// hardens the NDJSON stream decoder: arbitrary bytes must never panic,
+// hardens the measure-stream decoder: arbitrary bytes must never panic,
 // never allocate unboundedly (row and dictionary counts are validated
 // against the bytes actually present before sizing any slice), and a
 // valid segment must round-trip through a decode-encode-decode cycle.

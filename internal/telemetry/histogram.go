@@ -146,6 +146,23 @@ type family struct {
 	hists      map[string]*Histogram // label value -> histogram; "" for unlabeled
 }
 
+// labeledHist is one series of a family.
+type labeledHist struct {
+	value string
+	h     *Histogram
+}
+
+// series returns the family's series sorted by label value. Callers hold
+// the registry lock: registration adds to hists while scrapes render.
+func (f *family) series() []labeledHist {
+	out := make([]labeledHist, 0, len(f.hists))
+	for lv, h := range f.hists {
+		out = append(out, labeledHist{lv, h})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].value < out[j].value })
+	return out
+}
+
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
@@ -196,18 +213,20 @@ func (r *Registry) histogram(name, help, labelKey, labelValue string) *Histogram
 func (r *Registry) Summaries() map[string]Summary {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.fams))
+	series := make([][]labeledHist, 0, len(r.fams))
 	for _, f := range r.fams {
 		fams = append(fams, f)
+		series = append(series, f.series())
 	}
 	r.mu.Unlock()
 	out := make(map[string]Summary)
-	for _, f := range fams {
-		for lv, h := range f.hists {
+	for i, f := range fams {
+		for _, s := range series[i] {
 			key := f.name
 			if f.labelKey != "" {
-				key = fmt.Sprintf("%s{%s=%q}", f.name, f.labelKey, lv)
+				key = fmt.Sprintf("%s{%s=%q}", f.name, f.labelKey, s.value)
 			}
-			out[key] = h.Summary()
+			out[key] = s.h.Summary()
 		}
 	}
 	return out
@@ -226,21 +245,18 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	sort.Strings(names)
 	fams := make([]*family, len(names))
+	series := make([][]labeledHist, len(names))
 	for i, name := range names {
 		fams[i] = r.fams[name]
+		series[i] = fams[i].series()
 	}
 	r.mu.Unlock()
 
 	var b strings.Builder
-	for _, f := range fams {
+	for fi, f := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", f.name, f.help, f.name)
-		values := make([]string, 0, len(f.hists))
-		for lv := range f.hists {
-			values = append(values, lv)
-		}
-		sort.Strings(values)
-		for _, lv := range values {
-			h := f.hists[lv]
+		for _, sr := range series[fi] {
+			lv, h := sr.value, sr.h
 			s := h.Snapshot()
 			top := 0
 			for i, c := range s.Counts {

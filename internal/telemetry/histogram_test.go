@@ -157,3 +157,30 @@ func TestRegistryPrometheusShape(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryScrapeDuringRegistration: a scrape that runs while a new
+// label value registers must not read a family's series map unlocked
+// (the race detector holds this; the first request to a new endpoint
+// family registers its series while /metricsz may be rendering).
+func TestRegistryScrapeDuringRegistration(t *testing.T) {
+	r := NewRegistry()
+	r.LabeledHistogram("x_seconds", "x", "k", "a")
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			r.LabeledHistogram("x_seconds", "x", "k", strings.Repeat("b", i+1)).Observe(time.Millisecond)
+		}
+	}()
+	var b strings.Builder
+	for i := 0; i < 50; i++ {
+		b.Reset()
+		r.WritePrometheus(&b)
+		_ = r.Summaries()
+	}
+	wg.Wait()
+	if got := len(r.Summaries()); got != 201 {
+		t.Fatalf("%d series after registration, want 201", got)
+	}
+}
