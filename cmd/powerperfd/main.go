@@ -22,8 +22,7 @@
 //	GET  /v1/dataset            measurements.csv (?table=aggregates for the other file)
 //	GET  /v1/traces             recent request spans, Chrome trace-event JSON
 //	GET  /healthz               liveness; 503 while draining
-//	GET  /statsz                cache hit rate, shard occupancy, queue depth
-//	GET  /metricsz              counters + latency histograms, Prometheus text
+//	GET  /metricsz              build, seed, counters, latency histograms, Prometheus text
 //	GET  /v1/sloz               SLO budgets and burn-rate alerts (default on; -slo=false)
 //	GET  /debug/pprof/*         live profiling (only with -pprof)
 //	GET  /v1/alertz             fleet alerts, JSON (only with -monitor-backends)
@@ -48,6 +47,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -89,10 +89,8 @@ func main() {
 		logger.Error("bad -log-level", slog.Any("error", err))
 		os.Exit(2)
 	}
-	// The shard router masks, so a non-power-of-two count would skew
-	// (or skip) shards; reject it before the cache is built.
-	if err := service.ValidateCacheShards(*cacheShards); err != nil {
-		logger.Error("bad -cache-shards", slog.Any("error", err))
+	if err := validateFlags(*cacheShards, *tailSample, *monBackends, *monInterval); err != nil {
+		logger.Error("bad flag", slog.Any("error", err))
 		os.Exit(2)
 	}
 
@@ -125,10 +123,6 @@ func main() {
 		opts.SLO = cfg
 	}
 	if *tailSample > 0 {
-		if *tailSample > 1 {
-			logger.Error("bad -trace-tail-sample", slog.Float64("rate", *tailSample))
-			os.Exit(2)
-		}
 		// Slow traces (by the latency SLO's own yardstick) and errored
 		// traces always survive; the rate only thins the healthy bulk.
 		opts.TailSampling = &telemetry.TailPolicy{
@@ -213,6 +207,26 @@ func main() {
 			logger.Warn("study store close", slog.Any("error", err))
 		}
 	}
+}
+
+// validateFlags rejects flag values the daemon would otherwise misread
+// or silently ignore, so a bad value is a clean exit rather than a
+// daemon running some other configuration.
+func validateFlags(cacheShards int, tailSample float64, monBackends string, monInterval time.Duration) error {
+	// The shard router masks, so a non-power-of-two count would skew
+	// (or skip) shards.
+	if err := service.ValidateCacheShards(cacheShards); err != nil {
+		return fmt.Errorf("-cache-shards: %w", err)
+	}
+	// Written as the valid range so NaN, which fails every comparison,
+	// is rejected too.
+	if !(tailSample >= 0 && tailSample <= 1) {
+		return fmt.Errorf("-trace-tail-sample %v: want a keep rate in [0,1] (0 = keep everything)", tailSample)
+	}
+	if monBackends != "" && monInterval <= 0 {
+		return fmt.Errorf("-monitor-interval %v: want > 0 with -monitor-backends", monInterval)
+	}
+	return nil
 }
 
 // monitorTargets expands the -monitor-backends list, resolving the

@@ -6,8 +6,7 @@ package cluster
 // backend. Counting those interventions per victim turns "the fleet
 // burned error budget" into "backend X cost us N steals and M failed
 // leases", which is what an SLO post-mortem actually needs. The
-// counters ride Stats()/WriteMetrics like every other scheduler
-// counter, so monitors federate them with zero new scrape code.
+// counters ride Stats() like every other scheduler counter.
 
 import "sync/atomic"
 

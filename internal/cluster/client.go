@@ -42,16 +42,18 @@ const Version = "0.4.0"
 // scheduler binary.
 var userAgent = "powerperf-cluster/" + Version + " " + telemetry.BuildInfo().UserAgentToken()
 
+// backendLatency holds one measure-exchange latency histogram per
+// backend URL, shared by every client of that URL in the process.
+var backendLatency = telemetry.NewRegistry()
+
 // Client is a typed HTTP client for one powerperfd backend.
 type Client struct {
 	base    string
 	hc      *http.Client
 	timeout time.Duration // per-request deadline; <= 0 means none
 
-	// lat is this backend's measure-exchange latency distribution, one
-	// labeled series of the shared cluster family; it surfaces in the
-	// scheduler's Stats and WriteMetrics, and in /metricsz when the
-	// scheduler shares a process with a served registry.
+	// lat is this backend's measure-exchange latency distribution; it
+	// surfaces in the scheduler's Stats.
 	lat *telemetry.Histogram
 }
 
@@ -70,7 +72,7 @@ func NewClient(base string, hc *http.Client, timeout time.Duration) *Client {
 		base:    base,
 		hc:      hc,
 		timeout: timeout,
-		lat: telemetry.Default.LabeledHistogram("powerperf_cluster_backend_request_seconds",
+		lat: backendLatency.LabeledHistogram("powerperf_cluster_backend_request_seconds",
 			"Wall time of measure exchanges per backend.", "backend", base),
 	}
 }

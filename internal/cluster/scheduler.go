@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -742,53 +739,4 @@ func (s *Scheduler) Stats() SchedulerStats {
 		st.BreakerOpens += opens
 	}
 	return st
-}
-
-// WriteMetrics renders the scheduler counters in the Prometheus text
-// exposition format, the client-side sibling of powerperfd's /metricsz.
-func (s *Scheduler) WriteMetrics(w io.Writer) {
-	st := s.Stats()
-	var b strings.Builder
-	counter := func(name, help string, v int64) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " counter\n" +
-			name + " " + strconv.FormatInt(v, 10) + "\n")
-	}
-	counter("powerperf_sched_leases_issued_total", "Leases dispatched to backends (first dispatches, re-dispatches, and steals).", st.LeasesIssued)
-	counter("powerperf_sched_steals_total", "Leases stolen from a stalled holder by an idle backend.", st.Steals)
-	counter("powerperf_sched_redispatches_total", "Leases re-dispatched after a failed holder released them.", st.Redispatches)
-	counter("powerperf_sched_cells_measured_total", "Cells delivered first (kept).", st.CellsMeasured)
-	counter("powerperf_sched_cells_requested_total", "Cells requested across all dispatches (including duplicated work).", st.CellsRequested)
-	counter("powerperf_sched_cells_discarded_total", "Duplicate cell deliveries discarded (first result won).", st.CellsDiscarded)
-	counter("powerperf_sched_stream_truncations_total", "Streams severed before their terminal line.", st.StreamTruncations)
-	counter("powerperf_sched_dispatch_failures_total", "Lease dispatches that failed for any transient reason.", st.DispatchFailures)
-	counter("powerperf_sched_breaker_opens_total", "Circuit breaker open transitions across backends.", st.BreakerOpens)
-	name := "powerperf_sched_breaker_state"
-	b.WriteString("# HELP " + name + " Breaker state per backend (0 closed, 1 half-open, 2 open).\n# TYPE " + name + " gauge\n")
-	for _, be := range st.Backends {
-		v := 0
-		switch be.State {
-		case "half-open":
-			v = 1
-		case "open":
-			v = 2
-		}
-		b.WriteString(name + "{backend=" + telemetry.PromQuote(be.URL) + "} " + strconv.Itoa(v) + "\n")
-	}
-	// Per-backend SLO attribution: which stalled or failed member each
-	// intervention covered for.
-	perBackend := func(name, help string, value func(BackendStats) int64) {
-		b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " counter\n")
-		for _, be := range st.Backends {
-			b.WriteString(name + "{backend=" + telemetry.PromQuote(be.URL) + "} " +
-				strconv.FormatInt(value(be), 10) + "\n")
-		}
-	}
-	perBackend("powerperf_sched_stolen_from_total",
-		"Leases stolen from this stalled holder.",
-		func(be BackendStats) int64 { return be.StolenFrom })
-	perBackend("powerperf_sched_lease_failures_total",
-		"Lease dispatches this holder failed.",
-		func(be BackendStats) int64 { return be.LeaseFailures })
-	telemetry.Default.WritePrometheus(&b)
-	_, _ = io.WriteString(w, b.String())
 }

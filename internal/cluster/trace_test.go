@@ -139,30 +139,6 @@ func TestCoordinatorTraceStitchesAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestWriteMetricsLintsClean lints the scheduler's Prometheus page —
-// counters, breaker gauges, and the appended histogram families — with
-// the same linter that guards powerperfd's /metricsz.
-func TestWriteMetricsLintsClean(t *testing.T) {
-	ts := newBackend(t, service.Options{Seed: 42})
-	s, err := NewScheduler([]string{ts.URL}, SchedulerOptions{Seed: seedPtr(42)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.MeasureBatch(context.Background(), stockJobs(t, 1)[:3], 0); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	s.WriteMetrics(&buf)
-	text := buf.String()
-	if problems := telemetry.LintPrometheus(text); len(problems) != 0 {
-		t.Fatalf("WriteMetrics fails Prometheus lint:\n%s\n--- page ---\n%s",
-			strings.Join(problems, "\n"), text)
-	}
-	if !strings.Contains(text, "powerperf_cluster_backend_request_seconds_bucket") {
-		t.Fatal("WriteMetrics missing the per-backend request latency family")
-	}
-}
-
 func fetchTrace(t *testing.T, baseURL string, trace telemetry.TraceID) []map[string]any {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/v1/traces?trace=" + trace.String())

@@ -6,22 +6,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/proc"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
-)
-
-// Batch and cell latency distributions, exported as Prometheus
-// histogram families through the process-global registry (the service
-// renders them in /metricsz). Histograms are always on — an Observe is
-// two atomic adds, invisible next to a millisecond-scale cell.
-var (
-	batchHist = telemetry.Default.Histogram("powerperf_measure_batch_seconds",
-		"Wall time of harness.MeasureBatch calls.")
-	cellHist = telemetry.Default.Histogram("powerperf_measure_cell_seconds",
-		"Wall time of one measurement cell (cache hits included).")
 )
 
 // Job names one measurement of the study's grid.
@@ -97,17 +85,13 @@ func (h *Harness) MeasureBatchBlocks(ctx context.Context, jobs []Job, workers, b
 		block = DefaultBlockSize(len(jobs), workers)
 	}
 
-	// Telemetry is a pure side channel: the span and histograms observe
-	// wall time only, never seeds or measured values, so traced and
-	// untraced batches produce byte-identical results.
-	batchStart := time.Now()
+	// Telemetry is a pure side channel: the span observes wall time
+	// only, never seeds or measured values, so traced and untraced
+	// batches produce byte-identical results.
 	ctx, batchSpan := h.tracer.StartSpan(ctx, "harness.MeasureBatch",
 		telemetry.Int("jobs", len(jobs)), telemetry.Int("workers", workers),
 		telemetry.Int("block", block))
-	defer func() {
-		batchHist.Observe(time.Since(batchStart))
-		batchSpan.End()
-	}()
+	defer batchSpan.End()
 
 	// Workers claim blocks of jobs from an atomic index rather than a
 	// producer channel: a channel feed deadlocks the producer if every
@@ -167,11 +151,10 @@ func (h *Harness) MeasureBatchBlocks(ctx context.Context, jobs []Job, workers, b
 	return results, nil
 }
 
-// measureCellTraced wraps one cell measurement in a span and the cell
-// latency histogram. The span parents under the batch span in ctx, so
-// a trace shows each batch fanning into its cells.
+// measureCellTraced wraps one cell measurement in a span. The span
+// parents under the batch span in ctx, so a trace shows each batch
+// fanning into its cells.
 func (h *Harness) measureCellTraced(ctx context.Context, j Job) (*Measurement, error) {
-	start := time.Now()
 	// Malformed jobs (nil benchmark) must reach Measure's validation and
 	// come back as errors, not panic in the instrumentation.
 	bench, processor := "<nil>", "<nil>"
@@ -189,7 +172,6 @@ func (h *Harness) measureCellTraced(ctx context.Context, j Job) (*Measurement, e
 		span.Annotate(telemetry.String("error", err.Error()))
 	}
 	span.End()
-	cellHist.Observe(time.Since(start))
 	return m, err
 }
 

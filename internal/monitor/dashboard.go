@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/profiling"
 	"repro/internal/traceanalytics"
 )
 
@@ -75,17 +74,6 @@ type dashboardSLO struct {
 	StateClass string
 }
 
-// dashboardProfile is one backend's continuous-profiling row.
-type dashboardProfile struct {
-	Backend     string
-	Err         string
-	CPUBusyPct  float64
-	AllocMBs    float64
-	HeapInuseMB float64
-	TopAlloc    string
-	TopCPU      string
-}
-
 // dashboardStage is one pipeline stage's share of fleet critical-path
 // time, rendered as a horizontal bar.
 type dashboardStage struct {
@@ -128,8 +116,6 @@ type dashboardData struct {
 	Rows        []dashboardRow
 	StoreRows   []dashboardRow
 	SLORows     []dashboardSLO
-	ProfRows    []dashboardProfile
-	FleetTop    string
 	TraceStats  string
 	StageBars   []dashboardStage
 	CritRows    []dashboardCrit
@@ -229,25 +215,6 @@ var dashboardTmpl = template.Must(template.New("dashboard").Parse(`<!DOCTYPE htm
 </tr>
 {{end}}
 </table>
-{{end}}
-
-{{if .ProfRows}}
-<h2>Continuous profiling</h2>
-<table>
-<tr><th>backend</th><th>cpu busy</th><th>alloc rate</th><th>heap inuse</th><th>top alloc delta</th><th>top cpu</th></tr>
-{{range .ProfRows}}
-<tr>
- <td class="mono">{{.Backend}}</td>
- <td>{{printf "%.1f%%" .CPUBusyPct}}</td>
- <td>{{printf "%.2f MB/s" .AllocMBs}}</td>
- <td>{{printf "%.1f MB" .HeapInuseMB}}</td>
- <td class="mono dim" style="white-space:normal">{{.TopAlloc}}</td>
- <td class="mono dim" style="white-space:normal">{{.TopCPU}}</td>
-</tr>
-{{if .Err}}<tr><td></td><td colspan="5" class="down">{{.Err}}</td></tr>{{end}}
-{{end}}
-</table>
-{{if .FleetTop}}<p class="dim">fleet-merged alloc delta: <span class="mono">{{.FleetTop}}</span></p>{{end}}
 {{end}}
 
 {{if .StageBars}}
@@ -374,30 +341,6 @@ func sloRow(url string, st SLOStatus) dashboardSLO {
 	return row
 }
 
-// topEntries formats the first n profile entries; cpu values are sampled
-// nanoseconds, alloc values are byte deltas (signed).
-func topEntries(entries []profiling.Entry, n int, cpu bool) string {
-	var b strings.Builder
-	for i, e := range entries {
-		if i >= n {
-			break
-		}
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		name := e.Name
-		if idx := strings.LastIndex(name, "/"); idx >= 0 {
-			name = name[idx+1:]
-		}
-		if cpu {
-			fmt.Fprintf(&b, "%s %.2fs", name, float64(e.Value)/1e9)
-		} else {
-			fmt.Fprintf(&b, "%s %+.2f MB", name, float64(e.Value)/1e6)
-		}
-	}
-	return b.String()
-}
-
 // slowestWaterfall renders the slowest assembled trace's span tree as
 // timeline bars, capped at maxRows spans.
 func (m *Monitor) slowestWaterfall(maxRows int) ([]dashboardWF, string, float64) {
@@ -466,12 +409,12 @@ func (m *Monitor) DashboardHandler() http.Handler {
 				row.StatusClass, row.Status = "up", "up"
 			}
 			row.LatSpark = sparkline(m.Series(bs.URL, "powerperfd_cell_fill_seconds_mean", sparkN), sparkW, sparkH)
-			row.HitSpark = sparkline(m.Series(bs.URL, "statsz_cache_hit_rate", sparkN), sparkW, sparkH)
-			row.QueueSpark = sparkline(m.Series(bs.URL, "statsz_queue_depth", sparkN), sparkW, sparkH)
+			row.HitSpark = sparkline(m.Series(bs.URL, "cache_hit_rate", sparkN), sparkW, sparkH)
+			row.QueueSpark = sparkline(m.Series(bs.URL, "powerperfd_queue_depth", sparkN), sparkW, sparkH)
 			data.Rows = append(data.Rows, row)
 			if bs.HasStore {
 				srow := row
-				srow.RowsSpark = sparkline(m.Series(bs.URL, "statsz_store_rows", sparkN), sparkW, sparkH)
+				srow.RowsSpark = sparkline(m.Series(bs.URL, "powerperfd_store_rows", sparkN), sparkW, sparkH)
 				if bs.StoreLastSeal > 0 {
 					age := snap.Generated.Sub(time.Unix(int64(bs.StoreLastSeal), 0))
 					if age < 0 {
@@ -487,18 +430,6 @@ func (m *Monitor) DashboardHandler() http.Handler {
 				data.SLORows = append(data.SLORows, sloRow(bs.URL, st))
 			}
 		}
-		for _, pr := range snap.Profiles {
-			data.ProfRows = append(data.ProfRows, dashboardProfile{
-				Backend:     pr.Backend,
-				Err:         pr.Err,
-				CPUBusyPct:  pr.CPUBusyFrac * 100,
-				AllocMBs:    pr.AllocPerSec / 1e6,
-				HeapInuseMB: float64(pr.HeapInuse) / 1e6,
-				TopAlloc:    topEntries(pr.TopAllocDiff, 3, false),
-				TopCPU:      topEntries(pr.TopCPU, 3, true),
-			})
-		}
-		data.FleetTop = topEntries(snap.FleetAllocDelta, 5, false)
 		if snap.Traces != nil {
 			st := snap.Traces.Stats
 			data.TraceStats = fmt.Sprintf("%d traces assembled from %d spans (%d held, %d duplicate scrapes, %d evicted)",

@@ -68,7 +68,7 @@ type Rule struct {
 	// Name identifies the rule in alerts, logs, and /v1/alertz.
 	Name string
 	// Series is the store key to evaluate (e.g. "up",
-	// "statsz_cache_hit_rate", or a full exposition key like
+	// "cache_hit_rate", or a full exposition key like
 	// `powerperfd_http_request_seconds_mean{endpoint="measure"}`).
 	Series string
 	Kind   RuleKind

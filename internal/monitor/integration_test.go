@@ -79,8 +79,8 @@ func getBody(t *testing.T, url string) []byte {
 
 // TestScrapeFederatesLiveBackend points a monitor at a real powerperfd
 // handler and asserts the federation loop lands every layer: healthz
-// into up, statsz into flattened gauges, metricsz families under their
-// exposition keys, derived histogram means, and the build identity.
+// into up, metricsz families under their exposition keys, the derived
+// ratios and histogram means, and the build identity.
 func TestScrapeFederatesLiveBackend(t *testing.T) {
 	_, ts, _ := newBackend(t, service.Options{Seed: 42})
 
@@ -108,8 +108,8 @@ func TestScrapeFederatesLiveBackend(t *testing.T) {
 		return false
 	}
 	for _, want := range []string{
-		"up", "scrape_ok", "scrape_duration_seconds",
-		"statsz_uptime_s", "statsz_cache_hit_rate", "statsz_queue_capacity", "statsz_queue_fill",
+		"up", "scrape_ok",
+		"powerperfd_uptime_seconds", "cache_hit_rate", "powerperfd_queue_capacity", "queue_fill",
 		"powerperfd_cell_fill_seconds_mean",
 	} {
 		if !has(want) {
@@ -192,7 +192,7 @@ func TestMetricszRoundTrips(t *testing.T) {
 }
 
 // TestStoreGaugesFederate scrapes a store-enabled backend and asserts
-// the /statsz store block lands in the snapshot's store gauges and the
+// the /metricsz store block lands in the snapshot's store gauges and the
 // dashboard grows a Study store panel; a storeless backend stays out.
 func TestStoreGaugesFederate(t *testing.T) {
 	st, err := store.Open(t.TempDir())
@@ -490,6 +490,88 @@ func TestPowerperfmonOnceShape(t *testing.T) {
 	}
 	if decoded.Sweeps != 1 {
 		t.Fatalf("sweeps=%d, want 1", decoded.Sweeps)
+	}
+}
+
+// TestSnapshotMatchesServerStats pins what powerperfmon -once reports:
+// once traffic to a store-backed backend has gone quiet, one sweep's
+// BackendSnapshot carries exactly the server's own counters, its build
+// is the binary's, its hit rate is hits over every lookup, and its
+// uptime falls inside the sweep.
+func TestSnapshotMatchesServerStats(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	srv, ts, _ := newBackend(t, service.Options{Seed: 42, Store: st})
+
+	bodies := []string{
+		`{"cells":[{"benchmark":"mcf","processor":"i7 (45)"},{"benchmark":"jess","processor":"i5 (32)"}]}`,
+		`{"cells":[{"benchmark":"mcf","processor":"i7 (45)"},{"benchmark":"vips","processor":"Atom (45)"}]}`,
+	}
+	for _, body := range append(bodies, bodies...) {
+		resp, err := http.Post(ts.URL+"/v1/measure", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	getBody(t, ts.URL+"/v1/experiments")
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s := srv.Stats()
+		if s.Store != nil && s.Store.Recorded == 4 && s.Queue.Depth == 0 && s.Queue.Inflight == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backend never went quiet: %+v", s)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	mon := monitor.New([]string{ts.URL}, monitor.Options{Interval: time.Second, Seed: 7})
+	before := srv.Stats().UptimeS
+	mon.Sweep(context.Background())
+	want := srv.Stats()
+	bs := mon.Snapshot().Backends[0]
+
+	if bs.Seed != want.Seed {
+		t.Errorf("seed %d, want %d", bs.Seed, want.Seed)
+	}
+	if bs.Build != telemetry.BuildInfo() {
+		t.Errorf("build %+v, want %+v", bs.Build, telemetry.BuildInfo())
+	}
+	if bs.UptimeS < before || bs.UptimeS > want.UptimeS {
+		t.Errorf("uptime %v outside the sweep's [%v, %v]", bs.UptimeS, before, want.UptimeS)
+	}
+	c := want.Cache
+	if rate := float64(c.Hits) / float64(c.Hits+c.Misses+c.Coalesced); bs.HitRate != rate || rate == 0 {
+		t.Errorf("hit rate %v, want %v", bs.HitRate, rate)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"cache entries", bs.Entries, float64(c.Entries)},
+		{"queue depth", bs.QueueDepth, float64(want.Queue.Depth)},
+		{"queue capacity", bs.QueueCap, float64(want.Queue.Capacity)},
+		{"inflight", bs.Inflight, float64(want.Queue.Inflight)},
+		{"requests", bs.Requests, float64(want.Requests.Measure + want.Requests.Experiments + want.Requests.Dataset)},
+		{"store segments", bs.StoreSegments, float64(want.Store.Segments)},
+		{"store rows", bs.StoreRows, float64(want.Store.Rows)},
+		{"store bytes", bs.StoreBytes, float64(want.Store.Bytes)},
+		{"store last seal", bs.StoreLastSeal, float64(want.Store.LastSealUnix)},
+		{"store dropped", bs.StoreDropped, float64(want.Store.Dropped)},
+		{"store write errors", bs.StoreWriteErr, float64(want.Store.WriteErrors)},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s %v, want %v", f.name, f.got, f.want)
+		}
+	}
+	if !bs.HasStore || bs.Requests != 5 || bs.StoreSegments != 4 {
+		t.Errorf("snapshot store=%v requests=%v segments=%v, want true, 5, 4", bs.HasStore, bs.Requests, bs.StoreSegments)
 	}
 }
 

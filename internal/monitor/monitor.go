@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/profiling"
 	"repro/internal/telemetry"
 	"repro/internal/traceanalytics"
 )
@@ -50,14 +49,6 @@ type Options struct {
 	// HTTPClient overrides the scrape transport; nil selects a dedicated
 	// client.
 	HTTPClient *http.Client
-	// ProfileEvery turns on continuous profiling: every this many
-	// sweeps, one asynchronous pprof harvest (CPU window + heap) runs
-	// against each backend's /debug/pprof endpoints and feeds the
-	// profile_* series (see profile.go). 0 disables profiling.
-	ProfileEvery int
-	// ProfileSeconds is the CPU sampling window per harvest; <= 0
-	// selects 1.
-	ProfileSeconds int
 }
 
 func (o Options) withDefaults() Options {
@@ -106,12 +97,12 @@ func DefaultRules() []Rule {
 			Help: "Backend is alive but its metric endpoints fail to fetch or parse.",
 		},
 		{
-			Name: "queue_saturated", Series: "statsz_queue_fill", Kind: KindThreshold, Cmp: Above, Value: 0.9,
+			Name: "queue_saturated", Series: "queue_fill", Kind: KindThreshold, Cmp: Above, Value: 0.9,
 			For: 3, Clear: 3,
 			Help: "Measurement queue over 90% of capacity: load is outrunning the worker pool.",
 		},
 		{
-			Name: "cache_hit_rate_collapsed", Series: "statsz_cache_hit_rate",
+			Name: "cache_hit_rate_collapsed", Series: "cache_hit_rate",
 			Kind: KindCI, Cmp: Below, Window: 5, Baseline: 20, RelTol: 0.05,
 			Help: "Cache hit rate fell below its rolling baseline confidence interval.",
 		},
@@ -126,14 +117,9 @@ func DefaultRules() []Rule {
 			Help: "Measure-endpoint latency left its rolling baseline confidence interval.",
 		},
 		{
-			Name: "uptime_drift", Series: "statsz_uptime_s",
+			Name: "uptime_drift", Series: "powerperfd_uptime_seconds",
 			Kind: KindTrend, Cmp: Below, Window: 12, Value: 0.5, MinR2: 0.2,
 			Help: "Backend uptime trending down across scrapes: the process is crash-looping.",
-		},
-		{
-			Name: "alloc_rate_regressed", Series: "profile_alloc_bytes_per_sec",
-			Kind: KindCI, Cmp: Above, Window: 5, Baseline: 20, RelTol: 0.25, Robust: true,
-			Help: "Continuous-profiling allocation rate left its rolling baseline — an allocation regression shipped (the profile diff names the functions).",
 		},
 		{
 			Name: "error_budget_exhausted", Series: `slo_error_budget_remaining{objective="availability"}`,
@@ -174,12 +160,6 @@ type Monitor struct {
 	// harvests; always on (its memory is bounded).
 	analytics *traceanalytics.Engine
 
-	// fleet is the continuous profiler, nil unless Options.ProfileEvery
-	// is set; profBusy serializes harvests, harvests counts completions.
-	fleet    *profiling.Fleet
-	profBusy atomic.Bool
-	harvests atomic.Int64
-
 	sweeps  atomic.Int64
 	running atomic.Bool
 }
@@ -213,15 +193,6 @@ func New(backends []string, opts Options) *Monitor {
 		start:     time.Now(),
 	}
 	m.scraper.analytics = m.analytics
-	if opts.ProfileEvery > 0 {
-		m.fleet = profiling.NewFleet(profiling.FleetOptions{
-			Backends:   bes,
-			Seconds:    opts.ProfileSeconds,
-			Timeout:    opts.Timeout,
-			HTTPClient: opts.HTTPClient,
-			UserAgent:  "powerperfmon/" + Version + " " + telemetry.BuildInfo().UserAgentToken(),
-		})
-	}
 	return m
 }
 
@@ -242,7 +213,7 @@ func (m *Monitor) Sweep(ctx context.Context) {
 	// series live there, and every other rule's warmup guard keeps it
 	// silent where its series do not exist.
 	m.detector.Evaluate(append(append([]string(nil), m.backends...), FleetBackend), now)
-	m.maybeProfile(ctx, m.sweeps.Add(1))
+	m.sweeps.Add(1)
 }
 
 // Sweeps reports completed scrape-evaluate cycles.
@@ -316,7 +287,7 @@ type BackendSnapshot struct {
 	TopCells   []CellLatency   `json:"top_cells,omitempty"`
 
 	// Study store gauges, present only when the backend runs with
-	// -store-dir (the /statsz "store" block flattens to statsz_store_*).
+	// -store-dir (its /metricsz carries the powerperfd_store_* block).
 	HasStore      bool    `json:"store,omitempty"`
 	StoreSegments float64 `json:"store_segments,omitempty"`
 	StoreRows     float64 `json:"store_rows,omitempty"`
@@ -390,12 +361,6 @@ type Snapshot struct {
 	Backends  []BackendSnapshot `json:"backends"`
 	Alerts    []Alert           `json:"alerts"`
 
-	// Continuous-profiling digest, present only with ProfileEvery set:
-	// per-backend reports plus the fleet-merged allocation delta (which
-	// functions the whole fleet's newest harvest window charged).
-	Profiles        []profiling.BackendReport `json:"profiles,omitempty"`
-	FleetAllocDelta []profiling.Entry         `json:"fleet_alloc_delta,omitempty"`
-
 	// Traces is the assembled-trace digest (stage shares, top critical
 	// paths, RED table), present once any spans have been harvested.
 	Traces *traceanalytics.Summary `json:"traces,omitempty"`
@@ -426,34 +391,30 @@ func (m *Monitor) Snapshot() Snapshot {
 			TopCells:   append([]CellLatency(nil), bst.topCells...),
 		}
 		bst.mu.Unlock()
-		bs.UptimeS, _ = m.store.last(be, "statsz_uptime_s")
-		bs.HitRate, _ = m.store.last(be, "statsz_cache_hit_rate")
-		bs.Entries, _ = m.store.last(be, "statsz_cache_entries")
-		bs.QueueDepth, _ = m.store.last(be, "statsz_queue_depth")
-		bs.QueueCap, _ = m.store.last(be, "statsz_queue_capacity")
-		bs.Inflight, _ = m.store.last(be, "statsz_queue_inflight_workers")
-		for _, k := range []string{"statsz_requests_measure", "statsz_requests_experiments", "statsz_requests_dataset"} {
-			v, _ := m.store.last(be, k)
+		bs.UptimeS, _ = m.store.last(be, "powerperfd_uptime_seconds")
+		bs.HitRate, _ = m.store.last(be, "cache_hit_rate")
+		bs.Entries, _ = m.store.last(be, "powerperfd_cache_entries")
+		bs.QueueDepth, _ = m.store.last(be, "powerperfd_queue_depth")
+		bs.QueueCap, _ = m.store.last(be, "powerperfd_queue_capacity")
+		bs.Inflight, _ = m.store.last(be, "powerperfd_inflight_workers")
+		for _, ep := range []string{"measure", "experiments", "dataset"} {
+			v, _ := m.store.last(be, `powerperfd_requests_total{endpoint="`+ep+`"}`)
 			bs.Requests += v
 		}
 		if v, ok := m.store.last(be, "powerperfd_cell_fill_seconds_mean"); ok {
 			bs.FillMeanMS = v * 1e3
 		}
-		if v, ok := m.store.last(be, "statsz_store_segments"); ok {
+		if v, ok := m.store.last(be, "powerperfd_store_segments"); ok {
 			bs.HasStore = true
 			bs.StoreSegments = v
-			bs.StoreRows, _ = m.store.last(be, "statsz_store_rows")
-			bs.StoreBytes, _ = m.store.last(be, "statsz_store_bytes")
-			bs.StoreLastSeal, _ = m.store.last(be, "statsz_store_last_seal_unix")
-			bs.StoreDropped, _ = m.store.last(be, "statsz_store_dropped_studies")
-			bs.StoreWriteErr, _ = m.store.last(be, "statsz_store_write_errors")
+			bs.StoreRows, _ = m.store.last(be, "powerperfd_store_rows")
+			bs.StoreBytes, _ = m.store.last(be, "powerperfd_store_bytes")
+			bs.StoreLastSeal, _ = m.store.last(be, "powerperfd_store_last_seal_timestamp_seconds")
+			bs.StoreDropped, _ = m.store.last(be, "powerperfd_store_dropped_studies_total")
+			bs.StoreWriteErr, _ = m.store.last(be, "powerperfd_store_write_errors_total")
 		}
 		bs.SLOs = m.sloStatuses(be)
 		snap.Backends = append(snap.Backends, bs)
-	}
-	if m.fleet != nil {
-		snap.Profiles = m.fleet.Report(5)
-		snap.FleetAllocDelta = profiling.TopK(m.fleet.MergedAllocDelta(), 10)
 	}
 	if sum := m.analytics.Summary(5); sum.Stats.SpansSeen > 0 {
 		snap.Traces = &sum

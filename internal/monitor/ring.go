@@ -1,6 +1,6 @@
 // Package monitor is the fleet-watching subsystem: a scrape federation
-// loop that polls each backend's /metricsz, /statsz, and /healthz on a
-// jittered interval, fixed-size ring buffers holding the resulting time
+// loop that polls each backend's /healthz and /metricsz on a jittered
+// interval, fixed-size ring buffers holding the resulting time
 // series, and a detector that evaluates threshold and statistical rules
 // over them — the latter reusing internal/stats, so the system flags
 // its own regressions the way the paper flags measurement noise: with

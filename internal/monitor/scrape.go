@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,11 +45,10 @@ type backendState struct {
 
 type histCum struct{ sum, count float64 }
 
-// scraper polls one fleet: /healthz for liveness, /statsz for the
-// typed counters, /metricsz for every Prometheus family, and
-// /v1/traces for the slowest cells. Each poll pushes samples into the
-// store under stable series keys; counter-vs-gauge semantics are the
-// detector's concern.
+// scraper polls one fleet: /healthz for liveness, /metricsz for every
+// Prometheus family and the backend's identity, and /v1/traces for the
+// slowest cells. Each poll pushes samples into the store under stable
+// series keys; counter-vs-gauge semantics are the detector's concern.
 type scraper struct {
 	backends  []string
 	hc        *http.Client
@@ -122,13 +122,7 @@ func (sc *scraper) scrapeOne(ctx context.Context, backend string, withTraces boo
 	healthErr := sc.getOK(ctx, backend, "/healthz")
 	up := healthErr == nil
 
-	var scrapeErr error
-	if err := sc.scrapeStatsz(ctx, backend, bst, start); err != nil {
-		scrapeErr = err
-	}
-	if err := sc.scrapeMetricsz(ctx, backend, bst, start); err != nil && scrapeErr == nil {
-		scrapeErr = err
-	}
+	scrapeErr := sc.scrapeMetricsz(ctx, backend, bst, start)
 	if withTraces {
 		if err := sc.scrapeTraces(ctx, backend, bst); err != nil && scrapeErr == nil {
 			scrapeErr = err
@@ -145,7 +139,6 @@ func (sc *scraper) scrapeOne(ctx context.Context, backend string, withTraces boo
 	}
 	sc.store.push(backend, "up", Sample{T: start, V: upV})
 	sc.store.push(backend, "scrape_ok", Sample{T: start, V: okV})
-	sc.store.push(backend, "scrape_duration_seconds", Sample{T: start, V: dur.Seconds()})
 
 	bst.mu.Lock()
 	bst.up = up
@@ -202,74 +195,16 @@ func (sc *scraper) getOK(ctx context.Context, backend, path string) error {
 	return err
 }
 
-// scrapeStatsz flattens the /statsz JSON into statsz_* series (numbers
-// and booleans; nested objects join with underscores) and captures the
-// backend's identity fields for the fleet snapshot.
-func (sc *scraper) scrapeStatsz(ctx context.Context, backend string, bst *backendState, t time.Time) error {
-	body, err := sc.get(ctx, backend, "/statsz")
-	if err != nil {
-		return err
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(body, &raw); err != nil {
-		return fmt.Errorf("monitor: %s/statsz: %w", backend, err)
-	}
-	flat := map[string]float64{}
-	flattenJSON("statsz", raw, flat)
-	// Derived pressure gauge: queue fill fraction, the saturation signal
-	// the threshold rules watch.
-	if capd, ok := flat["statsz_queue_capacity"]; ok && capd > 0 {
-		flat["statsz_queue_fill"] = flat["statsz_queue_depth"] / capd
-	}
-	for k, v := range flat {
-		sc.store.push(backend, k, Sample{T: t, V: v})
-	}
-
-	var ident struct {
-		Seed  int64           `json:"seed"`
-		Build telemetry.Build `json:"build"`
-	}
-	_ = json.Unmarshal(body, &ident)
-	bst.mu.Lock()
-	bst.seed = ident.Seed
-	bst.build = ident.Build
-	bst.mu.Unlock()
-	return nil
-}
-
-// flattenJSON walks a decoded JSON object, emitting prefix_key paths
-// for every number and boolean. Arrays and strings are skipped: they
-// are either identity (handled separately) or unbounded (per-shard
-// lists), and the series cap should not be spent on them.
-func flattenJSON(prefix string, v any, out map[string]float64) {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			flattenJSON(prefix+"_"+k, x[k], out)
-		}
-	case float64:
-		out[prefix] = x
-	case bool:
-		if x {
-			out[prefix] = 1
-		} else {
-			out[prefix] = 0
-		}
-	}
-}
-
 // scrapeMetricsz parses the backend's Prometheus page and pushes every
 // counter and gauge sample under its exposition key. Histogram families
-// contribute their _sum and _count samples plus a derived *_mean series
-// — the per-scrape-window mean in seconds, computed from the cumulative
-// deltas with reset handling — which is what the CI-regression rules
-// watch. Buckets are skipped: at scrape cardinality they cost more than
-// the 2x quantile fidelity they would add.
+// contribute a derived *_mean series — the per-scrape-window mean in
+// seconds, computed from the cumulative _sum/_count deltas with reset
+// handling — which is what the CI-regression rules watch; buckets and
+// the raw _sum/_count are not stored. The powerperf_build_info gauge is
+// the backend's identity, kept as scrape state rather than a series.
+// Two ratios the rules watch are derived from the page: queue_fill
+// (depth over capacity) and cache_hit_rate, the cumulative share of
+// lookups served from a completed entry.
 func (sc *scraper) scrapeMetricsz(ctx context.Context, backend string, bst *backendState, t time.Time) error {
 	body, err := sc.get(ctx, backend, "/metricsz")
 	if err != nil {
@@ -283,27 +218,28 @@ func (sc *scraper) scrapeMetricsz(ctx context.Context, backend string, bst *back
 		sum, count float64
 		hasSum     bool
 		hasCount   bool
-		labels     string
 	}
+	page := map[string]float64{} // this page's counter and gauge samples
 	for _, f := range fams {
-		switch f.Type {
-		case "histogram", "summary":
+		switch {
+		case f.Name == "powerperf_build_info" && len(f.Samples) > 0:
+			bst.identify(f.Samples[0])
+		case f.Type == "histogram" || f.Type == "summary":
 			series := map[string]*sumCount{}
 			for _, s := range f.Samples {
-				if strings.HasSuffix(s.Name, "_bucket") {
+				isSum := strings.HasSuffix(s.Name, "_sum")
+				if !isSum && !strings.HasSuffix(s.Name, "_count") {
 					continue
 				}
-				key := s.Key()
-				sc.store.push(backend, key, Sample{T: t, V: s.Value})
-				base := labelsSuffix(key)
+				base := labelsSuffix(s.Key())
 				x := series[base]
 				if x == nil {
-					x = &sumCount{labels: base}
+					x = &sumCount{}
 					series[base] = x
 				}
-				if strings.HasSuffix(s.Name, "_sum") {
+				if isSum {
 					x.sum, x.hasSum = s.Value, true
-				} else if strings.HasSuffix(s.Name, "_count") {
+				} else {
 					x.count, x.hasCount = s.Value, true
 				}
 			}
@@ -312,10 +248,9 @@ func (sc *scraper) scrapeMetricsz(ctx context.Context, backend string, bst *back
 					continue
 				}
 				meanKey := f.Name + "_mean" + base
-				prevKey := backend + "|" + meanKey
 				bst.mu.Lock()
-				prev, seen := bst.histPrev[prevKey]
-				bst.histPrev[prevKey] = histCum{sum: x.sum, count: x.count}
+				prev, seen := bst.histPrev[meanKey]
+				bst.histPrev[meanKey] = histCum{sum: x.sum, count: x.count}
 				bst.mu.Unlock()
 				dc := x.count - prev.count
 				ds := x.sum - prev.sum
@@ -328,11 +263,40 @@ func (sc *scraper) scrapeMetricsz(ctx context.Context, backend string, bst *back
 			}
 		default:
 			for _, s := range f.Samples {
-				sc.store.push(backend, s.Key(), Sample{T: t, V: s.Value})
+				key := s.Key()
+				page[key] = s.Value
+				sc.store.push(backend, key, Sample{T: t, V: s.Value})
 			}
 		}
 	}
+	if c := page["powerperfd_queue_capacity"]; c > 0 {
+		sc.store.push(backend, "queue_fill", Sample{T: t, V: page["powerperfd_queue_depth"] / c})
+	}
+	if hits, ok := page["powerperfd_cache_hits_total"]; ok {
+		rate := 0.0
+		if total := hits + page["powerperfd_cache_misses_total"] + page["powerperfd_cache_coalesced_total"]; total > 0 {
+			rate = hits / total
+		}
+		sc.store.push(backend, "cache_hit_rate", Sample{T: t, V: rate})
+	}
 	return nil
+}
+
+// identify records the backend's build and study seed from the labels
+// of its powerperf_build_info gauge.
+func (bst *backendState) identify(p telemetry.MetricPoint) {
+	var b telemetry.Build
+	b.Version, _ = p.Label("version")
+	b.Commit, _ = p.Label("commit")
+	b.GoVersion, _ = p.Label("go")
+	modified, _ := p.Label("modified")
+	b.Modified = modified == "true"
+	seedLabel, _ := p.Label("seed")
+	seed, _ := strconv.ParseInt(seedLabel, 10, 64)
+	bst.mu.Lock()
+	bst.seed = seed
+	bst.build = b
+	bst.mu.Unlock()
 }
 
 // labelsSuffix extracts the "{...}" tail of a series key ("" when

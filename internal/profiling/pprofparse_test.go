@@ -172,6 +172,9 @@ func TestFleetHarvestAndDelta(t *testing.T) {
 	if total <= 0 {
 		t.Fatalf("alloc delta empty: %+v", delta)
 	}
+	if merged := fleet.MergedAllocDelta(); len(merged) == 0 {
+		t.Fatal("fleet-merged alloc delta empty after allocation churn")
+	}
 	if rate, ok := fleet.AllocRate(srv.URL); !ok || rate <= 0 {
 		t.Fatalf("alloc rate = %v ok=%v", rate, ok)
 	}

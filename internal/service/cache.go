@@ -238,9 +238,7 @@ func (c *Cache) Len() int {
 }
 
 // ShardLens returns the resident entry count of every shard, in shard
-// order — the per-shard occupancy view /statsz and /metricsz expose so
-// operators can see whether the rendezvous routing keeps each backend's
-// key space (and therefore its shards) evenly loaded.
+// order; Stats reports it as the per-shard occupancy.
 func (c *Cache) ShardLens() []int {
 	lens := make([]int, len(c.shards))
 	for i := range c.shards {
@@ -254,13 +252,12 @@ func (c *Cache) ShardLens() []int {
 
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
-	Shards    []int `json:"shard_entries"`
+	Hits      int64
+	Misses    int64
+	Coalesced int64
+	Evictions int64
+	Entries   int
+	Shards    []int
 }
 
 // Stats snapshots the cache counters.
@@ -276,16 +273,6 @@ func (c *Cache) Stats() CacheStats {
 		Coalesced: c.coalesced.Load(),
 		Evictions: c.evictions.Load(),
 		Entries:   n,
-		Capacity:  c.perShard * len(c.shards),
 		Shards:    shards,
 	}
-}
-
-// HitRate is hits / (hits + misses + coalesced), 0 when idle.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses + s.Coalesced
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }

@@ -26,7 +26,6 @@ const maxRequestBytes = 4 << 20
 //	GET  /v1/dataset            stream the full-study CSV
 //	GET  /v1/traces             recent spans, Chrome trace-event JSON
 //	GET  /healthz               liveness (503 while draining)
-//	GET  /statsz                cache/queue/request counters
 //	GET  /metricsz              counters + latency histograms, Prometheus text
 //
 // With a study store attached (Options.Store), the studies API mounts:
@@ -61,7 +60,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/sloz", s.handleSloz)
 	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /statsz", s.handleStatsz)
 	mux.HandleFunc("GET /metricsz", s.handleMetricsz)
 	if s.opts.Store != nil {
 		mux.HandleFunc("GET /v1/studies", s.handleStudiesIndex)
@@ -442,8 +440,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{"ok"})
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }

@@ -10,10 +10,15 @@ import (
 	"repro/internal/telemetry"
 )
 
+// registry holds the daemon's latency histograms (cell fills and HTTP
+// requests by endpoint family). It is this package's own, so /metricsz
+// carries only families the service registers, whatever else shares the
+// process.
+var registry = telemetry.NewRegistry()
+
 // handleMetricsz renders the server counters in the Prometheus text
-// exposition format, so cluster tests and fleet operators can scrape
-// backend load with stock tooling. Families are emitted in a fixed
-// order; everything here is also in /statsz as JSON.
+// exposition format, the one page the fleet monitor scrapes. Families
+// are emitted in a fixed order.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	var b strings.Builder
@@ -26,39 +31,28 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			name, help, name, name, strconv.FormatFloat(v, 'g', -1, 64))
 	}
 
-	// Build identity first: one constant-1 gauge whose labels carry the
-	// version stamp, the stock Prometheus idiom for joining every other
-	// series to the code that produced it.
+	// Identity first: one constant-1 gauge whose labels carry the build
+	// stamp and the daemon's study seed, the stock Prometheus idiom for
+	// joining every other series to the code and dataset that produced
+	// it. The seed is a label because a float sample is not exact for
+	// every int64.
 	bi := telemetry.BuildInfo()
 	name := "powerperf_build_info"
-	fmt.Fprintf(&b, "# HELP %s Build identity of this process; the value is always 1.\n# TYPE %s gauge\n", name, name)
-	fmt.Fprintf(&b, "%s{version=%s,commit=%s,go=%s} 1\n",
-		name, telemetry.PromQuote(bi.Version), telemetry.PromQuote(bi.Commit), telemetry.PromQuote(bi.GoVersion))
+	fmt.Fprintf(&b, "# HELP %s Build identity and study seed of this daemon; the value is always 1.\n# TYPE %s gauge\n", name, name)
+	fmt.Fprintf(&b, "%s{version=%s,commit=%s,modified=\"%t\",go=%s,seed=\"%d\"} 1\n",
+		name, telemetry.PromQuote(bi.Version), telemetry.PromQuote(bi.Commit), bi.Modified,
+		telemetry.PromQuote(bi.GoVersion), st.Seed)
 
 	gauge("powerperfd_uptime_seconds", "Seconds since the daemon started.", st.UptimeS)
-	draining := 0.0
-	if st.Draining {
-		draining = 1
-	}
-	gauge("powerperfd_draining", "1 while graceful shutdown is in progress.", draining)
 
 	counter("powerperfd_cache_hits_total", "Measure cells served from a completed cache entry.", st.Cache.Hits)
 	counter("powerperfd_cache_misses_total", "Measure cell fills started.", st.Cache.Misses)
 	counter("powerperfd_cache_coalesced_total", "Measure cells that waited on another requester's fill (duplicate suppression).", st.Cache.Coalesced)
-	counter("powerperfd_cache_evictions_total", "Completed cache entries evicted by the LRU bound.", st.Cache.Evictions)
 	gauge("powerperfd_cache_entries", "Resident cache entries.", float64(st.Cache.Entries))
-	gauge("powerperfd_cache_capacity", "Cache capacity in cells.", float64(st.Cache.Capacity))
-
-	name = "powerperfd_cache_shard_entries"
-	fmt.Fprintf(&b, "# HELP %s Resident entries per cache shard.\n# TYPE %s gauge\n", name, name)
-	for i, l := range st.Cache.Shards {
-		fmt.Fprintf(&b, "%s{shard=\"%d\"} %d\n", name, i, l)
-	}
 
 	gauge("powerperfd_queue_depth", "Measurement tasks queued, not yet executing.", float64(st.Queue.Depth))
 	gauge("powerperfd_queue_capacity", "Bounded measurement queue capacity.", float64(st.Queue.Capacity))
 	gauge("powerperfd_inflight_workers", "Measurement closures currently executing.", float64(st.Queue.Inflight))
-	gauge("powerperfd_workers", "Measurement worker count.", float64(st.Queue.Workers))
 
 	name = "powerperfd_requests_total"
 	fmt.Fprintf(&b, "# HELP %s Requests per endpoint family.\n# TYPE %s counter\n", name, name)
@@ -66,11 +60,20 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "%s{endpoint=\"experiments\"} %d\n", name, st.Requests.Experiments)
 	fmt.Fprintf(&b, "%s{endpoint=\"dataset\"} %d\n", name, st.Requests.Dataset)
 
-	// Latency distributions: every histogram family in the process-global
-	// registry (cell fills, harness batches/cells, HTTP request times,
-	// cluster per-backend exchanges when a coordinator shares the
-	// process) renders as a Prometheus histogram after the counters.
-	telemetry.Default.WritePrometheus(&b)
+	// The study store block, only when a store is attached.
+	if ss := st.Store; ss != nil {
+		gauge("powerperfd_store_segments", "Sealed study segments in the store.", float64(ss.Segments))
+		gauge("powerperfd_store_rows", "Measurement rows in sealed segments.", float64(ss.Rows))
+		gauge("powerperfd_store_bytes", "Bytes in the store's segment log.", float64(ss.Bytes))
+		gauge("powerperfd_store_last_seal_timestamp_seconds", "Unix time of the newest seal (0 before the first).", float64(ss.LastSealUnix))
+		counter("powerperfd_store_recorded_studies_total", "Studies the ingest appended to the store.", ss.Recorded)
+		counter("powerperfd_store_dropped_studies_total", "Completed studies dropped because the ingest queue was full.", ss.Dropped)
+		counter("powerperfd_store_write_errors_total", "Store appends and syncs that failed.", ss.WriteErrors)
+	}
+
+	// Latency distributions: the cell-fill and per-endpoint HTTP
+	// histograms render as Prometheus histograms after the counters.
+	registry.WritePrometheus(&b)
 
 	// SLO state last: error budgets, burn rates, and alert states per
 	// objective, which the fleet monitor federates onto the dashboard.

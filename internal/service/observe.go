@@ -15,7 +15,7 @@ import (
 var httpHistName = "powerperfd_http_request_seconds"
 
 func httpHist(endpoint string) *telemetry.Histogram {
-	return telemetry.Default.LabeledHistogram(httpHistName,
+	return registry.LabeledHistogram(httpHistName,
 		"Wall time of HTTP requests by endpoint family.", "endpoint", endpoint)
 }
 
@@ -39,7 +39,7 @@ func endpointFamily(path string) string {
 		return "sloz"
 	case path == "/v1/alertz":
 		return "alertz"
-	case path == "/healthz", path == "/statsz", path == "/metricsz":
+	case path == "/healthz", path == "/metricsz":
 		return strings.TrimPrefix(path, "/")
 	default:
 		return "other"
@@ -77,8 +77,8 @@ func (sw *statusWriter) Flush() {
 func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // monitoringPlane reports whether an endpoint family is scrape
-// infrastructure rather than workload: liveness, stats, metrics, and
-// the trace export itself. These get no spans — a fleet monitor polling
+// infrastructure rather than workload: liveness, metrics, and the
+// trace export itself. These get no spans — a fleet monitor polling
 // every few seconds would otherwise evict real workload spans from the
 // bounded ring and bloat every /v1/traces export with records of
 // reading it (the observer effect, in the literal sense). They keep the
@@ -86,7 +86,7 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 // daemon's log stays about its workload.
 func monitoringPlane(family string) bool {
 	switch family {
-	case "healthz", "statsz", "metricsz", "traces", "traceview", "sloz", "alertz":
+	case "healthz", "metricsz", "traces", "traceview", "sloz", "alertz":
 		return true
 	}
 	return false

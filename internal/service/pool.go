@@ -39,7 +39,6 @@ type workPool struct {
 	draining bool
 
 	inflight atomic.Int64 // closures currently executing
-	workers  int
 }
 
 func newWorkPool(workers, depth int) *workPool {
@@ -49,7 +48,7 @@ func newWorkPool(workers, depth int) *workPool {
 	if depth < 1 {
 		depth = 1
 	}
-	p := &workPool{workers: workers}
+	p := &workPool{}
 	for l := range p.queues {
 		p.queues[l] = make(chan func(), depth)
 	}
@@ -158,9 +157,6 @@ func (p *workPool) DoLane(ctx context.Context, l lane, fn func() (any, error)) (
 func (p *workPool) QueueDepth() int {
 	return len(p.queues[laneInteractive]) + len(p.queues[laneBulk])
 }
-
-// LaneDepth reports queued tasks in one lane.
-func (p *workPool) LaneDepth(l lane) int { return len(p.queues[l]) }
 
 // Inflight reports closures currently executing.
 func (p *workPool) Inflight() int64 { return p.inflight.Load() }

@@ -24,15 +24,15 @@ import (
 
 // Fill-duration distribution: how long uncached cell computations take
 // on this backend, the latency the cache exists to amortize. Exported
-// through /metricsz alongside the harness's batch/cell families.
-var fillHist = telemetry.Default.Histogram("powerperfd_cell_fill_seconds",
+// through /metricsz.
+var fillHist = registry.Histogram("powerperfd_cell_fill_seconds",
 	"Wall time of uncached measurement cell fills (cache misses only).")
 
 // Options configures a Server. The zero value selects sane defaults.
 type Options struct {
 	// Seed is the daemon's study seed: the default for measure requests,
-	// and the seed of the experiments and dataset endpoints. Defaults to
-	// 42, the committed dataset's seed.
+	// and the seed of the experiments and dataset endpoints. Every value,
+	// 0 included, is a seed; 42 is the committed dataset's.
 	Seed int64
 	// Workers is the measurement worker count; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -86,9 +86,6 @@ type Hooks struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -135,7 +132,6 @@ type Server struct {
 	reqMeasureStream atomic.Int64
 	reqExperiments   atomic.Int64
 	reqDataset       atomic.Int64
-	reqStudies       atomic.Int64
 
 	// ingest is the async write path into opts.Store; nil when no store
 	// is attached.
@@ -314,67 +310,53 @@ func (s *Server) experimentsContext() (*experiments.Context, error) {
 	return s.expCtx, s.expErr
 }
 
-// Stats is the /statsz payload.
+// Stats is a snapshot of the server counters: /metricsz renders it,
+// and in-process callers read it directly.
 type Stats struct {
-	Seed     int64           `json:"seed"`
-	UptimeS  float64         `json:"uptime_s"`
-	Build    telemetry.Build `json:"build"`
-	Draining bool            `json:"draining"`
-	Cache    CacheStats      `json:"cache"`
-	HitRate  float64         `json:"cache_hit_rate"`
-	Queue    QueueStats      `json:"queue"`
-	Requests ReqStats        `json:"requests"`
-	// Store reports the persistent study store; omitted when the daemon
+	Seed     int64
+	UptimeS  float64
+	Draining bool
+	Cache    CacheStats
+	Queue    QueueStats
+	Requests ReqStats
+	// Store reports the persistent study store; nil when the daemon
 	// runs without one.
-	Store *StoreStats `json:"store,omitempty"`
+	Store *StoreStats
 }
 
-// QueueStats reports worker-pool pressure, split by priority lane so an
-// operator can see bulk study traffic queueing behind interactive work
-// (never the reverse — interactive preempts at dequeue).
+// QueueStats reports worker-pool pressure.
 type QueueStats struct {
-	Depth            int   `json:"depth"`
-	InteractiveDepth int   `json:"interactive_depth"`
-	BulkDepth        int   `json:"bulk_depth"`
-	Capacity         int   `json:"capacity"`
-	Inflight         int64 `json:"inflight_workers"`
-	Workers          int   `json:"workers"`
+	Depth    int
+	Capacity int
+	Inflight int64
 }
 
 // ReqStats counts requests per endpoint family. MeasureStreams counts
 // the subset of measure requests served as a stream of binary frames.
 type ReqStats struct {
-	Measure        int64 `json:"measure"`
-	MeasureStreams int64 `json:"measure_streams"`
-	Experiments    int64 `json:"experiments"`
-	Dataset        int64 `json:"dataset"`
-	Studies        int64 `json:"studies"`
+	Measure        int64
+	MeasureStreams int64
+	Experiments    int64
+	Dataset        int64
 }
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
-	cs := s.cache.Stats()
 	return Stats{
 		Seed:     s.opts.Seed,
 		UptimeS:  time.Since(s.start).Seconds(),
-		Build:    telemetry.BuildInfo(),
 		Draining: s.draining.Load(),
-		Cache:    cs,
-		HitRate:  cs.HitRate(),
+		Cache:    s.cache.Stats(),
 		Queue: QueueStats{
-			Depth:            s.pool.QueueDepth(),
-			InteractiveDepth: s.pool.LaneDepth(laneInteractive),
-			BulkDepth:        s.pool.LaneDepth(laneBulk),
-			Capacity:         s.opts.QueueDepth,
-			Inflight:         s.pool.Inflight(),
-			Workers:          s.pool.workers,
+			Depth:    s.pool.QueueDepth(),
+			Capacity: s.opts.QueueDepth,
+			Inflight: s.pool.Inflight(),
 		},
 		Requests: ReqStats{
 			Measure:        s.reqMeasure.Load(),
 			MeasureStreams: s.reqMeasureStream.Load(),
 			Experiments:    s.reqExperiments.Load(),
 			Dataset:        s.reqDataset.Load(),
-			Studies:        s.reqStudies.Load(),
 		},
 		Store: s.ingest.stats(),
 	}

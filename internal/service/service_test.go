@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/proc"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -65,19 +67,6 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, b
 }
 
-func statsOf(t *testing.T, url string) Stats {
-	t.Helper()
-	code, b := get(t, url+"/statsz")
-	if code != http.StatusOK {
-		t.Fatalf("statsz: %d %s", code, b)
-	}
-	var st Stats
-	if err := json.Unmarshal(b, &st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
 const twoCellBody = `{"cells":[
 	{"benchmark":"mcf","processor":"i7 (45)"},
 	{"benchmark":"jess","processor":"i5 (32)","config":{"cores":2,"smt":2,"clock_ghz":1.2,"turbo":false}}
@@ -85,7 +74,7 @@ const twoCellBody = `{"cells":[
 
 // TestMeasureRepeatServedFromCache pins the acceptance criterion: a
 // repeated POST /v1/measure for the same cells is served from cache (no
-// recomputation, observed via the statsz miss counter) and is
+// recomputation, observed via the cache miss counter) and is
 // byte-identical to the first response.
 func TestMeasureRepeatServedFromCache(t *testing.T) {
 	srv := NewServer(Options{Seed: 42, Workers: 4})
@@ -97,7 +86,7 @@ func TestMeasureRepeatServedFromCache(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("first POST: %d %s", code, first)
 	}
-	st1 := statsOf(t, ts.URL)
+	st1 := srv.Stats()
 	if st1.Cache.Misses != 2 || st1.Cache.Hits != 0 {
 		t.Fatalf("after first POST: %+v", st1.Cache)
 	}
@@ -109,15 +98,15 @@ func TestMeasureRepeatServedFromCache(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("repeat response differs:\n%s\nvs\n%s", first, second)
 	}
-	st2 := statsOf(t, ts.URL)
+	st2 := srv.Stats()
 	if st2.Cache.Misses != 2 {
 		t.Fatalf("repeat recomputed: misses %d -> %d", st1.Cache.Misses, st2.Cache.Misses)
 	}
 	if st2.Cache.Hits != 2 {
 		t.Fatalf("repeat not served from cache: hits = %d, want 2", st2.Cache.Hits)
 	}
-	if st2.HitRate <= 0 {
-		t.Fatalf("hit rate %v, want > 0", st2.HitRate)
+	if st2.Cache.Hits <= 0 {
+		t.Fatalf("cache hits %d, want > 0", st2.Cache.Hits)
 	}
 }
 
@@ -186,11 +175,71 @@ func TestMeasureMatchesHarness(t *testing.T) {
 	}
 }
 
+// TestSeedZeroServesSeedZero: 0 is a seed like any other (the seed-0
+// dataset is pinned next to seed 42's), so a zero-seed daemon reports
+// seed 0 on its /metricsz identity gauge and measures a seedless cell
+// exactly as harness.New(0) does.
+func TestSeedZeroServesSeedZero(t *testing.T) {
+	srv := NewServer(Options{Seed: 0, Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	_, page := get(t, ts.URL+"/metricsz")
+	fams, err := telemetry.ParsePrometheus(string(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed string
+	for _, f := range fams {
+		if f.Name == "powerperf_build_info" && len(f.Samples) == 1 {
+			seed, _ = f.Samples[0].Label("seed")
+		}
+	}
+	if seed != "0" {
+		t.Fatalf("identity gauge seed = %q, want \"0\"", seed)
+	}
+
+	code, b := postMeasure(t, ts.URL, `{"cells":[{"benchmark":"vips","processor":"Atom (45)"}]}`)
+	if code != http.StatusOK {
+		t.Fatalf("%d %s", code, b)
+	}
+	var resp MeasureResponse
+	if err := json.Unmarshal(b, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Seed != 0 || len(resp.Cells) != 1 {
+		t.Fatalf("response %+v, want one cell at seed 0", resp)
+	}
+	h, err := harness.New(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := proc.ByName("Atom (45)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := workload.ByName("vips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := h.Measure(bench, proc.ConfiguredProcessor{Proc: p, Config: p.Stock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := resp.Cells[0]
+	for _, pair := range [][2]float64{{got.Seconds, m.Seconds}, {got.Watts, m.Watts}, {got.EnergyJ, m.EnergyJ}} {
+		if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+			t.Fatalf("seedless cell %v/%v/%v, harness.New(0) %v/%v/%v",
+				got.Seconds, got.Watts, got.EnergyJ, m.Seconds, m.Watts, m.EnergyJ)
+		}
+	}
+}
+
 // TestConcurrentLoadOverlappingKeys is the race-lane acceptance test: 32
 // goroutines hammer one daemon with overlapping keys; every identical
 // request must observe a byte-identical body, the singleflight path must
-// coalesce concurrent fills, and /statsz must report a positive hit rate
-// afterwards.
+// coalesce concurrent fills, and the cache must report hits afterwards.
 func TestConcurrentLoadOverlappingKeys(t *testing.T) {
 	srv := NewServer(Options{Seed: 42, Workers: 8})
 	ts := httptest.NewServer(srv.Handler())
@@ -264,9 +313,9 @@ func TestConcurrentLoadOverlappingKeys(t *testing.T) {
 		}
 	}
 
-	st := statsOf(t, ts.URL)
-	if st.HitRate <= 0 {
-		t.Fatalf("hit rate %v after concurrent load, want > 0", st.HitRate)
+	st := srv.Stats()
+	if st.Cache.Hits <= 0 {
+		t.Fatalf("cache hits %d after concurrent load, want > 0", st.Cache.Hits)
 	}
 	// 5 distinct cells total; everything else must have been coalesced
 	// or served from cache.
@@ -418,10 +467,8 @@ func TestHealthzAndDrain(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/v1/dataset"); code != http.StatusServiceUnavailable {
 		t.Fatalf("dataset while draining: %d, want 503", code)
 	}
-	// statsz stays observable for post-mortem.
-	st := statsOf(t, ts.URL)
-	if !st.Draining {
-		t.Fatal("statsz does not report draining")
+	if st := srv.Stats(); !st.Draining {
+		t.Fatal("stats do not report draining")
 	}
 }
 
@@ -486,9 +533,9 @@ func TestMeasureFullDetail(t *testing.T) {
 }
 
 // TestMetricsz verifies the Prometheus exposition endpoint serves the
-// cache, shard, queue, and request families with parseable lines.
+// cache, queue, and request families with parseable lines.
 func TestMetricsz(t *testing.T) {
-	_, ts := testServer(t)
+	srv, ts := testServer(t)
 	// Ensure at least one measured cell so counters are nonzero.
 	if code, b := postMeasure(t, ts.URL, `{"cells":[{"benchmark":"mcf","processor":"i7 (45)"}]}`); code != http.StatusOK {
 		t.Fatalf("measure: %d %s", code, b)
@@ -504,8 +551,6 @@ func TestMetricsz(t *testing.T) {
 		"powerperfd_cache_hits_total",
 		"powerperfd_cache_misses_total",
 		"powerperfd_cache_coalesced_total",
-		"powerperfd_cache_shard_entries{shard=\"0\"}",
-		"powerperfd_cache_shard_entries{shard=\"15\"}",
 		"powerperfd_queue_depth",
 		"powerperfd_requests_total{endpoint=\"measure\"}",
 	} {
@@ -513,15 +558,19 @@ func TestMetricsz(t *testing.T) {
 			t.Errorf("metricsz missing %s", family)
 		}
 	}
-	// Spot-check a value: the shard entries must sum to the statsz
-	// entry count.
-	st := statsOf(t, ts.URL)
+	// /metricsz is the one scrape page.
+	if code, _ := get(t, ts.URL+"/statsz"); code != http.StatusNotFound {
+		t.Errorf("GET /statsz: %d, want 404", code)
+	}
+	// Spot-check a value: the shard entries must sum to the entry
+	// count.
+	st := srv.Stats()
 	sum := 0
 	for _, n := range st.Cache.Shards {
 		sum += n
 	}
 	if len(st.Cache.Shards) != 16 || sum != st.Cache.Entries {
-		t.Errorf("statsz shard occupancy %v (sum %d) inconsistent with %d entries",
+		t.Errorf("shard occupancy %v (sum %d) inconsistent with %d entries",
 			st.Cache.Shards, sum, st.Cache.Entries)
 	}
 }

@@ -493,9 +493,9 @@ func TestPoolLanePriority(t *testing.T) {
 		}()
 	}
 	// Wait until the bulk backlog is actually queued.
-	for start := time.Now(); p.LaneDepth(laneBulk) < bulk; {
+	for start := time.Now(); len(p.queues[laneBulk]) < bulk; {
 		if time.Since(start) > 5*time.Second {
-			t.Fatalf("bulk backlog never queued (depth %d)", p.LaneDepth(laneBulk))
+			t.Fatalf("bulk backlog never queued (depth %d)", len(p.queues[laneBulk]))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -513,7 +513,7 @@ func TestPoolLanePriority(t *testing.T) {
 	}()
 	// Let the interactive submission reach its queue before releasing
 	// the worker.
-	for start := time.Now(); p.LaneDepth(laneInteractive) < 1; {
+	for start := time.Now(); len(p.queues[laneInteractive]) < 1; {
 		if time.Since(start) > 5*time.Second {
 			t.Fatal("interactive task never queued")
 		}

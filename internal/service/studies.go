@@ -51,7 +51,6 @@ type studyIngest struct {
 	pending sync.WaitGroup
 
 	recorded atomic.Int64
-	rowsIn   atomic.Int64
 	dropped  atomic.Int64
 	writeErr atomic.Int64
 }
@@ -119,7 +118,6 @@ func (ing *studyIngest) run() {
 		}
 		dirty = true
 		ing.recorded.Add(1)
-		ing.rowsIn.Add(int64(len(st.Rows)))
 	}
 }
 
@@ -212,17 +210,16 @@ func (r *studyRecorder) release() {
 	r.ing.pending.Done()
 }
 
-// StoreStats is the /statsz store block: segment inventory from the
+// StoreStats is the store block of Stats: segment inventory from the
 // store plus ingest-path counters.
 type StoreStats struct {
-	Segments     int64 `json:"segments"`
-	Rows         int64 `json:"rows"`
-	Bytes        int64 `json:"bytes"`
-	LastSealUnix int64 `json:"last_seal_unix"`
-	Recorded     int64 `json:"recorded_studies"`
-	RecordedRows int64 `json:"recorded_rows"`
-	Dropped      int64 `json:"dropped_studies"`
-	WriteErrors  int64 `json:"write_errors"`
+	Segments     int64
+	Rows         int64
+	Bytes        int64
+	LastSealUnix int64
+	Recorded     int64
+	Dropped      int64
+	WriteErrors  int64
 }
 
 func (ing *studyIngest) stats() *StoreStats {
@@ -236,7 +233,6 @@ func (ing *studyIngest) stats() *StoreStats {
 		Bytes:        st.Bytes,
 		LastSealUnix: st.LastSealUnix,
 		Recorded:     ing.recorded.Load(),
-		RecordedRows: ing.rowsIn.Load(),
 		Dropped:      ing.dropped.Load(),
 		WriteErrors:  ing.writeErr.Load(),
 	}
@@ -285,7 +281,6 @@ func parseTimeParam(s string) (time.Time, error) {
 // handleStudiesIndex lists sealed studies (optionally filtered by
 // seed/since/until) plus the store inventory.
 func (s *Server) handleStudiesIndex(w http.ResponseWriter, r *http.Request) {
-	s.reqStudies.Add(1)
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
@@ -326,7 +321,6 @@ type StudyRowJSON struct {
 // handleStudyRows serves filtered stored rows, capped by ?limit=
 // (default 1000).
 func (s *Server) handleStudyRows(w http.ResponseWriter, r *http.Request) {
-	s.reqStudies.Add(1)
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
@@ -422,7 +416,6 @@ type StudyAggregateJSON struct {
 // code path (harness.AggregateConfig over a rebuilt reference), so the
 // numbers match what the daemon would serve live for the same seed.
 func (s *Server) handleStudyAggregates(w http.ResponseWriter, r *http.Request) {
-	s.reqStudies.Add(1)
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
@@ -480,7 +473,6 @@ func writeStudyAggError(w http.ResponseWriter, err error) {
 // Incomplete configurations are excluded (they cannot fill their grid
 // rows).
 func (s *Server) handleStudyExport(w http.ResponseWriter, r *http.Request) {
-	s.reqStudies.Add(1)
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
@@ -528,7 +520,6 @@ func (s *Server) handleStudyExport(w http.ResponseWriter, r *http.Request) {
 // handleStudyTrend replays the stored slice across technology
 // generations (internal/trend) and serves the drift report.
 func (s *Server) handleStudyTrend(w http.ResponseWriter, r *http.Request) {
-	s.reqStudies.Add(1)
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -62,15 +63,15 @@ func configBody(t *testing.T, cp proc.ConfiguredProcessor) string {
 	return string(body)
 }
 
-// waitRecorded polls /statsz until the ingest has sealed n studies (it
-// is asynchronous behind the measure response).
-func waitRecorded(t *testing.T, url string, n int64) {
+// waitRecorded polls the server's stats until the ingest has sealed n
+// studies (it is asynchronous behind the measure response).
+func waitRecorded(t *testing.T, srv *Server, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st := statsOf(t, url)
+		st := srv.Stats()
 		if st.Store == nil {
-			t.Fatal("statsz has no store block on a store-backed daemon")
+			t.Fatal("stats have no store block on a store-backed daemon")
 		}
 		if st.Store.Recorded >= n {
 			return
@@ -90,7 +91,7 @@ func waitRecorded(t *testing.T, url string, n int64) {
 // store preserves float bits and the export reuses the live streaming
 // code path.
 func TestStudiesRoundTripByteIdenticalCSV(t *testing.T) {
-	_, ts, st := storeServer(t, Options{Workers: 4})
+	srv, ts, st := storeServer(t, Options{Workers: 4})
 	cps := proc.ConfigSpace()
 	for _, cp := range cps {
 		code, body := postMeasure(t, ts.URL, configBody(t, cp))
@@ -98,7 +99,7 @@ func TestStudiesRoundTripByteIdenticalCSV(t *testing.T) {
 			t.Fatalf("%s: %d %s", cp, code, body)
 		}
 	}
-	waitRecorded(t, ts.URL, int64(len(cps)))
+	waitRecorded(t, srv, int64(len(cps)))
 
 	// The study list reflects one sealed segment per lease.
 	code, b := get(t, ts.URL+"/v1/studies")
@@ -211,10 +212,15 @@ func TestStudiesRoundTripByteIdenticalCSV(t *testing.T) {
 		}
 	}
 
-	// Store stats flow through /statsz for the fleet monitor.
-	stats := statsOf(t, ts.URL)
-	if stats.Store == nil || stats.Store.Segments != int64(len(cps)) || stats.Store.Dropped != 0 {
-		t.Fatalf("statsz store block = %+v", stats.Store)
+	// Store stats flow through /metricsz for the fleet monitor.
+	_, page := get(t, ts.URL+"/metricsz")
+	for _, want := range []string{
+		fmt.Sprintf("\npowerperfd_store_segments %d\n", len(cps)),
+		"\npowerperfd_store_dropped_studies_total 0\n",
+	} {
+		if !strings.Contains(string(page), want) {
+			t.Fatalf("/metricsz lacks %q", strings.TrimSpace(want))
+		}
 	}
 	if st.Stats().Segments != int64(len(cps)) {
 		t.Fatalf("store on disk has %d segments, want %d", st.Stats().Segments, len(cps))
@@ -328,7 +334,7 @@ func TestFailedBatchNotRecorded(t *testing.T) {
 // TestStreamedStudyRecorded: the streaming path records the
 // completed study just like the buffered path.
 func TestStreamedStudyRecorded(t *testing.T) {
-	_, ts, st := storeServer(t, Options{Workers: 2})
+	srv, ts, st := storeServer(t, Options{Workers: 2})
 	body := `{"cells":[
 		{"benchmark":"jess","processor":"i5 (32)"},
 		{"benchmark":"sunflow","processor":"i5 (32)"}
@@ -341,7 +347,7 @@ func TestStreamedStudyRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	waitRecorded(t, ts.URL, 1)
+	waitRecorded(t, srv, 1)
 	stats := st.Stats()
 	if stats.Segments != 1 || stats.Rows != 2 {
 		t.Fatalf("streamed study stored %d segments / %d rows, want 1/2", stats.Segments, stats.Rows)
@@ -451,14 +457,18 @@ func TestFanOutCompleteDespiteLateCancel(t *testing.T) {
 }
 
 // TestStudiesRoutesAbsentWithoutStore: a storeless daemon serves 404
-// for the studies API and omits the statsz store block.
+// for the studies API and omits the store block from its stats and
+// /metricsz.
 func TestStudiesRoutesAbsentWithoutStore(t *testing.T) {
-	_, ts := testServer(t)
+	srv, ts := testServer(t)
 	code, _ := get(t, ts.URL+"/v1/studies")
 	if code != http.StatusNotFound {
 		t.Fatalf("/v1/studies without a store: %d, want 404", code)
 	}
-	if st := statsOf(t, ts.URL); st.Store != nil {
-		t.Fatalf("storeless statsz grew a store block: %+v", st.Store)
+	if st := srv.Stats(); st.Store != nil {
+		t.Fatalf("storeless stats grew a store block: %+v", st.Store)
+	}
+	if _, page := get(t, ts.URL+"/metricsz"); strings.Contains(string(page), "powerperfd_store_") {
+		t.Fatal("storeless /metricsz grew a store block")
 	}
 }

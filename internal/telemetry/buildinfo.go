@@ -8,11 +8,11 @@ import (
 )
 
 // Build identifies the running binary: module version, VCS commit, and
-// the Go toolchain. It is stamped onto /metricsz (powerperf_build_info),
-// /statsz, and the User-Agent of every coordinator and monitor request,
-// so a fleet operator can see at a glance which build each process runs
-// — the observability sibling of the paper's insistence on reporting
-// the exact measurement rig.
+// the Go toolchain. It is stamped onto /metricsz (powerperf_build_info)
+// and the User-Agent of every coordinator and monitor request, so a
+// fleet operator can see at a glance which build each process runs —
+// the observability sibling of the paper's insistence on reporting the
+// exact measurement rig.
 type Build struct {
 	Version   string `json:"version"`
 	Commit    string `json:"commit"`

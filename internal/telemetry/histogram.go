@@ -132,9 +132,9 @@ func (h *Histogram) Summary() Summary { return h.Snapshot().Summary() }
 // the Prometheus text exposition format. A family is either unlabeled
 // (one histogram) or labeled (one histogram per label value, e.g. one
 // per backend). Register calls are idempotent: the first caller of a
-// name creates the family, later callers get the same histogram, so
-// package-level instruments in different subsystems can share one
-// process-global registry.
+// name creates the family, later callers get the same histogram. Each
+// package that exports histograms owns its registry, so a page renders
+// only its own families.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
@@ -167,10 +167,6 @@ func (f *family) series() []labeledHist {
 func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
-
-// Default is the process-global registry behind /metricsz; subsystem
-// instruments register here at init.
-var Default = NewRegistry()
 
 // Histogram returns the unlabeled histogram family name, creating it on
 // first use. Panics if name already exists as a labeled family — the

@@ -1,11 +1,11 @@
 package telemetry
 
-// Prometheus text-exposition parser, the inverse of the writers behind
-// /metricsz and cluster.WriteMetrics. The linter (promlint.go) judges a
-// page; this parser reads one back into typed families so the fleet
-// monitor can federate scrapes, and RenderPrometheus closes the loop:
-// parse(render(parse(page))) is the identity, which the round-trip
-// tests pin against every exposition writer in the repository.
+// Prometheus text-exposition parser, the inverse of the writer behind
+// /metricsz. The linter (promlint.go) judges a page; this parser reads
+// one back into typed families so the fleet monitor can federate
+// scrapes, and RenderPrometheus closes the loop: parse(render(parse(page)))
+// is the identity, which the round-trip tests pin against every
+// exposition writer in the repository.
 
 import (
 	"fmt"
@@ -398,7 +398,7 @@ func promEscape(v string) string {
 func promQuote(v string) string { return `"` + promEscape(v) + `"` }
 
 // PromQuote is promQuote for exposition writers outside this package
-// (cluster.WriteMetrics renders backend URLs as label values).
+// (/metricsz renders build identity as label values).
 func PromQuote(v string) string { return promQuote(v) }
 
 // promEscapeHelp escapes HELP text: backslash and newline only (quotes
