@@ -252,53 +252,44 @@ func BenchmarkFigure12(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureNative measures one SPEC benchmark end to end on a
-// fresh study (no cache), quantifying the cost of the three-run native
-// methodology including sensor logging.
-func BenchmarkMeasureNative(b *testing.B) {
-	bench, err := BenchmarkByName("mcf")
+// BenchmarkMeasureCell times one uncached cell on a warm harness — what
+// powerperfd runs per cache miss: a native SPEC cell (three runs of mcf
+// on the stock i7) and a managed one (twenty JVM invocations of lusearch
+// on the stock i5), sensor logging included. The harness is built once:
+// building it calibrates the whole sensor rig, which would otherwise
+// dominate the timing.
+func BenchmarkMeasureCell(b *testing.B) {
+	h, err := harness.New(42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	i7, err := ProcessorByName(I7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cp := ConfiguredProcessor{Proc: i7, Config: i7.Stock()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := harness.New(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := h.Measure(bench, cp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMeasureManaged measures one Java benchmark end to end on a
-// fresh study, quantifying the twenty-invocation, five-iteration
-// methodology.
-func BenchmarkMeasureManaged(b *testing.B) {
-	bench, err := BenchmarkByName("lusearch")
-	if err != nil {
-		b.Fatal(err)
-	}
-	i5, err := ProcessorByName(I5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cp := ConfiguredProcessor{Proc: i5, Config: i5.Stock()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := harness.New(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := h.Measure(bench, cp); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct{ name, bench, proc string }{
+		{"native", "mcf", I7},
+		{"managed", "lusearch", I5},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bench, err := BenchmarkByName(bc.bench)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := ProcessorByName(bc.proc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cp := ConfiguredProcessor{Proc: p, Config: p.Stock()}
+			// One untimed cell builds the machine, compiled plan and pooled
+			// loggers, so even one timed iteration reads the warm cost.
+			if _, err := h.MeasureUncached(bench, cp); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := h.MeasureUncached(bench, cp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package fastrand provides a drop-in replacement for math/rand's
-// default source that produces bit-identical output streams but seeds
-// roughly an order of magnitude faster.
+// Package fastrand provides a generator that emits exactly math/rand's
+// default source stream, and the NormFloat64 and Float64 draws derived
+// from it, bit for bit, while seeding and drawing far faster.
 //
 // The study's determinism contract derives a fresh seed for every run
 // from the run's identity, so the full grid re-seeds its generators
@@ -19,6 +19,11 @@
 // system for the seeded register, and XOR-ing out the computable Lehmer
 // part leaves the constants. The recovery — and the generator's exact
 // equivalence — is locked down by tests that replay math/rand streams.
+//
+// The draws the simulator and the meter take (NormFloat64, Float64) are
+// methods on *Source, so each is one direct call with the register step
+// inlined, where rand.Rand goes through Uint32, the Source interface and
+// Int63 for every draw.
 package fastrand
 
 import "math/rand"
@@ -51,19 +56,13 @@ func init() {
 	recoverCooked()
 }
 
-// lehmerAt returns the seed chain value at position j >= 1 for the
-// normalized seed x0: 48271^j * x0 mod (2^31-1).
-func lehmerAt(j int, x0 uint64) int64 {
-	return int64(mulmod31(pow[j-1], x0))
-}
-
 // mulmod31 computes a*b mod (2^31-1) for a, b < 2^31 by Mersenne-prime
-// folding: the product is < 2^62, two shift-add folds bring it under
-// 2^31+1, and one conditional subtract finishes the reduction. This
-// avoids the hardware divide a % would cost in the seeding loop.
+// folding, without the hardware divide a % would cost. The product is
+// at most (2^31-1)^2 = 2^62-2^32+1, so its high part v>>31 is at most
+// 2^31-2 and one fold (v>>31)+(v&(2^31-1)) stays below 2*(2^31-1): a
+// single conditional subtract finishes the reduction.
 func mulmod31(a, b uint64) uint64 {
 	v := a * b
-	v = (v >> 31) + (v & int32max)
 	v = (v >> 31) + (v & int32max)
 	if v >= int32max {
 		v -= int32max
@@ -99,36 +98,46 @@ func recoverCooked() {
 	for c := 0; c <= 60; c++ {
 		vec[c] = out[333-c] - out[60-c]
 	}
+	// cooked is still all zero here, so filling a register for s = 1
+	// yields the Lehmer part alone.
+	var u Source
+	u.x0 = 1
+	u.fillWords(0, rngLen)
 	for i := range cooked {
-		j := 3*i + 21
-		u := lehmerAt(j, 1) << 40
-		u ^= lehmerAt(j+1, 1) << 20
-		u ^= lehmerAt(j+2, 1)
-		cooked[i] = vec[i] ^ u
+		cooked[i] = vec[i] ^ u.vec[i]
 	}
 }
 
 // Source is a re-seedable generator emitting exactly math/rand's default
 // source stream. It implements rand.Source64, so rand.New(NewSource(s))
 // behaves identically to rand.New(rand.NewSource(s)) for every derived
-// draw (Float64, NormFloat64, Intn, ...). Not safe for concurrent use.
+// draw, and its own NormFloat64 and Float64 equal rand.Rand's. Not safe
+// for concurrent use.
 //
-// Seeding is lazy: Seed only records the normalized Lehmer seed, and each
-// of the first rngLen-rngTap outputs fills exactly the register words it
-// is about to consume. The generator's access pattern makes this exact:
-// output k reads the seeded words at positions rngLen-rngTap-1-k (the
-// feed) and, for k < rngTap, rngLen-1-k (the tap); every later read hits
-// a word the stream already wrote or filled. A run that consumes only a
-// few dozen draws — the common case for the study's short segments —
-// therefore computes a few dozen seeded words instead of all 607.
+// Seeding is lazy: Seed only records the normalized Lehmer seed, and the
+// register words are filled fillBlock outputs at a time, each before its
+// first read. The generator's access pattern makes this exact: output k
+// reads the seeded words at positions rngLen-rngTap-1-k (the feed) and,
+// for k < rngTap, rngLen-1-k (the tap); every later read hits a word the
+// stream already wrote or filled. A run that consumes only a few dozen
+// draws — the common case for the study's short segments — therefore
+// computes a few dozen seeded words instead of all 607.
 type Source struct {
 	tap, feed int
-	// raw counts outputs since Seed, saturating at rngLen-rngTap: while
-	// raw is below the cap the next output must fill its seeded words.
-	raw int
-	x0  uint64
-	vec [rngLen]int64
+	// fillAt is the feed index at which the next draw must fill: while
+	// feed <= fillAt, the feed word the step reads (feed-1) is unseeded.
+	// It starts at rngLen-rngTap and drops a block per fill, to -1 once
+	// every seeded word is in place.
+	fillAt int
+	x0     uint64
+	vec    [rngLen]int64
 }
+
+// fillBlock is how many outputs' seeded words one fill computes. A block
+// amortizes the call and the loop set-up over its outputs; the words a
+// run fills past its last draw, at most fillBlock-1 outputs' worth, are
+// never read.
+const fillBlock = 32
 
 // NewSource returns a Source seeded like rand.NewSource(seed).
 func NewSource(seed int64) *Source {
@@ -151,33 +160,48 @@ func (s *Source) Seed(seed int64) {
 		seed = 89482311
 	}
 	s.x0 = uint64(seed)
-	s.raw = 0
+	s.fillAt = rngLen - rngTap
 }
 
-// word computes seeded register word i: the three Lehmer positions packed
-// into 63 bits, XOR the stdlib's cooked constant.
-func (s *Source) word(i int) int64 {
-	j := 3*i + 21
-	u := lehmerAt(j, s.x0) << 40
-	u ^= lehmerAt(j+1, s.x0) << 20
-	u ^= lehmerAt(j+2, s.x0)
-	return u ^ cooked[i]
-}
-
-// Uint64 advances the lagged-Fibonacci register one step.
-func (s *Source) Uint64() uint64 {
-	if k := s.raw; k < rngLen-rngTap {
-		// Output k is the first reader of feed word rngLen-rngTap-1-k and
-		// (while the tap still points at unwritten cells) of tap word
-		// rngLen-1-k; fill them now. High words stay valid for their
-		// second read after the feed wraps — fills write the same value
-		// eager seeding would have.
-		s.vec[rngLen-rngTap-1-k] = s.word(rngLen - rngTap - 1 - k)
-		if k < rngTap {
-			s.vec[rngLen-1-k] = s.word(rngLen - 1 - k)
-		}
-		s.raw = k + 1
+// fill computes the seeded words of the next fillBlock outputs. The
+// draw that calls it has feed == fillAt; it and the draws after it read
+// feed words fillAt-1, fillAt-2, ... first, and those among the first
+// rngTap outputs also read the tap word rngTap above their feed word.
+// Tap words lie at or above rngLen-rngTap and stay valid for their
+// second read, as feed words after the feed wraps: fills write the
+// value eager seeding would have.
+func (s *Source) fill() {
+	hi := s.fillAt
+	lo := max(hi-fillBlock, 0)
+	s.fillWords(lo, hi)
+	s.fillWords(max(lo+rngTap, rngLen-rngTap), hi+rngTap)
+	s.fillAt = lo
+	if lo == 0 {
+		s.fillAt = -1
 	}
+}
+
+// fillWords computes seeded register words [lo, hi): word i packs the
+// Lehmer positions 3i+21, 3i+22 and 3i+23 into 63 bits and XORs the
+// stdlib's cooked constant.
+func (s *Source) fillWords(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	vec, ck, p := s.vec[lo:hi], cooked[lo:hi], pow[3*lo+20:3*hi+20]
+	x0 := s.x0
+	for i := range vec {
+		a := mulmod31(p[3*i], x0)
+		b := mulmod31(p[3*i+1], x0)
+		c := mulmod31(p[3*i+2], x0)
+		vec[i] = (int64(a)<<40 ^ int64(b)<<20 ^ int64(c)) ^ ck[i]
+	}
+}
+
+// step advances the lagged-Fibonacci register one output. The caller
+// fills first when feed <= fillAt; step itself is small enough to
+// inline into every draw.
+func (s *Source) step() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -191,13 +215,30 @@ func (s *Source) Uint64() uint64 {
 	return uint64(x)
 }
 
+// Uint64 advances the register one step.
+func (s *Source) Uint64() uint64 {
+	if s.feed <= s.fillAt {
+		s.fill()
+	}
+	return s.step()
+}
+
 // Int63 returns the low 63 bits of the next step.
 func (s *Source) Int63() int64 {
 	return int64(s.Uint64() & rngMask)
 }
 
-// New returns a rand.Rand over a fast source, equivalent to
-// rand.New(rand.NewSource(seed)); its Seed method hits the fast path.
-func New(seed int64) *rand.Rand {
-	return rand.New(NewSource(seed))
+// Float64 returns a draw in [0, 1), bit-identical to rand.Rand.Float64
+// over this source: Int63 scaled by 2^-63, redrawn in the O(never) case
+// that the division rounds up to 1.
+func (s *Source) Float64() float64 {
+again:
+	if s.feed <= s.fillAt {
+		s.fill()
+	}
+	f := float64(int64(s.step()&rngMask)) / (1 << 63)
+	if f == 1 {
+		goto again
+	}
+	return f
 }

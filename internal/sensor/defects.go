@@ -2,7 +2,8 @@ package sensor
 
 import (
 	"math"
-	"math/rand"
+
+	"repro/internal/fastrand"
 )
 
 // Defect models a failure mode of a physical sensor board. The paper's
@@ -52,7 +53,7 @@ func (d Defect) String() string {
 func NewDefective(maxAmps float64, seed int64, defect Defect) *Sensor {
 	s := New(maxAmps, seed)
 	s.defect = defect
-	s.driftRng = rand.New(rand.NewSource(seed ^ 0x5eed))
+	s.driftRng = fastrand.NewSource(seed ^ 0x5eed)
 	return s
 }
 
@@ -60,7 +61,7 @@ func NewDefective(maxAmps float64, seed int64, defect Defect) *Sensor {
 // failure mode; called from readWith before quantization. Defective
 // sensors are a single-goroutine test facility: the drift walk is
 // shared state.
-func (s *Sensor) applyDefect(amps float64, rng *rand.Rand) (float64, bool) {
+func (s *Sensor) applyDefect(amps float64, rng *fastrand.Source) (float64, bool) {
 	switch s.defect {
 	case DefectNonlinear:
 		// Progressive compression: readings sag toward a soft ceiling.

@@ -70,3 +70,32 @@ func FuzzCalibrate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzADCConvert checks Convert against a float reference — math.Round
+// of the scaled input, clamped in float, then converted — for any input
+// voltage, reference and resolution up to 32 bits.
+func FuzzADCConvert(f *testing.F) {
+	f.Add(2.5, 5.0, uint8(10))
+	f.Add(0.49999999999999994, 1.0, uint8(1))
+	f.Add(math.Inf(1), 5.0, uint8(10))
+	f.Add(1e20, 5.0, uint8(10))
+	f.Add(math.NaN(), 5.0, uint8(10))
+	f.Add(-3.0, 5.0, uint8(12))
+	f.Add(1.0, 0.0, uint8(10))
+	f.Add(4.999, 5.0, uint8(32))
+	f.Fuzz(func(t *testing.T, volts, vref float64, bits uint8) {
+		adc := ADC{Bits: int(bits%32) + 1, VRef: vref}
+		levels := (1 << adc.Bits) - 1
+		r := math.Round(volts / adc.VRef * float64(levels))
+		want := 0
+		switch {
+		case r > float64(levels):
+			want = levels
+		case r > 0:
+			want = int(r)
+		}
+		if got := adc.Convert(volts); got != want {
+			t.Fatalf("%+v.Convert(%v) = %d, reference %d", adc, volts, got, want)
+		}
+	})
+}

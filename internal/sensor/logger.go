@@ -14,8 +14,8 @@ import (
 // and then compute the average power consumption over the duration of the
 // benchmark").
 type Logger struct {
-	read   func(amps float64) int
-	reseed func(seed int64) // nil for loggers on the sensor's own stream
+	sensor *Sensor
+	rng    *fastrand.Source // the sensor's own stream for NewLogger's loggers
 	cal    Calibration
 
 	sumWatts float64 // watt-seconds
@@ -33,7 +33,7 @@ func NewLogger(s *Sensor, cal Calibration) (*Logger, error) {
 	if s == nil {
 		return nil, errors.New("sensor: nil sensor")
 	}
-	return newLogger(s.ReadRaw, cal)
+	return newLogger(s, s.rng, cal)
 }
 
 // NewLoggerSeeded wires a calibrated sensor into a logger with an
@@ -43,20 +43,14 @@ func NewLoggerSeeded(s *Sensor, cal Calibration, seed int64) (*Logger, error) {
 	if s == nil {
 		return nil, errors.New("sensor: nil sensor")
 	}
-	rng := fastrand.New(seed)
-	l, err := newLogger(func(amps float64) int { return s.readWith(amps, rng) }, cal)
-	if err != nil {
-		return nil, err
-	}
-	l.reseed = rng.Seed
-	return l, nil
+	return newLogger(s, fastrand.NewSource(seed), cal)
 }
 
-func newLogger(read func(float64) int, cal Calibration) (*Logger, error) {
+func newLogger(s *Sensor, rng *fastrand.Source, cal Calibration) (*Logger, error) {
 	if !cal.Valid() {
 		return nil, ErrBadCalibration
 	}
-	return &Logger{read: read, cal: cal, minWatts: math.Inf(1), maxWatts: math.Inf(-1)}, nil
+	return &Logger{sensor: s, rng: rng, cal: cal, minWatts: math.Inf(1), maxWatts: math.Inf(-1)}, nil
 }
 
 // Reseed clears the accumulators and re-arms the logger's noise stream
@@ -65,10 +59,10 @@ func newLogger(read func(float64) int, cal Calibration) (*Logger, error) {
 // across the study's many runs instead of building one per invocation.
 // Loggers on the sensor's own stream (NewLogger) cannot be reseeded.
 func (l *Logger) Reseed(seed int64) error {
-	if l.reseed == nil {
+	if l.rng == l.sensor.rng {
 		return errors.New("sensor: logger has no independent noise stream to reseed")
 	}
-	l.reseed(seed)
+	l.rng.Seed(seed)
 	l.Reset()
 	return nil
 }
@@ -83,7 +77,7 @@ func (l *Logger) Sample(trueWatts, weight float64) {
 	if weight <= 0 {
 		return
 	}
-	code := l.read(trueWatts / SupplyVolts)
+	code := l.sensor.readWith(trueWatts/SupplyVolts, l.rng)
 	w := l.cal.Watts(code)
 	l.sumWatts += w * weight
 	l.sumSq += w * w * weight

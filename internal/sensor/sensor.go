@@ -19,7 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+
+	"repro/internal/fastrand"
 )
 
 // Electrical and apparatus constants from Section 2.5 of the paper.
@@ -62,12 +63,12 @@ type Sensor struct {
 	offset    float64 // actual zero-current output voltage
 	noiseAmps float64 // RMS noise referred to the input, in amps
 	adc       ADC
-	rng       *rand.Rand
+	rng       *fastrand.Source
 
 	// Failure-injection state (see defects.go).
 	defect    Defect
 	driftAmps float64
-	driftRng  *rand.Rand
+	driftRng  *fastrand.Source
 }
 
 // ADC models the data logger's analog-to-digital conversion. The paper's
@@ -80,17 +81,25 @@ type ADC struct {
 	VRef float64
 }
 
-// Convert quantizes an input voltage to an ADC code, clamped to range.
+// Convert quantizes an input voltage to the nearest ADC code, halves
+// rounding up, saturating at 0 and at the top code 2^Bits-1. NaN reads
+// 0. The result equals math.Round of the scaled input, clamped, for
+// Bits up to 52.
 func (a ADC) Convert(volts float64) int {
 	levels := (1 << a.Bits) - 1
-	code := int(math.Round(volts / a.VRef * float64(levels)))
-	if code < 0 {
-		code = 0
+	v := volts / a.VRef * float64(levels)
+	// Saturate before converting: Go leaves an out-of-range float-to-int
+	// conversion implementation-defined (amd64 turns +Inf into MinInt64).
+	if v >= float64(levels) {
+		return levels
 	}
-	if code > levels {
-		code = levels
+	// For 0.5 <= v < 2^52, v+0.5 is exact or rounds without crossing an
+	// integer, so truncating it is math.Round. Below 0.5 the sum can round
+	// up to 1 (0.49999999999999994 + 0.5 == 1), and the code is 0 anyway.
+	if !(v >= 0.5) {
+		return 0
 	}
-	return code
+	return int(v + 0.5)
 }
 
 // VoltsPerCode returns the quantization step in volts.
@@ -103,7 +112,7 @@ func (a ADC) VoltsPerCode() float64 {
 // deterministically from seed. maxAmps selects the part's rated range
 // (5A for most processors, 30A for the i7).
 func New(maxAmps float64, seed int64) *Sensor {
-	rng := rand.New(rand.NewSource(seed))
+	rng := fastrand.NewSource(seed)
 	// Per-part tolerance: gain within ±1.5%, offset within ±10 mV.
 	gain := SensitivityVoltsPerAmp * (1 + (rng.Float64()*2-1)*TypicalErrorFraction)
 	offset := OffsetVolts + (rng.Float64()*2-1)*0.010
@@ -121,21 +130,13 @@ func New(maxAmps float64, seed int64) *Sensor {
 // the part's true transfer function, input-referred noise, and
 // quantization. Currents beyond the rated range saturate. ReadRaw uses
 // the sensor's own noise stream and is not safe for concurrent use; the
-// harness reads through per-run Readers instead (see Reader).
+// harness reads through seeded loggers instead (see NewLoggerSeeded).
 func (s *Sensor) ReadRaw(amps float64) int {
 	return s.readWith(amps, s.rng)
 }
 
-// Reader returns an independent reading function with its own
-// deterministic noise stream. Concurrent measurement runs each hold
-// their own Reader, so results do not depend on goroutine scheduling.
-func (s *Sensor) Reader(seed int64) func(amps float64) int {
-	rng := rand.New(rand.NewSource(seed))
-	return func(amps float64) int { return s.readWith(amps, rng) }
-}
-
 // readWith performs one reading with the supplied noise stream.
-func (s *Sensor) readWith(amps float64, rng *rand.Rand) int {
+func (s *Sensor) readWith(amps float64, rng *fastrand.Source) int {
 	if amps > s.MaxAmps {
 		amps = s.MaxAmps
 	}

@@ -5,19 +5,42 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/proc"
 )
 
+// TestADCConvertBounds pins the converter's rounding and saturation,
+// including inputs outside float-to-int range: Go leaves converting
+// them implementation-defined, so Convert must saturate first.
 func TestADCConvertBounds(t *testing.T) {
-	adc := ADC{Bits: 10, VRef: 5.0}
-	if got := adc.Convert(-1); got != 0 {
-		t.Fatalf("negative volts -> %d, want 0", got)
-	}
-	if got := adc.Convert(6); got != 1023 {
-		t.Fatalf("over-range volts -> %d, want 1023", got)
-	}
-	mid := adc.Convert(2.5)
-	if mid < 511 || mid > 513 {
-		t.Fatalf("2.5V -> %d, want ~512", mid)
+	logger := ADC{Bits: 10, VRef: 5.0}
+	// A one-bit converter over 1 V scales volts exactly, so the rounding
+	// boundary is tested at the float just below one half.
+	unit := ADC{Bits: 1, VRef: 1}
+	for _, tc := range []struct {
+		name  string
+		adc   ADC
+		volts float64
+		want  int
+	}{
+		{"negative", logger, -1, 0},
+		{"-Inf", logger, math.Inf(-1), 0},
+		{"NaN", logger, math.NaN(), 0},
+		{"zero", logger, 0, 0},
+		{"mid-scale", logger, 2.5, 512},
+		{"within half a step of full scale", logger, 4.999, 1023},
+		{"full scale", logger, 5, 1023},
+		{"over-range", logger, 6, 1023},
+		{"far over-range", logger, 1e20, 1023},
+		{"MaxFloat64", logger, math.MaxFloat64, 1023},
+		{"+Inf", logger, math.Inf(1), 1023},
+		{"just under one half", unit, 0.49999999999999994, 0},
+		{"one half rounds up", unit, 0.5, 1},
+		{"one", unit, 1, 1},
+	} {
+		if got := tc.adc.Convert(tc.volts); got != tc.want {
+			t.Errorf("%s: %+v.Convert(%v) = %d, want %d", tc.name, tc.adc, tc.volts, got, tc.want)
+		}
 	}
 }
 
@@ -300,6 +323,52 @@ func TestRigValidateRejectsBadInput(t *testing.T) {
 	}
 	if _, err := rig.Validate([]float64{-1}); err == nil {
 		t.Fatal("want error for non-positive current")
+	}
+}
+
+// TestSensorChainMonotoneWithinOneStep sweeps true power through each
+// meter of a seed-42 rig with the noise term zeroed: watts -> amps ->
+// Hall voltage -> ADC code -> calibrated watts. Across the span where
+// neither the part's rated range nor the ADC saturates, the code and the
+// calibrated watts never decrease as the current rises, and calibrated
+// watts stay within one ADC step of the truth. The i7's 30 A part keeps
+// the 185 mV/A gain, so its ADC tops out near 13.5 A, below its rating.
+func TestSensorChainMonotoneWithinOneStep(t *testing.T) {
+	// The harness's rig: one meter per fleet machine, in fleet order.
+	var machines []string
+	for _, p := range proc.Fleet() {
+		machines = append(machines, p.Name)
+	}
+	rig, err := NewRig(machines, map[string]float64{proc.I7Name: 30}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range rig.Machines() {
+		m, err := rig.Meter(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := *m.Sensor
+		s.noiseAmps = 0
+		// The last unsaturated current: the rating, or the input whose
+		// Hall voltage reaches the ADC's full scale.
+		top := min(s.MaxAmps, (s.adc.VRef-s.offset)/s.gain)
+		stepWatts := m.Cal.CodeToAmps.Slope * SupplyVolts
+		prevCode, prevWatts, worst := -1, math.Inf(-1), 0.0
+		for amps := 0.0; amps < top; amps += 1e-3 {
+			trueWatts := amps * SupplyVolts
+			code := s.readWith(trueWatts/SupplyVolts, s.rng)
+			got := m.Cal.Watts(code)
+			if code < prevCode || got < prevWatts {
+				t.Fatalf("%s: at %v A code %d (%v W) fell below %d (%v W)", name, amps, code, got, prevCode, prevWatts)
+			}
+			worst = max(worst, math.Abs(got-trueWatts)/stepWatts)
+			prevCode, prevWatts = code, got
+		}
+		if worst > 1 {
+			t.Errorf("%s: calibrated watts off by %.2f ADC steps of %.3f W over [0, %.2f) A", name, worst, stepWatts, top)
+		}
+		t.Logf("%s: worst error %.2f steps of %.3f W over [0, %.2f) A", name, worst, stepWatts, top)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/counters"
@@ -203,7 +202,7 @@ type Runner struct {
 // runState is the per-run mutable state a Runner owns; everything else a
 // Runner holds is immutable and shared. Pooled per machine.
 type runState struct {
-	rng   *rand.Rand
+	rng   *fastrand.Source
 	therm *thermal.Model
 }
 
@@ -243,7 +242,7 @@ func (m *Machine) NewRunner(spec ExecSpec) (*Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		st = &runState{rng: fastrand.New(0), therm: therm}
+		st = &runState{rng: fastrand.NewSource(0), therm: therm}
 	}
 	return &Runner{m: m, spec: spec, segs: segs, state: st}, nil
 }
