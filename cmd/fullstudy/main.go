@@ -71,11 +71,8 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	// A negative batch size would silently fall back to the automatic
-	// block (local) or the 16-cell default lease (remote) — reject it so
-	// a typo'd flag fails loudly instead of changing the schedule.
-	if *batchSize < 0 {
-		fatal("flags", fmt.Errorf("-batch-size must be >= 0 (0 = automatic), got %d", *batchSize))
+	if err := validateFlags(*batchSize, *traceOut, *traceBuffer, *backends, *leaseExpiry); err != nil {
+		fatal("flags", err)
 	}
 
 	stopProfiling, err := profiling.Start(*cpuProfile, *memProfile)
@@ -129,6 +126,26 @@ func main() {
 	}
 	logger.Info("wrote dataset", slog.String("dir", *out),
 		slog.Duration("elapsed", time.Since(start).Round(time.Millisecond)))
+}
+
+// validateFlags rejects flag values the run would otherwise silently
+// replace with a default, so a typo'd flag fails before any work starts
+// instead of changing the schedule or the trace.
+func validateFlags(batchSize int, traceOut string, traceBuffer int, backends string, leaseExpiry time.Duration) error {
+	// A negative batch size would fall back to the automatic block
+	// (local) or the 16-cell default lease (remote).
+	if batchSize < 0 {
+		return fmt.Errorf("-batch-size must be >= 0 (0 = automatic), got %d", batchSize)
+	}
+	// The tracer would retain its 4,096-span default, not the flag's.
+	if traceOut != "" && traceBuffer <= 0 {
+		return fmt.Errorf("-trace-buffer must be > 0 with -trace-out, got %d", traceBuffer)
+	}
+	// The scheduler would steal after its 2s default.
+	if backends != "" && leaseExpiry <= 0 {
+		return fmt.Errorf("-lease-expiry must be > 0 with -backends, got %v", leaseExpiry)
+	}
+	return nil
 }
 
 type streamFunc = func(ctx context.Context, w io.Writer) error

@@ -20,7 +20,7 @@
 //	GET  /v1/experiments        list artifact ids
 //	GET  /v1/experiments/{id}   e.g. table4, figure9, findings
 //	GET  /v1/dataset            measurements.csv (?table=aggregates for the other file)
-//	GET  /v1/traces             recent request spans, Chrome trace-event JSON
+//	GET  /v1/traces             recent request spans, span records (JSON)
 //	GET  /healthz               liveness; 503 while draining
 //	GET  /metricsz              build, seed, counters, latency histograms, Prometheus text
 //	GET  /v1/sloz               SLO budgets and burn-rate alerts (default on; -slo=false)

@@ -548,16 +548,17 @@ func (s *Scheduler) pull(ctx context.Context, r *run, backend string) {
 			continue
 		}
 		err := s.streamLease(ctx, c, r, l, idxs, kind)
+		if err != nil && ctx.Err() != nil {
+			// Run completion or abort canceled the stream mid-flight;
+			// nothing to record against the backend or the lease.
+			r.release(l, backend, nil)
+			return
+		}
 		r.release(l, backend, err)
 		if err == nil {
 			br.Success()
 			consecFails = 0
 			continue
-		}
-		if ctx.Err() != nil {
-			// Run completion or abort canceled the stream mid-flight;
-			// nothing to record against the backend.
-			return
 		}
 		if permanent(err) {
 			r.fail(err)

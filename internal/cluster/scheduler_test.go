@@ -608,3 +608,61 @@ func TestSchedulerRejectsForeignStreamType(t *testing.T) {
 		t.Fatalf("lease failures %d, truncations %d; want 1 and 0", st.Backends[0].LeaseFailures, st.StreamTruncations)
 	}
 }
+
+// TestSchedulerCompletionCancelChargesNoFailure stalls one backend's
+// first cell until the study is over, so the other backend steals that
+// lease and finishes the study. The completion then cancels the
+// staller's stream; that cancel is the run's own doing, so the staller
+// is charged for the steal and for no lease failure.
+func TestSchedulerCompletionCancelChargesNoFailure(t *testing.T) {
+	release := make(chan struct{})
+	var stalled atomic.Bool
+	staller := newBackend(t, service.Options{Seed: 42, Hooks: &service.Hooks{
+		BeforeMeasure: func(int64, string, string) error {
+			if stalled.CompareAndSwap(false, true) {
+				select {
+				case <-release:
+				case <-time.After(30 * time.Second):
+				}
+			}
+			return nil
+		}}})
+	helper := newBackend(t, service.Options{Seed: 42})
+	// Closed before the servers shut down (cleanups run last-in first-out),
+	// so the stalled handler can return.
+	t.Cleanup(func() { close(release) })
+
+	s, err := NewScheduler([]string{staller.URL, helper.URL}, SchedulerOptions{
+		Seed:        seedPtr(42),
+		LeaseCells:  8,
+		LeaseExpiry: 50 * time.Millisecond,
+		BackoffBase: time.Millisecond,
+		BackoffMax:  10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := stockJobs(t, 2)
+	got, err := s.MeasureBatch(context.Background(), jobs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(jobs) {
+		t.Fatalf("measured %d of %d cells", len(got), len(jobs))
+	}
+	if !stalled.Load() {
+		t.Fatal("the staller never computed a cell")
+	}
+	for _, be := range s.Stats().Backends {
+		if be.URL != staller.URL {
+			continue
+		}
+		if be.StolenFrom < 1 {
+			t.Errorf("staller stolen from %d times, want >= 1: %+v", be.StolenFrom, be)
+		}
+		if be.LeaseFailures != 0 {
+			t.Errorf("staller charged %d lease failures for streams the run's completion canceled: %+v",
+				be.LeaseFailures, be)
+		}
+	}
+}

@@ -94,24 +94,23 @@ func TestCoordinatorTraceStitchesAcrossBackends(t *testing.T) {
 	// the scheduler's trace id, parented to a scheduler lease span.
 	served := 0
 	for _, url := range []string{ts1.URL, ts2.URL} {
-		events := fetchTrace(t, url, trace)
-		if len(events) == 0 {
+		backendSpans := fetchTrace(t, url, trace)
+		if len(backendSpans) == 0 {
 			continue
 		}
 		served++
-		for _, ev := range events {
-			args := ev["args"].(map[string]any)
-			if args["trace_id"] != trace.String() {
-				t.Fatalf("backend %s returned a span outside the filter: %v", url, ev)
+		for _, sp := range backendSpans {
+			if sp.Trace != trace {
+				t.Fatalf("backend %s returned a span outside the filter: %+v", url, sp)
 			}
-			if ev["name"] == "http.measure" && !leaseIDs[fmt.Sprint(args["parent_id"])] {
+			if sp.Name == "http.measure" && !leaseIDs[sp.Parent.String()] {
 				t.Fatalf("backend %s http.measure span parent %v is not a scheduler lease span",
-					url, args["parent_id"])
+					url, sp.Parent)
 			}
 		}
-		names := make([]string, 0, len(events))
-		for _, ev := range events {
-			names = append(names, ev["name"].(string))
+		names := make([]string, 0, len(backendSpans))
+		for _, sp := range backendSpans {
+			names = append(names, sp.Name)
 		}
 		joined := strings.Join(names, " ")
 		if !strings.Contains(joined, "http.measure") {
@@ -139,7 +138,7 @@ func TestCoordinatorTraceStitchesAcrossBackends(t *testing.T) {
 	}
 }
 
-func fetchTrace(t *testing.T, baseURL string, trace telemetry.TraceID) []map[string]any {
+func fetchTrace(t *testing.T, baseURL string, trace telemetry.TraceID) []telemetry.SpanData {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/v1/traces?trace=" + trace.String())
 	if err != nil {
@@ -153,11 +152,11 @@ func fetchTrace(t *testing.T, baseURL string, trace telemetry.TraceID) []map[str
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("traces from %s: %d %s", baseURL, resp.StatusCode, body)
 	}
-	var events []map[string]any
-	if err := json.Unmarshal(body, &events); err != nil {
+	var spans []telemetry.SpanData
+	if err := json.Unmarshal(body, &spans); err != nil {
 		t.Fatalf("backend trace is not valid JSON: %v\n%s", err, body)
 	}
-	return events
+	return spans
 }
 
 // TestClientSetsUserAgentAndPropagatesHeaders pins the wire contract:

@@ -66,12 +66,10 @@ type scraper struct {
 }
 
 // traceEvery is how many sweeps pass between /v1/traces scrapes. The
-// throttle is now optional: the backend streams the export
-// incrementally (telemetry.WriteChromeTrace), so a trace scrape no
-// longer marshals the whole span ring into one buffer and its
-// per-request cost sits near the cheap endpoints'. It is kept at 8
-// anyway — the slow-cell leaderboard does not need per-sweep freshness,
-// so there is no reason to spend even the cheap export every sweep.
+// backend streams its span records one at a time
+// (telemetry.WriteSpans), so a trace scrape costs about what the cheap
+// endpoints do; it still runs only every 8th sweep, because the
+// slow-cell leaderboard does not need per-sweep freshness.
 const traceEvery = 8
 
 func newScraper(backends []string, o Options, st *store, logger *slog.Logger) *scraper {
@@ -309,13 +307,13 @@ func labelsSuffix(key string) string {
 	return ""
 }
 
-// scrapeTraces harvests the backend's span retention in raw form
-// (/v1/traces?format=spans — absolute timestamps and stable ids, the
-// only shape that stitches across processes), feeds it to the trace
+// scrapeTraces harvests the backend's span retention as span records
+// (/v1/traces — absolute timestamps and stable ids, the only shape
+// that stitches across processes), feeds it to the trace
 // assembler, and keeps the top-k slowest measurement cells (span name
 // "service.cell", deduplicated by cell, ranked by duration).
 func (sc *scraper) scrapeTraces(ctx context.Context, backend string, bst *backendState) error {
-	body, err := sc.get(ctx, backend, "/v1/traces?format=spans")
+	body, err := sc.get(ctx, backend, "/v1/traces")
 	if err != nil {
 		return err
 	}

@@ -8,51 +8,13 @@ import (
 
 func ts(sec int) time.Time { return time.Unix(int64(sec), 0) }
 
-func pushSeq(r *Ring, vals ...float64) {
-	for i, v := range vals {
-		r.Push(Sample{T: ts(i), V: v})
-	}
-}
-
-func TestRingEvictsOldest(t *testing.T) {
-	r := NewRing(3)
-	pushSeq(r, 1, 2, 3, 4, 5)
-	if r.Len() != 3 {
-		t.Fatalf("Len=%d, want 3", r.Len())
-	}
-	got := Values(r.Samples())
-	if want := []float64{3, 4, 5}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Samples=%v, want %v", got, want)
-	}
-	if last, ok := r.Last(); !ok || last.V != 5 {
-		t.Fatalf("Last=%v,%v, want 5,true", last.V, ok)
-	}
-	if got := Values(r.Tail(2)); !reflect.DeepEqual(got, []float64{4, 5}) {
-		t.Fatalf("Tail(2)=%v, want [4 5]", got)
-	}
-	if got := Values(r.Tail(10)); !reflect.DeepEqual(got, []float64{3, 4, 5}) {
-		t.Fatalf("Tail(10)=%v, want all live samples", got)
-	}
-}
-
 func TestRingMinimumCapacity(t *testing.T) {
-	r := NewRing(0) // a series you cannot delta is not a series
-	pushSeq(r, 1, 2, 3)
-	if got := Values(r.Samples()); !reflect.DeepEqual(got, []float64{2, 3}) {
+	st := newStore(0, 1) // a series you cannot delta is not a series
+	for i, v := range []float64{1, 2, 3} {
+		st.push("be", "a", Sample{T: ts(i), V: v})
+	}
+	if got := Values(st.samples("be", "a")); !reflect.DeepEqual(got, []float64{2, 3}) {
 		t.Fatalf("Samples=%v, want [2 3]", got)
-	}
-}
-
-func TestRingEmpty(t *testing.T) {
-	r := NewRing(4)
-	if _, ok := r.Last(); ok {
-		t.Fatal("Last on empty ring reported ok")
-	}
-	if got := r.Samples(); len(got) != 0 {
-		t.Fatalf("Samples on empty ring = %v", got)
-	}
-	if s := r.At(0); s != (Sample{}) {
-		t.Fatalf("At(0) on empty ring = %v", s)
 	}
 }
 

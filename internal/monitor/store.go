@@ -3,10 +3,13 @@ package monitor
 import (
 	"sort"
 	"sync"
+
+	"repro/internal/telemetry"
 )
 
 // store holds every scraped series: backend -> series key -> ring. All
-// bounds are fixed at construction — ring capacity per series and a
+// bounds are fixed at construction — ring capacity per series (at least
+// two samples: a series you cannot delta is not a series) and a
 // series-count cap per backend — so a misbehaving backend that mints
 // new label values cannot grow the monitor without bound; series beyond
 // the cap are counted as dropped rather than stored.
@@ -18,13 +21,13 @@ type store struct {
 }
 
 type backendSeries struct {
-	rings   map[string]*Ring
+	rings   map[string]*telemetry.Ring[Sample]
 	dropped int64
 }
 
 func newStore(ringCap, maxSeries int) *store {
 	return &store{
-		ringCap:   ringCap,
+		ringCap:   max(ringCap, 2),
 		maxSeries: maxSeries,
 		backends:  make(map[string]*backendSeries),
 	}
@@ -37,7 +40,7 @@ func (st *store) push(backend, key string, s Sample) {
 	defer st.mu.Unlock()
 	bs := st.backends[backend]
 	if bs == nil {
-		bs = &backendSeries{rings: make(map[string]*Ring)}
+		bs = &backendSeries{rings: make(map[string]*telemetry.Ring[Sample])}
 		st.backends[backend] = bs
 	}
 	r := bs.rings[key]
@@ -46,7 +49,7 @@ func (st *store) push(backend, key string, s Sample) {
 			bs.dropped++
 			return
 		}
-		r = NewRing(st.ringCap)
+		r = telemetry.NewRing[Sample](st.ringCap)
 		bs.rings[key] = r
 	}
 	r.Push(s)
@@ -64,7 +67,7 @@ func (st *store) samples(backend, key string) []Sample {
 	if r == nil {
 		return nil
 	}
-	return r.Samples()
+	return r.Copy()
 }
 
 // tail copies the newest n samples of a series oldest-first.

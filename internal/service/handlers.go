@@ -24,7 +24,7 @@ const maxRequestBytes = 4 << 20
 //	GET  /v1/experiments        list experiment ids
 //	GET  /v1/experiments/{id}   regenerate one paper artifact (cached)
 //	GET  /v1/dataset            stream the full-study CSV
-//	GET  /v1/traces             recent spans, Chrome trace-event JSON
+//	GET  /v1/traces             recent spans, span records (JSON)
 //	GET  /healthz               liveness (503 while draining)
 //	GET  /metricsz              counters + latency histograms, Prometheus text
 //

@@ -167,14 +167,11 @@ func (s *Server) observe(next http.Handler) http.Handler {
 	})
 }
 
-// handleTraces serves the tracer's retained spans in the Chrome
-// trace-event JSON format (load the body in chrome://tracing or
-// Perfetto). ?trace=<16-hex-digit id> narrows to one trace — the
-// coordinator uses it to stitch backend spans into its own view.
-// ?format=spans switches to the raw span-record export (absolute
-// timestamps, stable 64-bit ids) that the fleet trace-analytics
-// harvester assembles across backends; Chrome's per-export rebased
-// timestamps cannot be stitched.
+// handleTraces serves the tracer's retained spans as span records: a
+// JSON array of telemetry.SpanData with absolute timestamps and stable
+// 64-bit ids, the one shape the fleet trace-analytics harvester can
+// stitch across backends. ?trace=<16-hex-digit id> narrows to one
+// trace — how an SLO page's exemplar link resolves.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	var trace telemetry.TraceID
 	if tv := r.URL.Query().Get("trace"); tv != "" {
@@ -187,9 +184,5 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	if r.URL.Query().Get("format") == "spans" {
-		_ = s.tracer.WriteSpans(w, trace)
-		return
-	}
-	_ = s.tracer.WriteChromeTrace(w, trace)
+	_ = s.tracer.WriteSpans(w, trace)
 }

@@ -34,14 +34,14 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// chromeEvents decodes a Chrome trace-event JSON body.
-func chromeEvents(t *testing.T, body []byte) []map[string]any {
+// spanRecords decodes a /v1/traces body.
+func spanRecords(t *testing.T, body []byte) []telemetry.SpanData {
 	t.Helper()
-	var events []map[string]any
-	if err := json.Unmarshal(body, &events); err != nil {
+	var spans []telemetry.SpanData
+	if err := json.Unmarshal(body, &spans); err != nil {
 		t.Fatalf("trace body is not valid JSON: %v\n%s", err, body)
 	}
-	return events
+	return spans
 }
 
 // TestTracesEndpointStitchesCallerTrace drives the daemon the way the
@@ -79,19 +79,16 @@ func TestTracesEndpointStitchesCallerTrace(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("traces: %d %s", code, body)
 	}
-	events := chromeEvents(t, body)
 	var names []string
 	sawRoot := false
-	for _, ev := range events {
-		args := ev["args"].(map[string]any)
-		if args["trace_id"] != callerTrace {
-			t.Fatalf("trace filter leaked foreign span: %v", ev)
+	for _, sp := range spanRecords(t, body) {
+		if sp.Trace.String() != callerTrace {
+			t.Fatalf("trace filter leaked foreign span: %+v", sp)
 		}
-		name := ev["name"].(string)
-		names = append(names, name)
-		if name == "http.measure" {
-			if args["parent_id"] != callerSpan {
-				t.Fatalf("server span parent %v, want the caller's span %s", args["parent_id"], callerSpan)
+		names = append(names, sp.Name)
+		if sp.Name == "http.measure" {
+			if sp.Parent.String() != callerSpan {
+				t.Fatalf("server span parent %v, want the caller's span %s", sp.Parent, callerSpan)
 			}
 			sawRoot = true
 		}
@@ -103,10 +100,10 @@ func TestTracesEndpointStitchesCallerTrace(t *testing.T) {
 		t.Fatalf("no service.cell span in trace, got %v", names)
 	}
 
-	// Unknown-trace filter returns an empty (but valid) event list, and
-	// a malformed id is a 400.
+	// Unknown-trace filter returns an empty (but valid) span list, and a
+	// malformed id is a 400.
 	code, body = get(t, ts.URL+"/v1/traces?trace=0000000000000001")
-	if code != http.StatusOK || len(chromeEvents(t, body)) != 0 {
+	if code != http.StatusOK || len(spanRecords(t, body)) != 0 {
 		t.Fatalf("unknown trace: %d %s", code, body)
 	}
 	if code, _ = get(t, ts.URL+"/v1/traces?trace=xyz"); code != http.StatusBadRequest {

@@ -19,7 +19,7 @@
 // (good, total) snapshots taken on a fixed resolution, so burn over
 // any window is two ring lookups. The engine never touches the
 // measurement pipeline — CSVs are byte-identical with SLO tracking on,
-// enforced by TestCSVBytesUnchangedBySLOAndProfiling.
+// enforced by TestCSVBytesUnchangedBySLO.
 package slo
 
 import (
@@ -163,9 +163,7 @@ type objective struct {
 
 	// ring of cumulative snapshots, engine.mu-guarded, sized to cover
 	// the longest window at the configured resolution.
-	ring []cumSample
-	head int // next write slot
-	n    int // filled entries
+	ring *telemetry.Ring[cumSample]
 
 	exMu      sync.Mutex
 	exemplars []BreachExemplar // newest last, bounded by ExemplarCap
@@ -227,7 +225,7 @@ func New(cfg Config) (*Engine, error) {
 		if _, dup := e.byName[o.Name]; dup {
 			return nil, fmt.Errorf("slo: duplicate objective %s", o.Name)
 		}
-		obj := &objective{Objective: o, ring: make([]cumSample, ringLen)}
+		obj := &objective{Objective: o, ring: telemetry.NewRing[cumSample](ringLen)}
 		e.objs = append(e.objs, obj)
 		e.byName[o.Name] = obj
 		e.names = append(e.names, o.Name)
@@ -356,7 +354,7 @@ func (e *Engine) tickLocked(t time.Time) {
 			obj.good.Store(g)
 			obj.total.Store(tot)
 		}
-		if obj.n == 0 {
+		if obj.ring.Len() == 0 {
 			// Seed a zero baseline one resolution back so window deltas
 			// cover events observed before the first tick. Source-fed
 			// objectives baseline at their current counters instead: the
@@ -365,15 +363,9 @@ func (e *Engine) tickLocked(t time.Time) {
 			if obj.Source != nil {
 				base.good, base.total = obj.good.Load(), obj.total.Load()
 			}
-			obj.ring[obj.head] = base
-			obj.head = (obj.head + 1) % len(obj.ring)
-			obj.n++
+			obj.ring.Push(base)
 		}
-		obj.ring[obj.head] = cumSample{t: t, good: obj.good.Load(), total: obj.total.Load()}
-		obj.head = (obj.head + 1) % len(obj.ring)
-		if obj.n < len(obj.ring) {
-			obj.n++
-		}
+		obj.ring.Push(cumSample{t: t, good: obj.good.Load(), total: obj.total.Load()})
 		fast := minF(e.burnLocked(obj, t, e.cfg.FastShort), e.burnLocked(obj, t, e.cfg.FastLong))
 		slow := minF(e.burnLocked(obj, t, e.cfg.SlowShort), e.burnLocked(obj, t, e.cfg.SlowLong))
 		e.det.Push(obj.Name, SeriesFastBurn, t, fast)
@@ -423,17 +415,9 @@ func (e *Engine) releasePinsLocked() {
 // falling back to the oldest retained (short-uptime semantics: the
 // window is however much history exists).
 func (obj *objective) at(cutoff time.Time) (cumSample, bool) {
-	if obj.n == 0 {
-		return cumSample{}, false
-	}
-	var best cumSample
-	found := false
-	for i := 0; i < obj.n; i++ {
-		s := obj.ring[(obj.head-obj.n+i+2*len(obj.ring))%len(obj.ring)]
-		if i == 0 {
-			best = s // oldest fallback
-			found = true
-		}
+	best, found := obj.ring.At(0), obj.ring.Len() > 0 // oldest fallback
+	for i := 1; i < obj.ring.Len(); i++ {
+		s := obj.ring.At(i)
 		if s.t.After(cutoff) {
 			break
 		}
@@ -442,18 +426,10 @@ func (obj *objective) at(cutoff time.Time) (cumSample, bool) {
 	return best, found
 }
 
-// newest returns the latest snapshot.
-func (obj *objective) newest() (cumSample, bool) {
-	if obj.n == 0 {
-		return cumSample{}, false
-	}
-	return obj.ring[(obj.head-1+len(obj.ring))%len(obj.ring)], true
-}
-
 // burnLocked computes the burn rate over the trailing window ending at
 // now: bad fraction across the window divided by the error budget.
 func (e *Engine) burnLocked(obj *objective, now time.Time, window time.Duration) float64 {
-	cur, ok := obj.newest()
+	cur, ok := obj.ring.Last()
 	if !ok {
 		return 0
 	}
@@ -475,7 +451,7 @@ func (e *Engine) burnLocked(obj *objective, now time.Time, window time.Duration)
 
 // windowCounts returns (good, total) deltas over the trailing window.
 func (e *Engine) windowCounts(obj *objective, now time.Time, window time.Duration) (good, total int64) {
-	cur, ok := obj.newest()
+	cur, ok := obj.ring.Last()
 	if !ok {
 		return 0, 0
 	}

@@ -27,14 +27,11 @@ type chromeEvent struct {
 // renders as one row (tid derived from the trace id), so concurrent
 // studies stay visually separate.
 //
-// The export is incremental: events are marshaled one at a time into a
-// buffered writer instead of materializing the whole ring as one
-// indented JSON document. A full span ring used to cost one O(ring)
-// event slice, one args map per span, and a monolithic MarshalIndent
-// buffer per request — the /v1/traces outlier in the PR 5 latency
-// profile. Chunked output is byte-different from the old indented form
-// but the same JSON value; consumers (chrome://tracing, Perfetto, the
-// monitor's scraper) parse it identically.
+// It is a render of span records (spans.go) for chrome://tracing and
+// Perfetto, written by fullstudy -trace-out; no served endpoint uses
+// it. The export is incremental: events are marshaled one at a time
+// into a buffered writer, so a full span ring never becomes one event
+// slice or one monolithic buffer.
 func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 	if len(spans) == 0 {
 		_, err := io.WriteString(w, "[]\n")

@@ -6,9 +6,10 @@ package telemetry
 // wrong for any trace something else still points at — an SLO breach
 // exemplar rendered on /metricsz and /v1/alertz links to a trace id,
 // and that link must keep resolving at /v1/traces for as long as the
-// page is actionable. Pin moves a trace into per-trace pinned storage
-// that neither the ring cursor nor the sampler can touch; Unpin
-// (ref-counted, so several exemplars may share one trace) releases it.
+// page is actionable. Pin adds a reference to the trace's held entry
+// (tracer.go), whose spans neither the ring cursor nor the verdict can
+// touch; Unpin (ref-counted, so several exemplars may share one trace)
+// releases it.
 
 const (
 	// maxPinnedTraces bounds distinct pinned traces; Pin beyond the cap
@@ -18,71 +19,42 @@ const (
 	maxPinnedSpans = 512
 )
 
-// pinnedTrace is the out-of-ring retention for one pinned trace.
-type pinnedTrace struct {
-	refs  int
-	spans []SpanData
-	ids   map[SpanID]struct{}
-}
-
-func (pt *pinnedTrace) add(d SpanData) {
-	if len(pt.spans) >= maxPinnedSpans {
-		return
-	}
-	if _, dup := pt.ids[d.ID]; dup {
-		return
-	}
-	pt.ids[d.ID] = struct{}{}
-	pt.spans = append(pt.spans, d)
-}
-
 // Pin protects trace from ring eviction and tail-sampling drops until
-// a matching Unpin. Spans already retained in the ring and spans still
-// buffered by the tail sampler are captured immediately; spans that
-// complete later join the pinned storage directly. Pinning the same
-// trace again increments a reference count. Nil-safe.
+// a matching Unpin. The first Pin copies the trace's spans still in the
+// ring; spans already waiting for a tail verdict stay where they are,
+// in the same held entry, and spans that complete later join it
+// whatever the policy says. Pinning the same trace again increments a
+// reference count. Nil-safe.
 func (t *Tracer) Pin(trace TraceID) {
 	if t == nil || trace == 0 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if pt := t.pinned[trace]; pt != nil {
-		pt.refs++
+	h := t.held[trace]
+	if h != nil && h.pins > 0 {
+		h.pins++
 		return
 	}
-	if len(t.pinned) >= maxPinnedTraces {
+	if t.npinned >= maxPinnedTraces {
 		return
 	}
-	if t.pinned == nil {
-		t.pinned = make(map[TraceID]*pinnedTrace)
+	if h == nil {
+		h = &heldTrace{}
+		t.held[trace] = h
 	}
-	pt := &pinnedTrace{refs: 1, ids: make(map[SpanID]struct{})}
-	for _, d := range t.ring {
-		if d.Trace == trace {
-			pt.add(d)
+	h.pins = 1
+	t.npinned++
+	for i := 0; i < t.ring.Len() && len(h.spans) < maxPinnedSpans; i++ {
+		if d := t.ring.At(i); d.Trace == trace {
+			h.spans = append(h.spans, d)
 		}
 	}
-	// Adopt the sampler's pending buffer: the trace no longer awaits a
-	// keep/drop verdict, so remove it from the pending set entirely
-	// (registerStart and sampleCommit skip pinned traces from here on).
-	if pend := t.pend[trace]; pend != nil {
-		for _, d := range pend.spans {
-			pt.add(d)
-		}
-		delete(t.pend, trace)
-		for i, id := range t.pendOrder {
-			if id == trace {
-				t.pendOrder = append(t.pendOrder[:i], t.pendOrder[i+1:]...)
-				break
-			}
-		}
-	}
-	t.pinned[trace] = pt
 }
 
-// Unpin drops one reference; at zero the trace's pinned storage is
-// freed and its spans are forgotten. Unpinning a never-pinned trace
+// Unpin drops one reference; at zero the trace's held entry is freed:
+// its copy is forgotten, spans still in the ring stay, and spans still
+// open are judged alone as they end. Unpinning a never-pinned trace
 // (including a Pin refused at the cap) is a no-op. Nil-safe.
 func (t *Tracer) Unpin(trace TraceID) {
 	if t == nil || trace == 0 {
@@ -90,12 +62,13 @@ func (t *Tracer) Unpin(trace TraceID) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pt := t.pinned[trace]
-	if pt == nil {
+	h := t.held[trace]
+	if h == nil || h.pins == 0 {
 		return
 	}
-	if pt.refs--; pt.refs <= 0 {
-		delete(t.pinned, trace)
+	if h.pins--; h.pins == 0 {
+		delete(t.held, trace)
+		t.npinned--
 	}
 }
 
@@ -106,5 +79,5 @@ func (t *Tracer) PinnedTraces() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.pinned)
+	return t.npinned
 }

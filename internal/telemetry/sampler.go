@@ -7,13 +7,15 @@ package telemetry
 // rest keep a deterministic fraction. Retention then scales with
 // traffic while the ring keeps exactly the traces an SLO page needs.
 //
-// Mechanics: with a policy installed, completed spans buffer per trace
-// until the trace's last open span ends (starts and ends are counted,
-// so well-nested usage needs no explicit root marker); the verdict
-// then applies to the whole buffered trace at once. Buffers are
-// bounded — overflowing traces flush early on the evidence so far, and
-// spans of traces evicted that way fall back to per-span verdicts — so
-// a span leak cannot grow the pending set without limit.
+// Mechanics: with a policy installed, each trace gets a held entry
+// (tracer.go) at its first span start, and its completed spans wait
+// there until its last open span ends (starts and ends are counted, so
+// well-nested usage needs no explicit root marker); the verdict then
+// applies to the whole trace at once. The table is bounded — past
+// maxWaitingTraces the oldest waiting trace is judged early, and so is
+// one that buffers maxWaitingSpans, on the evidence so far; spans of a
+// trace judged that way fall back to per-span verdicts — so a span leak
+// cannot grow it without limit.
 
 import (
 	"time"
@@ -34,29 +36,21 @@ type TailPolicy struct {
 	// [0,1]. The verdict is a deterministic hash of the trace id, so
 	// every process in a fleet keeps or drops the same trace.
 	SampleRate float64
-	// MaxPending bounds traces buffered awaiting completion
-	// (<=0 selects 256). MaxSpansPerTrace bounds one trace's buffer
-	// (<=0 selects 128).
-	MaxPending       int
-	MaxSpansPerTrace int
 }
 
-func (p *TailPolicy) maxPending() int {
-	if p.MaxPending <= 0 {
-		return 256
-	}
-	return p.MaxPending
-}
+// Bounds of the traces waiting for a verdict: at most maxWaitingTraces
+// wait at once, and one waits for at most maxWaitingSpans spans.
+const (
+	maxWaitingTraces = 256
+	maxWaitingSpans  = 128
+)
 
-func (p *TailPolicy) maxSpans() int {
-	if p.MaxSpansPerTrace <= 0 {
-		return 128
-	}
-	return p.MaxSpansPerTrace
-}
-
-// spanKeep reports whether this one span forces whole-trace retention.
+// spanKeep reports whether this one span forces whole-trace retention
+// (never, under a nil policy).
 func (p *TailPolicy) spanKeep(d SpanData) bool {
+	if p == nil {
+		return false
+	}
 	if p.SlowSpan > 0 && d.Dur >= p.SlowSpan {
 		return true
 	}
@@ -71,9 +65,10 @@ func (p *TailPolicy) spanKeep(d SpanData) bool {
 }
 
 // hashKeep is the probabilistic verdict: a splitmix64 finalizer over
-// the trace id against the rate threshold, deterministic fleet-wide.
+// the trace id against the rate threshold, deterministic fleet-wide. A
+// nil policy keeps everything.
 func (p *TailPolicy) hashKeep(trace TraceID) bool {
-	if p.SampleRate >= 1 {
+	if p == nil || p.SampleRate >= 1 {
 		return true
 	}
 	if p.SampleRate <= 0 {
@@ -88,32 +83,16 @@ func (p *TailPolicy) hashKeep(trace TraceID) bool {
 	return float64(x) < p.SampleRate*float64(1<<64)
 }
 
-// pendingTrace buffers one incomplete trace's completed spans.
-type pendingTrace struct {
-	open  int // started minus ended spans
-	spans []SpanData
-	keep  bool // a buffered span already forced retention
-}
-
-// SetTailPolicy installs (or, with nil, removes) the tail-sampling
-// policy. Install before traffic: spans started before the policy was
-// set are judged individually rather than as whole traces.
+// SetTailPolicy installs the tail-sampling policy; nil, a new tracer's
+// default, keeps every span. Install it before traffic: spans started
+// before it are judged alone, and traces still waiting when it is
+// removed are kept as they complete.
 func (t *Tracer) SetTailPolicy(p *TailPolicy) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.policy = p
-	if p == nil && t.pend != nil {
-		// Flush everything buffered so no spans are stranded.
-		for trace, pt := range t.pend {
-			for _, d := range pt.spans {
-				t.commitLocked(d)
-			}
-			delete(t.pend, trace)
-		}
-		t.pendOrder = t.pendOrder[:0]
-	}
 	t.mu.Unlock()
 }
 
@@ -127,83 +106,40 @@ func (t *Tracer) TailStats() (kept, dropped int64) {
 	return t.tailKept.Load(), t.tailDropped.Load()
 }
 
-// registerStart counts a span into its trace's pending entry. Called
-// under t.mu with a policy installed.
-func (t *Tracer) registerStart(trace TraceID) {
-	if t.pend == nil {
-		t.pend = make(map[TraceID]*pendingTrace)
+// holdLocked returns trace's held entry, opening one if needed. When
+// maxWaitingTraces traces already wait, the oldest of them is judged
+// early first; pinned traces never are. Caller holds t.mu.
+func (t *Tracer) holdLocked(trace TraceID) *heldTrace {
+	if h := t.held[trace]; h != nil {
+		return h
 	}
-	pt := t.pend[trace]
-	if pt == nil {
-		if len(t.pend) >= t.policy.maxPending() {
-			t.evictOldestLocked()
+	if len(t.held)-t.npinned >= maxWaitingTraces {
+		var oldest TraceID
+		var o *heldTrace
+		for id, h := range t.held {
+			if h.pins == 0 && (o == nil || h.seq < o.seq) {
+				oldest, o = id, h
+			}
 		}
-		pt = &pendingTrace{}
-		t.pend[trace] = pt
-		t.pendOrder = append(t.pendOrder, trace)
+		delete(t.held, oldest)
+		t.judgeLocked(oldest, o.keep, o.spans)
 	}
-	pt.open++
+	t.seq++
+	h := &heldTrace{seq: t.seq}
+	t.held[trace] = h
+	return h
 }
 
-// sampleCommit routes one completed span through the policy. Called
-// under t.mu.
-func (t *Tracer) sampleCommit(d SpanData) {
-	pol := t.policy
-	pt := t.pend[d.Trace]
-	if pt == nil {
-		// Trace unknown (started pre-policy, or evicted): judge the
-		// span alone.
-		if pol.spanKeep(d) || pol.hashKeep(d.Trace) {
-			t.commitLocked(d)
-			t.tailKept.Add(1)
-		} else {
-			t.tailDropped.Add(1)
+// judgeLocked applies the verdict to spans of one trace that is no
+// longer held: all of them go to the ring, or none do. Caller holds
+// t.mu.
+func (t *Tracer) judgeLocked(trace TraceID, keep bool, spans []SpanData) {
+	if keep || t.policy.hashKeep(trace) {
+		for _, d := range spans {
+			t.ring.Push(d)
 		}
+		t.tailKept.Add(int64(len(spans)))
 		return
 	}
-	pt.open--
-	if pol.spanKeep(d) {
-		pt.keep = true
-	}
-	pt.spans = append(pt.spans, d)
-	if pt.open <= 0 || len(pt.spans) >= pol.maxSpans() {
-		t.flushLocked(d.Trace, pt)
-	}
-}
-
-// flushLocked applies the verdict to a buffered trace and removes it
-// from the pending set.
-func (t *Tracer) flushLocked(trace TraceID, pt *pendingTrace) {
-	keep := pt.keep || t.policy.hashKeep(trace)
-	if keep {
-		for _, d := range pt.spans {
-			t.commitLocked(d)
-		}
-		t.tailKept.Add(int64(len(pt.spans)))
-	} else {
-		t.tailDropped.Add(int64(len(pt.spans)))
-	}
-	delete(t.pend, trace)
-	for i, id := range t.pendOrder {
-		if id == trace {
-			t.pendOrder = append(t.pendOrder[:i], t.pendOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// evictOldestLocked flushes the longest-pending trace early so the
-// buffer stays bounded; its still-open spans will be judged
-// individually when they end.
-func (t *Tracer) evictOldestLocked() {
-	for len(t.pendOrder) > 0 {
-		trace := t.pendOrder[0]
-		pt := t.pend[trace]
-		if pt == nil { // already flushed; drop the stale order entry
-			t.pendOrder = t.pendOrder[1:]
-			continue
-		}
-		t.flushLocked(trace, pt)
-		return
-	}
+	t.tailDropped.Add(int64(len(spans)))
 }

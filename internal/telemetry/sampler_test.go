@@ -89,36 +89,16 @@ func TestTailSamplingProbabilisticIsDeterministic(t *testing.T) {
 
 func TestTailSamplingBoundedPending(t *testing.T) {
 	tr := NewTracer(16)
-	tr.SetTailPolicy(&TailPolicy{SampleRate: 1, MaxPending: 8})
-	// Start many roots and never end them: the pending set must stay
-	// bounded by eviction, not grow without limit.
-	for i := 0; i < 100; i++ {
+	tr.SetTailPolicy(&TailPolicy{SampleRate: 1})
+	// Start many roots and never end them: the held table must stay
+	// bounded by early verdicts, not grow without limit.
+	for i := 0; i < 3*maxWaitingTraces; i++ {
 		tr.StartSpan(context.Background(), "leaky")
 	}
 	tr.mu.Lock()
-	n := len(tr.pend)
+	n := len(tr.held)
 	tr.mu.Unlock()
-	if n > 8 {
-		t.Fatalf("pending set grew to %d, bound is 8", n)
-	}
-}
-
-func TestSetTailPolicyNilFlushesAndRestores(t *testing.T) {
-	tr := NewTracer(16)
-	tr.SetTailPolicy(&TailPolicy{SlowSpan: time.Hour, SampleRate: 1})
-	ctx, root := tr.StartSpan(context.Background(), "root")
-	_, child := tr.StartSpan(ctx, "child")
-	endWith(child, time.Millisecond)
-	// Root still open: the child is buffered, not visible.
-	if n := len(tr.Snapshot()); n != 0 {
-		t.Fatalf("buffered span leaked into ring: %d", n)
-	}
-	tr.SetTailPolicy(nil)
-	if n := len(tr.Snapshot()); n != 1 {
-		t.Fatalf("removing the policy must flush buffered spans, got %d", n)
-	}
-	endWith(root, time.Millisecond)
-	if n := len(tr.Snapshot()); n != 2 {
-		t.Fatalf("keep-everything not restored, got %d spans", n)
+	if n > maxWaitingTraces {
+		t.Fatalf("held table grew to %d traces, bound is %d", n, maxWaitingTraces)
 	}
 }

@@ -1,11 +1,13 @@
 package telemetry
 
-// Raw span export. The Chrome trace format (chrome.go) rebases every
-// timestamp onto a per-export origin, which is exactly wrong for fleet
-// assembly: a monitor stitching spans harvested from several backends
-// needs absolute wall-clock starts and stable 64-bit ids. WriteSpans
-// emits the lossless form — a JSON array of SpanData — served at
-// /v1/traces?format=spans and consumed by internal/traceanalytics.
+// Span records, the one export format. The Chrome trace format
+// (chrome.go) rebases every timestamp onto a per-export origin, which
+// is exactly wrong for fleet assembly: a monitor stitching spans
+// harvested from several backends needs absolute wall-clock starts and
+// stable 64-bit ids. WriteSpans emits the lossless form — a JSON array
+// of SpanData — served at /v1/traces and consumed by the monitor's
+// harvester (internal/traceanalytics); Chrome is a render of the same
+// records for fullstudy -trace-out.
 
 import (
 	"bufio"

@@ -10,32 +10,41 @@ import (
 )
 
 // Tracer mints spans and retains the most recently completed ones in a
-// fixed-size ring buffer, the in-process flight recorder behind the
-// /v1/traces endpoint and fullstudy's -trace-out export. A nil *Tracer
-// is a valid disabled tracer: StartSpan returns a nil span and every
-// span method is nil-safe, so instrumented code needs no branches.
+// bounded ring, the in-process flight recorder behind the /v1/traces
+// endpoint and fullstudy's -trace-out export. A nil *Tracer is a valid
+// disabled tracer: StartSpan returns a nil span and every span method is
+// nil-safe, so instrumented code needs no branches.
 type Tracer struct {
 	// ids is the span/trace id source: a splitmix64 walk from a
 	// process-unique base, so ids are unique within a process and
 	// overwhelmingly likely unique across a fleet.
 	ids atomic.Uint64
 
-	mu   sync.Mutex
-	ring []SpanData // completed spans, oldest first once full
-	next int        // ring write cursor
-	full bool
+	// Retention, all under mu. A completed span goes to ring unless its
+	// trace is in held: waiting for a tail verdict (sampler.go) or
+	// pinned (pin.go). policy nil keeps every span.
+	mu      sync.Mutex
+	ring    *Ring[SpanData]
+	held    map[TraceID]*heldTrace
+	seq     uint64 // held entries opened so far, for oldest-first verdicts
+	npinned int    // held entries with pin references
+	policy  *TailPolicy
 
-	// Tail sampling (sampler.go). policy nil means keep everything;
-	// pend buffers incomplete traces awaiting a whole-trace verdict.
-	policy      *TailPolicy
-	pend        map[TraceID]*pendingTrace
-	pendOrder   []TraceID // registration order, for bounded eviction
 	tailKept    atomic.Int64
 	tailDropped atomic.Int64
+}
 
-	// Pinned traces (pin.go) live outside the ring and the sampler so
-	// exemplar links keep resolving until their alerts clear.
-	pinned map[TraceID]*pinnedTrace
+// heldTrace is one trace whose spans the ring cannot take yet, with the
+// reasons why: under a tail policy the trace waits while open > 0 and
+// keep records a slow or errored span already seen; pins > 0 keeps its
+// spans here, out of the ring and out of the verdict, until the last
+// Unpin.
+type heldTrace struct {
+	seq   uint64 // opening order; the oldest waiting trace is judged first
+	open  int    // spans started minus ended, counted under a tail policy
+	keep  bool
+	pins  int
+	spans []SpanData
 }
 
 // DefaultSpanBuffer is the completed-span retention when NewTracer is
@@ -48,7 +57,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultSpanBuffer
 	}
-	t := &Tracer{ring: make([]SpanData, 0, capacity)}
+	t := &Tracer{ring: NewRing[SpanData](capacity), held: make(map[TraceID]*heldTrace)}
 	t.ids.Store(uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32)
 	return t
 }
@@ -155,8 +164,8 @@ func (t *Tracer) start(ctx context.Context, trace TraceID, parent SpanID, name s
 	}
 	s.data.Start = s.start
 	t.mu.Lock()
-	if t.policy != nil && t.pinned[trace] == nil {
-		t.registerStart(trace)
+	if t.policy != nil {
+		t.holdLocked(trace).open++
 	}
 	t.mu.Unlock()
 	return ContextWithSpan(ctx, s), s
@@ -187,8 +196,9 @@ func (s *Span) Annotate(attrs ...Attr) {
 	s.data.Attrs = append(s.data.Attrs, attrs...)
 }
 
-// End completes the span, computing its monotonic duration and
-// committing it to the tracer's ring. Only the first call records.
+// End completes the span, computing its monotonic duration and handing
+// it to the tracer's retention: the ring, or its trace's held entry.
+// Only the first call records.
 func (s *Span) End() {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return
@@ -199,28 +209,30 @@ func (s *Span) End() {
 
 func (t *Tracer) commit(d SpanData) {
 	t.mu.Lock()
-	if pt := t.pinned[d.Trace]; pt != nil {
-		// Pinned traces bypass both the ring (whose cursor would evict
-		// them) and the sampler (whose verdict could drop them).
-		pt.add(d)
-	} else if t.policy != nil {
-		t.sampleCommit(d)
-	} else {
-		t.commitLocked(d)
+	defer t.mu.Unlock()
+	h := t.held[d.Trace]
+	switch {
+	case h != nil && h.pins > 0:
+		// Pinned spans bypass both the ring (whose cursor would evict
+		// them) and the verdict (which could drop them).
+		if len(h.spans) < maxPinnedSpans {
+			h.spans = append(h.spans, d)
+		}
+	case h != nil:
+		h.open--
+		h.keep = h.keep || t.policy.spanKeep(d)
+		h.spans = append(h.spans, d)
+		if h.open <= 0 || len(h.spans) >= maxWaitingSpans {
+			delete(t.held, d.Trace)
+			t.judgeLocked(d.Trace, h.keep, h.spans)
+		}
+	case t.policy == nil:
+		t.ring.Push(d)
+	default:
+		// Not held (started before the policy, or its trace was judged
+		// early): the span is judged alone.
+		t.judgeLocked(d.Trace, t.policy.spanKeep(d), []SpanData{d})
 	}
-	t.mu.Unlock()
-}
-
-// commitLocked appends one span to the retention ring. Caller holds
-// t.mu.
-func (t *Tracer) commitLocked(d SpanData) {
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, d)
-	} else {
-		t.ring[t.next] = d
-		t.full = true
-	}
-	t.next = (t.next + 1) % cap(t.ring)
 }
 
 // Snapshot copies the retained spans — the ring oldest first, then any
@@ -231,27 +243,25 @@ func (t *Tracer) Snapshot() []SpanData {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanData, 0, len(t.ring))
-	if t.full {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
+	out := t.ring.Copy()
+	if t.npinned == 0 {
+		return out
 	}
-	if len(t.pinned) > 0 {
-		// Spans copied into pinned storage at Pin time may still sit in
-		// the ring; dedup by span id (process-unique).
-		seen := make(map[SpanID]struct{}, len(out))
-		for _, d := range out {
-			if t.pinned[d.Trace] != nil {
-				seen[d.ID] = struct{}{}
-			}
+	// The first Pin copies a trace's spans still in the ring; skip the
+	// copies of those the ring still holds.
+	inRing := make(map[SpanID]bool)
+	for _, d := range out {
+		if h := t.held[d.Trace]; h != nil && h.pins > 0 {
+			inRing[d.ID] = true
 		}
-		for _, pt := range t.pinned {
-			for _, d := range pt.spans {
-				if _, dup := seen[d.ID]; !dup {
-					out = append(out, d)
-				}
+	}
+	for _, h := range t.held {
+		if h.pins == 0 {
+			continue
+		}
+		for _, d := range h.spans {
+			if !inRing[d.ID] {
+				out = append(out, d)
 			}
 		}
 	}

@@ -100,48 +100,68 @@ func TestHeaderPropagation(t *testing.T) {
 }
 
 // TestTracerConcurrent runs parallel span producers against snapshot
-// readers under -race.
+// readers under -race, once keeping every span and once under a tail
+// policy with the reader pinning and unpinning the producers' traces.
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(256)
-	stop := make(chan struct{})
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				tr.Snapshot()
-			}
-		}
-	}()
-	const producers, per = 8, 500
-	ids := make(chan SpanID, producers*per)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
+	for _, policy := range []*TailPolicy{nil, {SampleRate: 0.5, KeepErrors: true}} {
+		tr := NewTracer(256)
+		tr.SetTailPolicy(policy)
+		const producers, per = 8, 500
+		roots := make(chan TraceID, producers)
+		stop := make(chan struct{})
+		readerDone := make(chan struct{})
 		go func() {
-			defer wg.Done()
-			ctx, root := tr.StartSpan(context.Background(), "root")
-			defer root.End()
-			for i := 0; i < per; i++ {
-				_, s := tr.StartSpan(ctx, "work")
-				ids <- s.ID()
-				s.End()
+			defer close(readerDone)
+			var pinned []TraceID
+			for {
+				select {
+				case <-stop:
+					for _, id := range pinned {
+						tr.Unpin(id)
+					}
+					return
+				case id := <-roots:
+					tr.Pin(id)
+					pinned = append(pinned, id)
+				default:
+					tr.Snapshot()
+					if len(pinned) > 0 {
+						tr.Unpin(pinned[0])
+						pinned = pinned[1:]
+					}
+				}
 			}
 		}()
-	}
-	wg.Wait()
-	close(stop)
-	<-readerDone
-	close(ids)
-	seen := make(map[SpanID]bool)
-	for id := range ids {
-		if seen[id] {
-			t.Fatal("duplicate span id under concurrency")
+		ids := make(chan SpanID, producers*per)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx, root := tr.StartSpan(context.Background(), "root")
+				defer root.End()
+				roots <- root.Trace()
+				for i := 0; i < per; i++ {
+					_, s := tr.StartSpan(ctx, "work")
+					ids <- s.ID()
+					s.End()
+				}
+			}()
 		}
-		seen[id] = true
+		wg.Wait()
+		close(stop)
+		<-readerDone
+		close(ids)
+		seen := make(map[SpanID]bool)
+		for id := range ids {
+			if seen[id] {
+				t.Fatal("duplicate span id under concurrency")
+			}
+			seen[id] = true
+		}
+		if n := tr.PinnedTraces(); n != 0 {
+			t.Fatalf("%d traces still pinned after every Unpin", n)
+		}
 	}
 }
 

@@ -112,7 +112,7 @@ func (e *Engine) Ingest(source string, spans []telemetry.SpanData) int {
 		sp := Span{SpanData: d, Source: source}
 		tb.spans = append(tb.spans, sp)
 		tb.dirty = true
-		e.redFor(d.Name, source).observe(sp, e.opts.MaxDurSamples)
+		e.redFor(d.Name, source).observe(sp)
 		added++
 	}
 	return added
@@ -122,7 +122,7 @@ func (e *Engine) redFor(name, source string) *redAgg {
 	k := redKey{name: name, source: source}
 	r := e.red[k]
 	if r == nil {
-		r = &redAgg{}
+		r = &redAgg{durs: telemetry.NewRing[float64](e.opts.MaxDurSamples)}
 		e.red[k] = r
 	}
 	return r

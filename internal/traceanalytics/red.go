@@ -8,6 +8,8 @@ package traceanalytics
 import (
 	"sort"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 type redKey struct {
@@ -18,28 +20,17 @@ type redKey struct {
 type redAgg struct {
 	count  int64
 	errors int64
-	durs   []float64 // milliseconds, ring
-	next   int
-	full   bool
-	first  time.Time // earliest span start seen
-	last   time.Time // latest span start seen
+	durs   *telemetry.Ring[float64] // milliseconds
+	first  time.Time                // earliest span start seen
+	last   time.Time                // latest span start seen
 }
 
-func (r *redAgg) observe(s Span, capDurs int) {
+func (r *redAgg) observe(s Span) {
 	r.count++
 	if s.Attr("error") != "" {
 		r.errors++
 	}
-	ms := float64(s.Dur) / 1e6
-	if len(r.durs) < capDurs {
-		r.durs = append(r.durs, ms)
-	} else {
-		r.durs[r.next] = ms
-		r.full = true
-	}
-	if capDurs > 0 {
-		r.next = (r.next + 1) % capDurs
-	}
+	r.durs.Push(float64(s.Dur) / 1e6)
 	if r.first.IsZero() || s.Start.Before(r.first) {
 		r.first = s.Start
 	}
@@ -66,11 +57,10 @@ func (r *redAgg) stat(k redKey) REDStat {
 	if span := r.last.Sub(r.first); span > 0 && r.count > 1 {
 		st.RatePerSec = float64(r.count-1) / span.Seconds()
 	}
-	if len(r.durs) == 0 {
+	if r.durs.Len() == 0 {
 		return st
 	}
-	sorted := make([]float64, len(r.durs))
-	copy(sorted, r.durs)
+	sorted := r.durs.Copy()
 	sort.Float64s(sorted)
 	var sum float64
 	for _, v := range sorted {
