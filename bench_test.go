@@ -1,7 +1,10 @@
 package powerperf
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http/httptest"
 	"sync"
@@ -506,6 +509,96 @@ func TestMeasurePathAllocBudget(t *testing.T) {
 	}
 	if got := measure(managed); got > 7 {
 		t.Errorf("managed cell: %v allocs per MeasureUncached, budget 7 (recorded 6)", got)
+	}
+}
+
+// TestLeaseCellAllocBudget pins the scheduler's side of a warm lease
+// cell: frame decode, then MeasurementFromCell. The stream is a real
+// 16-cell full-detail lease from an in-process backend. A warm decoder
+// (Reset onto the next stream, as the client's pooled decoders are)
+// decodes the whole stream without allocating, and reconstruction
+// allocates exactly the Measurement and its Runs, the two allocations
+// the scheduler keeps.
+func TestLeaseCellAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the 0/2 budget is enforced by `go test ./...` and CI's race-free alloc-budget step")
+	}
+	telemetry.SetLogLevel(slog.LevelError)
+	seed := int64(42)
+	req := service.MeasureRequest{Seed: &seed, Detail: service.DetailFull, Lane: service.LaneBulk}
+	for _, j := range harness.GridJobs(nil, nil)[:16] {
+		cfg := j.CP.Config
+		req.Cells = append(req.Cells, service.CellRequest{Benchmark: j.Bench.Name, Processor: j.CP.Proc.Name,
+			Config: &service.ConfigJSON{Cores: cfg.Cores, SMTWays: cfg.SMTWays, ClockGHz: cfg.ClockGHz, Turbo: cfg.Turbo}})
+	}
+	body, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.NewServer(service.Options{Seed: seed})
+	ts := httptest.NewServer(srv.Handler())
+	resp, err := ts.Client().Post(ts.URL+"/v1/measure?stream=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	// Close waits out the handler and the connections, so none of their
+	// goroutines allocate while the counts below are taken.
+	ts.Close()
+	srv.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rd := bytes.NewReader(stream)
+	dec := service.NewStreamDecoder(rd)
+	rv := cluster.NewResolver()
+	var cell service.CellResult
+	cells := 0
+	for {
+		ev, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Cell != nil {
+			if _, err := rv.MeasurementFromCell(&ev.Cell.Result); err != nil {
+				t.Fatal(err)
+			}
+			cell = ev.Cell.Result
+			cells++
+		}
+	}
+	if cells != len(req.Cells) {
+		t.Fatalf("stream carried %d cells, want %d", cells, len(req.Cells))
+	}
+
+	perStream := testing.AllocsPerRun(20, func() {
+		rd.Reset(stream)
+		dec.Reset(rd)
+		for {
+			_, err := dec.Next()
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perStream != 0 {
+		t.Errorf("warm decoder: %v allocs per %d-cell stream, budget 0", perStream, cells)
+	}
+	perCell := testing.AllocsPerRun(100, func() {
+		if _, err := rv.MeasurementFromCell(&cell); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perCell != 2 {
+		t.Errorf("MeasurementFromCell: %v allocs per cell, want 2 (the Measurement and its Runs)", perCell)
 	}
 }
 

@@ -32,6 +32,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -64,23 +65,12 @@ func main() {
 	logLevel := flag.String("log-level", "warn", "minimum log level: debug, info, warn, error")
 	flag.Parse()
 
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fmt.Fprintln(os.Stderr, "powerperfmon: bad -log-level:", err)
+	targets, level, err := validateFlags(*backends, *interval, *logLevel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "powerperfmon:", err)
 		os.Exit(2)
 	}
 	telemetry.SetLogLevel(level)
-
-	var targets []string
-	for _, t := range strings.Split(*backends, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			targets = append(targets, t)
-		}
-	}
-	if len(targets) == 0 {
-		fmt.Fprintln(os.Stderr, "powerperfmon: -backends is required (comma-separated base URLs)")
-		os.Exit(2)
-	}
 
 	mon := monitor.New(targets, monitor.Options{Interval: *interval, TopCells: topCells(*top)})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -121,6 +111,30 @@ func main() {
 			return
 		}
 	}
+}
+
+// validateFlags checks the watch loop's flags before any work starts
+// and returns the backend list and log level they name. A non-positive
+// -interval is rejected rather than handed on: the redraw ticker would
+// panic on it, and the monitor would quietly scrape every 5s instead.
+func validateFlags(backends string, interval time.Duration, logLevel string) ([]string, slog.Level, error) {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(logLevel)); err != nil {
+		return nil, 0, fmt.Errorf("bad -log-level: %w", err)
+	}
+	var targets []string
+	for _, t := range strings.Split(backends, ",") {
+		if t = strings.TrimSpace(t); t != "" {
+			targets = append(targets, t)
+		}
+	}
+	if len(targets) == 0 {
+		return nil, 0, errors.New("-backends is required (comma-separated base URLs)")
+	}
+	if interval <= 0 {
+		return nil, 0, fmt.Errorf("-interval must be > 0, got %v", interval)
+	}
+	return targets, level, nil
 }
 
 func topCells(top int) int {

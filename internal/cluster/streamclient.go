@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/service"
@@ -20,6 +21,11 @@ import (
 // re-dispatches only the remainder.
 var ErrStreamTruncated = errors.New("cluster: measure stream truncated")
 
+// streamDecoders recycles stream decoders, with their read and payload
+// buffers and event storage, across leases. A Client serves several
+// pullers at once, so each stream takes a decoder of its own.
+var streamDecoders = sync.Pool{New: func() any { return service.NewStreamDecoder(nil) }}
+
 // MeasureStream posts req to /v1/measure?stream=1 and invokes onCell
 // for every cell frame as it arrives, in backend completion order.
 // Keep-alive frames are consumed internally. A nil return means the
@@ -28,6 +34,9 @@ var ErrStreamTruncated = errors.New("cluster: measure stream truncated")
 // returns an error wrapping ErrStreamTruncated; an in-band error frame,
 // or a reply that is not a frame stream at all, comes back as a backend
 // error. An onCell error aborts the stream and is returned as-is.
+//
+// The cell onCell receives is the stream decoder's storage: it is valid
+// only until onCell returns.
 //
 // The exchange's wall time, to the end of the stream, feeds the
 // backend's latency histogram.
@@ -53,7 +62,12 @@ func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest,
 			Msg: fmt.Sprintf("stream reply has Content-Type %q, want %q", ct, service.StreamContentType)}
 	}
 
-	dec := service.NewStreamDecoder(resp.Body)
+	dec := streamDecoders.Get().(*service.StreamDecoder)
+	dec.Reset(resp.Body)
+	defer func() {
+		dec.Reset(nil) // drop the body; the buffers stay for the next lease
+		streamDecoders.Put(dec)
+	}()
 	delivered := 0
 	for {
 		ev, err := dec.Next()

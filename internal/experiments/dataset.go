@@ -132,24 +132,35 @@ func StreamAggregatesCSVFrom(ctx context.Context, src Source, ref *harness.Refer
 	if err != nil {
 		return err
 	}
-	// Index the batch so AggregateConfig can consume it as a MeasureFunc
-	// in its own (group-major) order.
-	byCell := make(map[string]*harness.Measurement, len(ms))
-	for i, m := range ms {
-		byCell[jobs[i].Bench.Name+"|"+jobs[i].CP.String()] = m
+	// AggregateConfig consumes the batch as a MeasureFunc in its own
+	// (group-major) order. GridJobs is configuration-major in workload
+	// order, so configuration ci's measurement of a benchmark sits at
+	// ci*perConfig plus the benchmark's workload position; a job whose
+	// identity disagrees with the lookup is missing from the batch.
+	perConfig := 0
+	if len(cps) > 0 {
+		perConfig = len(jobs) / len(cps)
 	}
+	pos := make(map[string]int, perConfig)
+	for i := range jobs[:perConfig] {
+		pos[jobs[i].Bench.Name] = i
+	}
+	ci := 0
 	lookup := func(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*harness.Measurement, error) {
-		m, ok := byCell[b.Name+"|"+cp.String()]
-		if !ok {
+		i, ok := pos[b.Name]
+		i += ci * perConfig
+		if !ok || i >= len(jobs) || i >= len(ms) || jobs[i].Bench.Name != b.Name ||
+			jobs[i].CP.Proc.Name != cp.Proc.Name || jobs[i].CP.Config != cp.Config {
 			return nil, fmt.Errorf("experiments: %s on %s missing from batch", b.Name, cp)
 		}
-		return m, nil
+		return ms[i], nil
 	}
 	s, err := report.NewZeroCSVStream(w, AggregatesHeader...)
 	if err != nil {
 		return err
 	}
-	for _, cp := range cps {
+	for ci = range cps {
+		cp := cps[ci]
 		if err := ctx.Err(); err != nil {
 			return err
 		}

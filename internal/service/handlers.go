@@ -127,9 +127,13 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]CellResult, len(cells))
-	err = s.fanOutMeasure(r.Context(), seed, l, full, cells, func(i int, m *harness.Measurement, res *CellResult) {
+	err = s.fanOutMeasure(r.Context(), seed, l, cells, func(i int, m *harness.Measurement) {
 		rec.observe(i, m)
-		results[i] = *res
+		var d *CellDetail
+		if full {
+			d = new(CellDetail)
+		}
+		setCellResult(&results[i], d, cells[i], m)
 	})
 	if err != nil {
 		switch {
@@ -154,7 +158,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 // lane l; these goroutines mostly wait on cache fills, so the cap only
 // bounds bookkeeping, not parallelism. A batch whose every cell reached
 // sink is complete even if ctx ended afterwards.
-func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, full bool, cells []cell, sink func(i int, m *harness.Measurement, res *CellResult)) error {
+func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, cells []cell, sink func(i int, m *harness.Measurement)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	fan := len(cells)
@@ -187,7 +191,7 @@ func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, full boo
 					cancel()
 					return
 				}
-				sink(i, m, cellResult(cells[i], m, full))
+				sink(i, m)
 				sunk.Add(1)
 			}
 		}()
@@ -219,24 +223,31 @@ func (s *Server) measureStream(w http.ResponseWriter, r *http.Request, seed int6
 	w.Header().Set("Content-Type", StreamContentType)
 	w.WriteHeader(http.StatusOK)
 	sw := newStreamWriter(w, flusherOf(w))
+	defer sw.release()
 	if err := sw.send(&StreamEvent{Header: &StreamHeader{Seed: seed, Cells: len(cells)}}); err != nil {
 		return
 	}
 	sw.flush()
 
-	ch := make(chan StreamCell, 64)
+	// A measured cell crosses to the writer as its index and the
+	// measurement the cache already holds; the writer encodes it from
+	// there. One slot per cell lets a lease's fan-out hand off every
+	// cell without waiting on the writer, and the cap is the fan-out's
+	// 64 goroutines: a full buffer then holds one finished cell per
+	// goroutine, which the writer coalesces into one flush.
+	ch := make(chan streamItem, min(len(cells), 64))
 	var fanErr error
 	go func() {
 		// The deferred close runs after the fanErr write, and run only
 		// reads fanErr after seeing the channel closed, so the error
 		// handoff is race-free.
 		defer close(ch)
-		fanErr = s.fanOutMeasure(ctx, seed, l, full, cells, func(i int, m *harness.Measurement, res *CellResult) {
+		fanErr = s.fanOutMeasure(ctx, seed, l, cells, func(i int, m *harness.Measurement) {
 			rec.observe(i, m)
-			ch <- StreamCell{Index: i, Result: *res}
+			ch <- streamItem{index: i, m: m}
 		})
 	}()
-	if err := sw.run(ch, len(cells), s.opts.StreamKeepAlive, func() error { return fanErr }); err != nil {
+	if err := sw.run(ch, cells, full, s.opts.StreamKeepAlive, func() error { return fanErr }); err != nil {
 		// The client went away mid-stream. Cancel the fan-out and drain
 		// the channel so no sender blocks forever; in-flight cells finish
 		// into the cache, where the retry will find them.

@@ -230,10 +230,15 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // for a worker lane (critical-path analytics split queue wait from
 // kernel compute with it), and feed the fill-duration histogram.
 func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c cell) (*harness.Measurement, error) {
-	cellCtx, span := s.tracer.StartSpan(ctx, "service.cell",
-		telemetry.String("benchmark", c.bench.Name),
-		telemetry.String("processor", c.cp.Proc.Name),
-		telemetry.String("seed", strconv.FormatInt(seed, 10)))
+	// One slot beyond the three start attributes holds the outcome, so
+	// Annotate below appends in place and the span keeps one 4-slot
+	// array instead of growing to 6; only a failed cell's error
+	// annotation grows it.
+	attrs := make([]telemetry.Attr, 3, 4)
+	attrs[0] = telemetry.String("benchmark", c.bench.Name)
+	attrs[1] = telemetry.String("processor", c.cp.Proc.Name)
+	attrs[2] = telemetry.String("seed", strconv.FormatInt(seed, 10))
+	cellCtx, span := s.tracer.StartSpan(ctx, "service.cell", attrs...)
 	v, outcome, err := s.cache.GetOrComputeOutcome(ctx, cellKey(seed, c), func() (any, error) {
 		fillStart := time.Now()
 		_, qspan := s.tracer.StartSpan(cellCtx, "service.queue")
@@ -269,10 +274,12 @@ func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c cell) (*
 	return v.(*harness.Measurement), nil
 }
 
-// cellResult flattens a measurement into the wire form; full selects the
-// reconstruction-grade shape.
-func cellResult(c cell, m *harness.Measurement, full bool) *CellResult {
-	res := &CellResult{
+// setCellResult flattens a measurement, measured for c, into res, the
+// wire form. A non-nil d selects the reconstruction-grade shape: the
+// detail is written into d, reusing its run-sample storage when that is
+// large enough, and res.Full points at it.
+func setCellResult(res *CellResult, d *CellDetail, c cell, m *harness.Measurement) {
+	*res = CellResult{
 		Benchmark:  c.bench.Name,
 		Processor:  c.cp.Proc.Name,
 		Config:     configJSON(c.cp.Config),
@@ -285,19 +292,24 @@ func cellResult(c cell, m *harness.Measurement, full bool) *CellResult {
 		TimeCIRel:  m.TimeCI.Relative(),
 		PowerCIRel: m.PowerCI.Relative(),
 	}
-	if full {
-		d := &CellDetail{
-			RunSamples: make([]RunJSON, len(m.Runs)),
-			Counters:   CountersToJSON(m.Counters),
-			TimeCI:     CIToJSON(m.TimeCI),
-			PowerCI:    CIToJSON(m.PowerCI),
-		}
-		for i, r := range m.Runs {
-			d.RunSamples[i] = RunJSON{Seconds: r.Seconds, Watts: r.Watts, Counters: CountersToJSON(r.Counters)}
-		}
-		res.Full = d
+	if d == nil {
+		return
 	}
-	return res
+	runs := d.RunSamples
+	if runs == nil || cap(runs) < len(m.Runs) {
+		runs = make([]RunJSON, len(m.Runs))
+	}
+	runs = runs[:len(m.Runs)]
+	for i, r := range m.Runs {
+		runs[i] = RunJSON{Seconds: r.Seconds, Watts: r.Watts, Counters: CountersToJSON(r.Counters)}
+	}
+	*d = CellDetail{
+		RunSamples: runs,
+		Counters:   CountersToJSON(m.Counters),
+		TimeCI:     CIToJSON(m.TimeCI),
+		PowerCI:    CIToJSON(m.PowerCI),
+	}
+	res.Full = d
 }
 
 // experimentsContext returns the shared daemon-seed experiments context,

@@ -8,7 +8,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"sync"
 	"time"
+
+	"repro/internal/harness"
 )
 
 // The measure stream (POST /v1/measure?stream=1, Content-Type
@@ -96,13 +99,23 @@ type StreamEvent struct {
 // per-frame buffer bound: truncated streams surface as
 // io.ErrUnexpectedEOF, oversized frames as ErrStreamFrameTooLong, and
 // malformed payloads as a normal decode error — never a panic, and never
-// a buffer larger than MaxStreamFrameBytes (the payload buffer is reused
-// across frames, so a long stream allocates one buffer, not one per
-// frame). Hardened by FuzzStreamDecode.
+// a buffer larger than MaxStreamFrameBytes. Hardened by FuzzStreamDecode.
+//
+// A decoder owns the storage it decodes into: its read buffer, its
+// payload buffer and the event Next returns are reused frame after
+// frame, and across streams through Reset, so a warm decoder decodes a
+// cell frame without allocating.
 type StreamDecoder struct {
 	r   *bufio.Reader
 	buf []byte
 	err error // sticky: a poisoned stream stays poisoned
+
+	// The event Next returns and the values it points at.
+	ev     StreamEvent
+	header StreamHeader
+	cell   StreamCell
+	detail CellDetail
+	done   StreamDone
 }
 
 // NewStreamDecoder builds a decoder over r.
@@ -110,11 +123,24 @@ func NewStreamDecoder(r io.Reader) *StreamDecoder {
 	return &StreamDecoder{r: bufio.NewReader(r)}
 }
 
+// Reset makes d read a new stream from r, clearing any sticky error
+// and keeping every buffer, so one decoder serves stream after stream.
+func (d *StreamDecoder) Reset(r io.Reader) {
+	d.r.Reset(r)
+	d.err = nil
+}
+
 // Next returns the next stream event. Keep-alive frames are returned
 // like any other event — callers skip them. io.EOF is returned only at
 // a clean boundary after a complete frame; EOF inside a frame (its
 // length prefix or its payload) means the stream was severed and
 // surfaces as io.ErrUnexpectedEOF.
+//
+// The event, and everything it points to, is storage the decoder owns:
+// it stays valid only until the next call to Next or Reset, which
+// overwrites it. A caller that keeps an event, or a slice within it,
+// across calls must copy it. Its strings are not overwritten and may
+// be kept.
 func (d *StreamDecoder) Next() (*StreamEvent, error) {
 	if d.err != nil {
 		return nil, d.err
@@ -150,19 +176,23 @@ func (d *StreamDecoder) next() (*StreamEvent, error) {
 		}
 		return nil, err
 	}
-	return decodeFrame(kind, p)
+	return d.decodeFrame(kind, p)
 }
 
-// decodeFrame decodes one frame payload; every byte must be consumed.
-func decodeFrame(kind byte, p []byte) (*StreamEvent, error) {
+// decodeFrame decodes one frame payload into the decoder's event
+// storage; every byte must be consumed.
+func (d *StreamDecoder) decodeFrame(kind byte, p []byte) (*StreamEvent, error) {
 	fr := frameReader{b: p}
-	var ev StreamEvent
+	ev := &d.ev
+	*ev = StreamEvent{}
 	switch kind {
 	case frameHeader:
-		ev.Header = &StreamHeader{Seed: fr.varint(), Cells: fr.int()}
+		d.header = StreamHeader{Seed: fr.varint(), Cells: fr.int()}
+		ev.Header = &d.header
 	case frameCell:
-		ev.Cell = &StreamCell{Index: fr.int()}
-		fr.cellResult(&ev.Cell.Result)
+		d.cell.Index = fr.int()
+		fr.cellResult(&d.cell.Result, &d.detail)
+		ev.Cell = &d.cell
 	case frameKeepAlive:
 		ev.KeepAlive = true
 	case frameError:
@@ -172,7 +202,8 @@ func decodeFrame(kind byte, p []byte) (*StreamEvent, error) {
 		ev.Error = string(p)
 		fr.off = len(p)
 	case frameDone:
-		ev.Done = &StreamDone{Cells: fr.int()}
+		d.done = StreamDone{Cells: fr.int()}
+		ev.Done = &d.done
 	default:
 		return nil, fmt.Errorf("service: unknown stream frame kind %#x", kind)
 	}
@@ -182,7 +213,7 @@ func decodeFrame(kind byte, p []byte) (*StreamEvent, error) {
 	if fr.off != len(p) {
 		return nil, fmt.Errorf("service: stream frame %q has %d trailing bytes", kind, len(p)-fr.off)
 	}
-	return &ev, nil
+	return ev, nil
 }
 
 // runSampleBytes is the encoded size of one run sample: seconds, watts
@@ -256,15 +287,26 @@ func (r *frameReader) bool() bool {
 	return v == 1
 }
 
-func (r *frameReader) str() string {
+// strBytes reads a length-prefixed string and returns its bytes, which
+// alias the payload.
+func (r *frameReader) strBytes() []byte {
 	n := r.uvarint()
 	if n > uint64(r.remaining()) {
 		r.fail(errShortPayload)
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s
+	return b
+}
+
+// known returns the string b spells: want itself when they are equal,
+// which costs no allocation, and a fresh copy of b otherwise.
+func known(b []byte, want string) string {
+	if string(b) == want {
+		return want
+	}
+	return string(b)
 }
 
 func (r *frameReader) counters() CountersJSON {
@@ -278,18 +320,38 @@ func (r *frameReader) ci() CIJSON {
 	return CIJSON{Mean: r.f64(), Half: r.f64(), Level: r.f64(), N: r.int()}
 }
 
-func (r *frameReader) cellResult(c *CellResult) {
-	c.Benchmark = r.str()
-	c.Processor = r.str()
+// cellResult decodes a cell into c, and its full detail, if present,
+// into d, reusing d's run-sample storage. Names resolve against the
+// per-process index request decoding uses (names), and the suite and
+// group against the resolved benchmark, so a cell of the known
+// workload and fleet decodes without allocating; any other name
+// decodes as a fresh string, for the caller's identity checks to
+// reject.
+func (r *frameReader) cellResult(c *CellResult, d *CellDetail) {
+	ix := names()
+	benchName := r.strBytes()
+	var suite, group string
+	if b, ok := ix.benches[string(benchName)]; ok {
+		c.Benchmark, suite, group = b.Name, string(b.Suite), b.Group.String()
+	} else {
+		c.Benchmark = string(benchName)
+	}
+	procName := r.strBytes()
+	if p, ok := ix.procs[string(procName)]; ok {
+		c.Processor = p.Name
+	} else {
+		c.Processor = string(procName)
+	}
 	c.Config = ConfigJSON{Cores: r.int(), SMTWays: r.int(), ClockGHz: r.f64(), Turbo: r.bool()}
-	c.Suite = r.str()
-	c.Group = r.str()
+	c.Suite = known(r.strBytes(), suite)
+	c.Group = known(r.strBytes(), group)
 	c.Runs = r.int()
 	c.Seconds = r.f64()
 	c.Watts = r.f64()
 	c.EnergyJ = r.f64()
 	c.TimeCIRel = r.f64()
 	c.PowerCIRel = r.f64()
+	c.Full = nil
 	if !r.bool() {
 		return
 	}
@@ -301,13 +363,15 @@ func (r *frameReader) cellResult(c *CellResult) {
 		r.fail(fmt.Errorf("%d run samples exceed the frame", n))
 		return
 	}
-	d := &CellDetail{RunSamples: make([]RunJSON, n)}
-	for i := range d.RunSamples {
-		d.RunSamples[i] = RunJSON{Seconds: r.f64(), Watts: r.f64(), Counters: r.counters()}
+	runs := d.RunSamples
+	if runs == nil || uint64(cap(runs)) < n {
+		runs = make([]RunJSON, n)
 	}
-	d.Counters = r.counters()
-	d.TimeCI = r.ci()
-	d.PowerCI = r.ci()
+	runs = runs[:n]
+	for i := range runs {
+		runs[i] = RunJSON{Seconds: r.f64(), Watts: r.f64(), Counters: r.counters()}
+	}
+	*d = CellDetail{RunSamples: runs, Counters: r.counters(), TimeCI: r.ci(), PowerCI: r.ci()}
 	c.Full = d
 }
 
@@ -320,10 +384,34 @@ type streamWriter struct {
 	w       io.Writer
 	flusher http.Flusher
 	buf     []byte // frame buffer, reused so a frame costs no allocation
+
+	// cell and detail hold the wire form of the cell being encoded,
+	// refilled for every cell frame.
+	cell   StreamCell
+	detail CellDetail
 }
 
+// streamItem is one measured cell on its way to the stream writer: its
+// index in the request and the measurement the cache holds.
+type streamItem struct {
+	index int
+	m     *harness.Measurement
+}
+
+// streamWriters recycles writers across requests, so a lease starts
+// with its frame buffer and run-sample storage already sized.
+var streamWriters = sync.Pool{New: func() any { return new(streamWriter) }}
+
 func newStreamWriter(w io.Writer, f http.Flusher) *streamWriter {
-	return &streamWriter{w: w, flusher: f}
+	sw := streamWriters.Get().(*streamWriter)
+	sw.w, sw.flusher = w, f
+	return sw
+}
+
+// release returns sw to the pool; the caller must not use it again.
+func (sw *streamWriter) release() {
+	sw.w, sw.flusher = nil, nil
+	streamWriters.Put(sw)
 }
 
 // frameRoom is the space send reserves ahead of a payload for the kind
@@ -365,6 +453,21 @@ func (sw *streamWriter) send(ev *StreamEvent) error {
 	copy(b[start+1:], n[:ln])
 	_, err := sw.w.Write(b[start:])
 	return err
+}
+
+// sendCell writes the cell frame of a measurement taken for c at the
+// request's index. The wire form is filled into the writer's own cell
+// and detail, so the frame costs no allocation, and its bytes are the
+// ones send writes for the same CellResult. full selects the
+// reconstruction-grade shape.
+func (sw *streamWriter) sendCell(index int, c cell, m *harness.Measurement, full bool) error {
+	var d *CellDetail
+	if full {
+		d = &sw.detail
+	}
+	sw.cell.Index = index
+	setCellResult(&sw.cell.Result, d, c, m)
+	return sw.send(&StreamEvent{Cell: &sw.cell})
 }
 
 func appendF64(b []byte, v float64) []byte {
@@ -432,30 +535,31 @@ func (sw *streamWriter) flush() {
 	}
 }
 
-// run drains cells until the channel closes, then emits the terminal
-// frame: the batch's error if errFn reports one, the done frame
-// otherwise. keepAlive <= 0 selects the default heartbeat.
-func (sw *streamWriter) run(cells <-chan StreamCell, total int, keepAlive time.Duration, errFn func() error) error {
+// run drains measured cells until the channel closes, encoding each
+// against its request cell in cells, then emits the terminal frame: the
+// batch's error if errFn reports one, the done frame otherwise.
+// keepAlive <= 0 selects the default heartbeat.
+func (sw *streamWriter) run(items <-chan streamItem, cells []cell, full bool, keepAlive time.Duration, errFn func() error) error {
 	if keepAlive <= 0 {
 		keepAlive = defaultStreamKeepAlive
 	}
 	t := time.NewTimer(keepAlive)
 	defer t.Stop()
 	sent := 0
-	for cells != nil {
+	for items != nil {
 		select {
-		case c, ok := <-cells:
+		case it, ok := <-items:
 			if !ok {
-				cells = nil
+				items = nil
 				continue
 			}
-			if err := sw.send(&StreamEvent{Cell: &c}); err != nil {
+			if err := sw.sendCell(it.index, cells[it.index], it.m, full); err != nil {
 				return err
 			}
 			sent++
 			// Opportunistic flush: only when no further cell is ready,
 			// so a hot backend coalesces many frames per flush.
-			if len(cells) == 0 {
+			if len(items) == 0 {
 				sw.flush()
 			}
 			if !t.Stop() {

@@ -20,7 +20,12 @@ import (
 //	go test -run '^$' -bench 'BenchmarkStream(Encode|Decode)' -benchtime 27450x -benchmem ./internal/service
 //
 // wire-B/cell is the encoded stream size per cell.
-var studyCells = sync.OnceValues(func() ([]StreamCell, error) {
+type grid struct {
+	cells []cell
+	ms    []*harness.Measurement
+}
+
+var studyGrid = sync.OnceValues(func() (*grid, error) {
 	h, err := harness.New(42)
 	if err != nil {
 		return nil, err
@@ -30,21 +35,20 @@ var studyCells = sync.OnceValues(func() ([]StreamCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]StreamCell, len(jobs))
+	g := &grid{cells: make([]cell, len(jobs)), ms: ms}
 	for i, j := range jobs {
-		// Indexes run as in a 16-cell lease.
-		cells[i] = StreamCell{Index: i % 16, Result: *cellResult(cell{bench: j.Bench, cp: j.CP}, ms[i], true)}
+		g.cells[i] = cell{bench: j.Bench, cp: j.CP}
 	}
-	return cells, nil
+	return g, nil
 })
 
-func benchCells(b *testing.B) []StreamCell {
+func benchGrid(b *testing.B) *grid {
 	b.Helper()
-	cells, err := studyCells()
+	g, err := studyGrid()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return cells
+	return g
 }
 
 type countingWriter struct{ n int64 }
@@ -54,14 +58,17 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// BenchmarkStreamEncode encodes cell frames the way a backend does:
+// from the cached measurement, indexes running as in a 16-cell lease.
 func BenchmarkStreamEncode(b *testing.B) {
-	cells := benchCells(b)
+	g := benchGrid(b)
 	var w countingWriter
 	sw := newStreamWriter(&w, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sw.send(&StreamEvent{Cell: &cells[i%len(cells)]}); err != nil {
+		k := i % len(g.cells)
+		if err := sw.sendCell(i%16, g.cells[k], g.ms[k], true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,28 +77,34 @@ func BenchmarkStreamEncode(b *testing.B) {
 
 var decodedEvent *StreamEvent
 
+// BenchmarkStreamDecode decodes the whole grid's stream with one
+// decoder, Reset at the end of each pass, as a scheduler's pooled
+// decoders are across leases.
 func BenchmarkStreamDecode(b *testing.B) {
-	cells := benchCells(b)
+	g := benchGrid(b)
 	var buf bytes.Buffer
 	sw := newStreamWriter(&buf, nil)
-	evs := []*StreamEvent{{Header: &StreamHeader{Seed: 42, Cells: len(cells)}}}
-	for i := range cells {
-		evs = append(evs, &StreamEvent{Cell: &cells[i]})
+	if err := sw.send(&StreamEvent{Header: &StreamHeader{Seed: 42, Cells: len(g.cells)}}); err != nil {
+		b.Fatal(err)
 	}
-	evs = append(evs, &StreamEvent{Done: &StreamDone{Cells: len(cells)}})
-	for _, ev := range evs {
-		if err := sw.send(ev); err != nil {
+	for k := range g.cells {
+		if err := sw.sendCell(k%16, g.cells[k], g.ms[k], true); err != nil {
 			b.Fatal(err)
 		}
 	}
+	if err := sw.send(&StreamEvent{Done: &StreamDone{Cells: len(g.cells)}}); err != nil {
+		b.Fatal(err)
+	}
 	stream := buf.Bytes()
+	rd := bytes.NewReader(stream)
 	b.ReportAllocs()
 	b.ResetTimer()
-	dec := NewStreamDecoder(bytes.NewReader(stream))
+	dec := NewStreamDecoder(rd)
 	for i := 0; i < b.N; {
 		ev, err := dec.Next()
 		if err == io.EOF {
-			dec = NewStreamDecoder(bytes.NewReader(stream))
+			rd.Reset(stream)
+			dec.Reset(rd)
 			continue
 		}
 		if err != nil {
@@ -102,5 +115,5 @@ func BenchmarkStreamDecode(b *testing.B) {
 			i++
 		}
 	}
-	b.ReportMetric(float64(len(stream))/float64(len(cells)), "wire-B/cell")
+	b.ReportMetric(float64(len(stream))/float64(len(g.cells)), "wire-B/cell")
 }

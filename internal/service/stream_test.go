@@ -11,14 +11,21 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/counters"
+	"repro/internal/harness"
+	"repro/internal/proc"
+	"repro/internal/stats"
 )
 
 // decodeAll drains a stream body into its events, failing the test on
-// any decode error.
+// any decode error. Next reuses its event storage, so each event is
+// copied out before the next call.
 func decodeAll(t *testing.T, r io.Reader) []*StreamEvent {
 	t.Helper()
 	d := NewStreamDecoder(r)
@@ -31,8 +38,31 @@ func decodeAll(t *testing.T, r io.Reader) []*StreamEvent {
 		if err != nil {
 			t.Fatalf("decode after %d events: %v", len(evs), err)
 		}
-		evs = append(evs, ev)
+		evs = append(evs, copyEvent(ev))
 	}
+}
+
+// copyEvent deep-copies ev out of its decoder's storage.
+func copyEvent(ev *StreamEvent) *StreamEvent {
+	c := *ev
+	if ev.Header != nil {
+		h := *ev.Header
+		c.Header = &h
+	}
+	if ev.Cell != nil {
+		sc := *ev.Cell
+		if d := sc.Result.Full; d != nil {
+			dc := *d
+			dc.RunSamples = slices.Clone(d.RunSamples)
+			sc.Result.Full = &dc
+		}
+		c.Cell = &sc
+	}
+	if ev.Done != nil {
+		d := *ev.Done
+		c.Done = &d
+	}
+	return &c
 }
 
 // TestMeasureStreamMatchesBuffered is the protocol contract: the
@@ -310,6 +340,122 @@ func TestStreamDecoderRejectsUnknownLines(t *testing.T) {
 	ev, err := NewStreamDecoder(bytes.NewReader(rawFrame(frameCell, cell))).Next()
 	if err != nil || !reflect.DeepEqual(ev.Cell, testCell) {
 		t.Fatalf("untampered cell: %+v, %v", ev, err)
+	}
+}
+
+// fullCell is testCell with a full detail of n distinct run samples.
+func fullCell(n int) *StreamCell {
+	c := *testCell
+	c.Index, c.Result.Runs = n, n
+	d := &CellDetail{
+		RunSamples: make([]RunJSON, n),
+		Counters:   CountersJSON{Cycles: float64(n), LLCMisses: 1},
+		TimeCI:     CIJSON{Mean: 1, Half: 0.1, Level: 0.95, N: n},
+		PowerCI:    CIJSON{Mean: 2, Half: 0.2, Level: 0.95, N: n},
+	}
+	for i := range d.RunSamples {
+		d.RunSamples[i] = RunJSON{Seconds: float64(100*n + i), Watts: float64(i), Counters: CountersJSON{Instructions: float64(i + 1)}}
+	}
+	c.Result.Full = d
+	return &c
+}
+
+// TestStreamDecoderReuse: one decoder, Reset between streams, gives
+// every frame exactly the event a fresh decoder gives for that frame
+// alone — no run samples, detail or fields left over from an earlier
+// frame, and no sticky error left over from an earlier stream.
+func TestStreamDecoderReuse(t *testing.T) {
+	evs := []*StreamEvent{
+		{Cell: fullCell(20)},
+		{Cell: fullCell(3)},
+		{Cell: testCell},
+		{KeepAlive: true},
+		{Done: &StreamDone{Cells: 3}},
+	}
+	d := NewStreamDecoder(bytes.NewReader(nil))
+	for pass := 0; pass < 2; pass++ {
+		d.Reset(bytes.NewReader(frames(t, evs...)))
+		for i, want := range evs {
+			got, err := d.Next()
+			if err != nil {
+				t.Fatalf("pass %d, frame %d: %v", pass, i, err)
+			}
+			fresh, err := NewStreamDecoder(bytes.NewReader(frames(t, want))).Next()
+			if err != nil {
+				t.Fatalf("pass %d, frame %d alone: %v", pass, i, err)
+			}
+			if !reflect.DeepEqual(got, fresh) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("pass %d, frame %d: reused decoder gave %+v, a fresh one %+v, encoded %+v", pass, i, got, fresh, want)
+			}
+		}
+		if _, err := d.Next(); err != io.EOF {
+			t.Fatalf("pass %d: end of stream returned %v, want io.EOF", pass, err)
+		}
+	}
+	d.Reset(bytes.NewReader(rawFrame('x', nil)))
+	if _, err := d.Next(); err == nil || err == io.EOF {
+		t.Fatalf("unknown frame kind decoded: %v", err)
+	}
+	d.Reset(bytes.NewReader(frames(t, evs[1])))
+	if got, err := d.Next(); err != nil || !reflect.DeepEqual(got, evs[1]) {
+		t.Fatalf("after Reset from a poisoned stream: %+v, %v", got, err)
+	}
+}
+
+// TestStreamWriterCellAllocs: a cell frame encoded from the cached
+// measurement writes the same bytes as one encoded from a freshly
+// built CellResult, and a warm writer encodes it without allocating.
+func TestStreamWriterCellAllocs(t *testing.T) {
+	ix := names()
+	c := cell{bench: ix.benches["mcf"], cp: proc.ConfiguredProcessor{Proc: ix.procs["i7 (45)"]}}
+	c.cp.Config = c.cp.Proc.Stock()
+	m := func(n int) *harness.Measurement {
+		m := &harness.Measurement{Bench: c.bench, CP: c.cp, Runs: make([]harness.RunSample, n),
+			Seconds: 1.5, Watts: 40, EnergyJ: 60, Counters: counters.Counters{Cycles: 7},
+			TimeCI: stats.CI{Mean: 1.5, Half: 0.01, Level: 0.95, N: n}, PowerCI: stats.CI{Mean: 40, Half: 0.2, Level: 0.95, N: n}}
+		for i := range m.Runs {
+			m.Runs[i] = harness.RunSample{Seconds: float64(n + i), Watts: float64(i), Counters: counters.Counters{LLCMisses: float64(i)}}
+		}
+		return m
+	}
+	ms := []*harness.Measurement{m(20), m(3), m(5)}
+
+	var got, want bytes.Buffer
+	sw := newStreamWriter(&got, nil)
+	defer sw.release()
+	ref := newStreamWriter(&want, nil)
+	defer ref.release()
+	for i, m := range ms {
+		for _, full := range []bool{true, false} {
+			if err := sw.sendCell(i, c, m, full); err != nil {
+				t.Fatal(err)
+			}
+			sc := &StreamCell{Index: i}
+			var d *CellDetail
+			if full {
+				d = new(CellDetail)
+			}
+			setCellResult(&sc.Result, d, c, m)
+			if err := ref.send(&StreamEvent{Cell: sc}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("frames encoded from the measurement differ from frames of a fresh CellResult")
+	}
+
+	var w countingWriter
+	sw.w = &w
+	k := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		k++
+		if err := sw.sendCell(k%16, c, ms[k%len(ms)], true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm writer: %v allocs per cell frame, want 0", allocs)
 	}
 }
 

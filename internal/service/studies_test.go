@@ -446,7 +446,7 @@ func TestFanOutCompleteDespiteLateCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var sunk atomic.Int64
-	err = srv.fanOutMeasure(ctx, 42, laneBulk, false, cells, func(int, *harness.Measurement, *CellResult) {
+	err = srv.fanOutMeasure(ctx, 42, laneBulk, cells, func(int, *harness.Measurement) {
 		if sunk.Add(1) == int64(len(cells)) {
 			cancel()
 		}

@@ -413,17 +413,16 @@ func (e *Engine) releasePinsLocked() {
 
 // at returns the newest cumulative snapshot at or before cutoff,
 // falling back to the oldest retained (short-uptime semantics: the
-// window is however much history exists).
+// window is however much history exists). Advance pushes snapshots at
+// strictly increasing times, so the ring is sorted and a binary search
+// finds the snapshot a scan from the oldest would.
 func (obj *objective) at(cutoff time.Time) (cumSample, bool) {
-	best, found := obj.ring.At(0), obj.ring.Len() > 0 // oldest fallback
-	for i := 1; i < obj.ring.Len(); i++ {
-		s := obj.ring.At(i)
-		if s.t.After(cutoff) {
-			break
-		}
-		best = s
+	n := obj.ring.Len()
+	if n == 0 {
+		return cumSample{}, false
 	}
-	return best, found
+	after := sort.Search(n, func(i int) bool { return obj.ring.At(i).t.After(cutoff) })
+	return obj.ring.At(max(after-1, 0)), true // oldest fallback when none is at or before
 }
 
 // burnLocked computes the burn rate over the trailing window ending at

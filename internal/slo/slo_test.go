@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -449,5 +450,81 @@ func TestExemplarPinLifecycle(t *testing.T) {
 	}
 	if got := pinner.live(); got == 0 {
 		t.Fatal("second breach episode pinned nothing")
+	}
+}
+
+// linearAt is the lookup at's binary search replaced: a scan from the
+// oldest snapshot, kept as the reference the search must agree with.
+func linearAt(obj *objective, cutoff time.Time) (cumSample, bool) {
+	best, found := obj.ring.At(0), obj.ring.Len() > 0
+	for i := 1; i < obj.ring.Len(); i++ {
+		s := obj.ring.At(i)
+		if s.t.After(cutoff) {
+			break
+		}
+		best = s
+	}
+	return best, found
+}
+
+// TestAtMatchesLinearScan: over random rings of strictly increasing
+// snapshot times (empty, one sample, partly filled, full and wrapped),
+// at returns exactly the snapshot a scan from the oldest returns, for
+// cutoffs before, on, between and after the retained times.
+func TestAtMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	base := time.Unix(1_700_000_000, 0)
+	for trial := 0; trial < 2000; trial++ {
+		capacity := 1 + rng.Intn(16)
+		obj := &objective{ring: telemetry.NewRing[cumSample](capacity)}
+		ts := base
+		var times []time.Time
+		for i, pushes := 0, rng.Intn(3*capacity+1); i < pushes; i++ {
+			// A resolution step or a longer jump, as Advance takes.
+			ts = ts.Add(time.Duration(1+rng.Intn(3)) * time.Second)
+			obj.ring.Push(cumSample{t: ts, good: int64(i), total: int64(2 * i)})
+			times = append(times, ts)
+		}
+		cutoffs := []time.Time{base, ts.Add(time.Hour)}
+		for _, at := range times {
+			cutoffs = append(cutoffs, at, at.Add(-time.Nanosecond), at.Add(time.Nanosecond))
+		}
+		for _, c := range cutoffs {
+			got, gotOK := obj.at(c)
+			want, wantOK := linearAt(obj, c)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("trial %d (capacity %d, %d retained), cutoff %v: at = %+v %v, scan = %+v %v",
+					trial, capacity, obj.ring.Len(), c.Sub(base), got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
+var snapshotSink Snapshot
+
+// BenchmarkSnapshotFullRing reads a snapshot (what /v1/sloz and
+// /metricsz do) with the default configuration's 72 h ring full:
+// 25,922 cumulative snapshots at the 10 s resolution, and five window
+// lookups per objective per read.
+func BenchmarkSnapshotFullRing(b *testing.B) {
+	clk := &clock{t: time.Unix(1_700_000_000, 0)}
+	e, err := New(Config{Objectives: []Objective{latencyObjective()}, Now: clk.now})
+	if err != nil {
+		b.Fatal(err)
+	}
+	obj := e.objs[0]
+	n := int(e.cfg.SlowLong/e.cfg.Resolution) + 2
+	for i := 0; i < n; i++ {
+		clk.step(e.cfg.Resolution)
+		obj.ring.Push(cumSample{t: clk.t, good: int64(99 * i), total: int64(100 * i)})
+	}
+	if obj.ring.Len() != n {
+		b.Fatalf("ring holds %d snapshots, want %d", obj.ring.Len(), n)
+	}
+	e.lastTick = clk.t // the read below must not tick
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = e.Snapshot(clk.t)
 	}
 }

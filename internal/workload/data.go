@@ -186,11 +186,24 @@ func ByName(name string) (*Benchmark, error) {
 }
 
 // ByGroup returns the benchmarks of one group, in Table 1 order.
+// Callers receive fresh copies of that group's members only.
 func ByGroup(g Group) []*Benchmark {
-	var out []*Benchmark
-	for _, b := range All() {
-		if b.Group == g {
-			out = append(out, b)
+	allInit()
+	n := 0
+	for i := range allTemplate {
+		if allTemplate[i].Group == g {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	copies := make([]Benchmark, 0, n)
+	out := make([]*Benchmark, n)
+	for i := range allTemplate {
+		if allTemplate[i].Group == g {
+			copies = append(copies, allTemplate[i])
+			out[len(copies)-1] = &copies[len(copies)-1]
 		}
 	}
 	return out

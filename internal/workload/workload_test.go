@@ -83,10 +83,31 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// TestByGroupPartitionsAll: the groups' members are All's, in Table 1
+// order, and each call hands out fresh copies.
 func TestByGroupPartitionsAll(t *testing.T) {
 	total := 0
 	for _, g := range Groups() {
-		total += len(ByGroup(g))
+		var want []Benchmark
+		for _, b := range All() {
+			if b.Group == g {
+				want = append(want, *b)
+			}
+		}
+		got := ByGroup(g)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d members, want %d", g, len(got), len(want))
+		}
+		for i := range got {
+			if *got[i] != want[i] {
+				t.Fatalf("%v member %d is %s, want %s", g, i, got[i].Name, want[i].Name)
+			}
+			got[i].Name = "corrupted"
+		}
+		if fresh := ByGroup(g); *fresh[0] != want[0] {
+			t.Fatalf("%v: a caller's write reached the next call", g)
+		}
+		total += len(got)
 	}
 	if total != 61 {
 		t.Fatalf("groups cover %d benchmarks, want 61", total)
