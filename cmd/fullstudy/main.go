@@ -7,7 +7,7 @@
 // Usage:
 //
 //	fullstudy [-seed N] [-out DIR] [-backends URL,URL,...] [-lease-expiry D]
-//	          [-batch-size N] [-trace-out trace.json]
+//	          [-trace-out trace.json]
 //
 // With -backends the study runs remotely against a fleet of powerperfd
 // instances through the work-stealing scheduler: every cell has a
@@ -64,14 +64,13 @@ func main() {
 	out := flag.String("out", "dataset", "output directory")
 	backends := flag.String("backends", "", "comma-separated powerperfd base URLs; when set, measure remotely")
 	leaseExpiry := flag.Duration("lease-expiry", 2*time.Second, "steal a lease after it delivers no cell for this long (with -backends)")
-	batchSize := flag.Int("batch-size", 0, "cells per scheduling block (local) or per lease (with -backends); 0 = automatic. Tune with `powerperf tune`")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run's spans to this file")
 	traceBuffer := flag.Int("trace-buffer", 65536, "completed spans retained for -trace-out")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	if err := validateFlags(*batchSize, *traceOut, *traceBuffer, *backends, *leaseExpiry); err != nil {
+	if err := validateFlags(*traceOut, *traceBuffer, *backends, *leaseExpiry); err != nil {
 		fatal("flags", err)
 	}
 
@@ -95,7 +94,7 @@ func main() {
 	}
 
 	start := time.Now()
-	measurements, aggregates, err := streamers(ctx, *seed, *backends, *leaseExpiry, *batchSize, tracer)
+	measurements, aggregates, err := streamers(ctx, *seed, *backends, *leaseExpiry, tracer)
 	if err != nil {
 		fatal("setup", err)
 	}
@@ -131,12 +130,7 @@ func main() {
 // validateFlags rejects flag values the run would otherwise silently
 // replace with a default, so a typo'd flag fails before any work starts
 // instead of changing the schedule or the trace.
-func validateFlags(batchSize int, traceOut string, traceBuffer int, backends string, leaseExpiry time.Duration) error {
-	// A negative batch size would fall back to the automatic block
-	// (local) or the 16-cell default lease (remote).
-	if batchSize < 0 {
-		return fmt.Errorf("-batch-size must be >= 0 (0 = automatic), got %d", batchSize)
-	}
+func validateFlags(traceOut string, traceBuffer int, backends string, leaseExpiry time.Duration) error {
 	// The tracer would retain its 4,096-span default, not the flag's.
 	if traceOut != "" && traceBuffer <= 0 {
 		return fmt.Errorf("-trace-buffer must be > 0 with -trace-out, got %d", traceBuffer)
@@ -152,21 +146,15 @@ type streamFunc = func(ctx context.Context, w io.Writer) error
 
 // streamers builds the two CSV writers, local (in-process harness) or
 // remote (the scheduler over powerperfd backends). Both paths produce
-// byte-identical files at the same seed, traced or not, at any batch
-// or lease size — scheduling is pure plumbing under the determinism
-// contract.
-func streamers(ctx context.Context, seed int64, backends string, leaseExpiry time.Duration, batchSize int, tracer *telemetry.Tracer) (measurements, aggregates streamFunc, err error) {
+// byte-identical files at the same seed, traced or not — scheduling is
+// pure plumbing under the determinism contract.
+func streamers(ctx context.Context, seed int64, backends string, leaseExpiry time.Duration, tracer *telemetry.Tracer) (measurements, aggregates streamFunc, err error) {
 	if backends == "" {
 		study, err := powerperf.NewStudy(seed)
 		if err != nil {
 			return nil, nil, err
 		}
 		study.SetTracer(tracer)
-		if batchSize > 0 {
-			if err := study.SetBlockSize(batchSize); err != nil {
-				return nil, nil, err
-			}
-		}
 		return func(ctx context.Context, w io.Writer) error {
 				return study.WriteMeasurementsCSV(ctx, w, nil, 0)
 			}, func(ctx context.Context, w io.Writer) error {
@@ -181,7 +169,7 @@ func streamers(ctx context.Context, seed int64, backends string, leaseExpiry tim
 		}
 	}
 	sc, err := cluster.NewScheduler(urls, cluster.SchedulerOptions{
-		Seed: &seed, LeaseCells: batchSize, LeaseExpiry: leaseExpiry, Tracer: tracer})
+		Seed: &seed, LeaseExpiry: leaseExpiry, Tracer: tracer})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	powerperf [-seed N] [-csv DIR] [-full-table2] [artifact ...]
-//	powerperf tune [-seed N] [-configs N] [-repeats N] [-backends N] [-grid quick|full] [-out FILE]
-//	powerperf query [-store-dir DIR] [-rows|-aggregates] [-processor P] [-benchmark B] [-json]
+//	powerperf query [-store-dir DIR] [-rows [-limit N]|-aggregates] [-processor P] [-benchmark B] [-json]
 //	powerperf trend [-store-dir DIR] [-filter-seed N] [-json]
 //	powerperf slo [-daemon URL] [-json]
 //
@@ -23,24 +22,12 @@
 // The slo subcommand fetches a live daemon's /v1/sloz snapshot and
 // renders its error budgets, burn rates, and breach exemplars (with
 // ready-to-paste trace URLs) as a terminal table.
-//
-// The tune subcommand sweeps the serving pipeline's performance knobs
-// (backend workers, cache shards, and the scheduler's lease size) over a
-// calibration grid, timing each point's study through the work-stealing
-// scheduler against in-process backends, prints the scored grid, and
-// emits the knee point as ready-to-paste powerperfd and fullstudy flags
-// (plus a JSON report with -out); the fullstudy -batch-size it prints is
-// the lease size it timed. The knobs are pure scheduling: study bytes
-// are identical at every point.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,8 +35,6 @@ import (
 	powerperf "repro"
 	"repro/internal/profiling"
 	"repro/internal/report"
-	"repro/internal/telemetry"
-	"repro/internal/tune"
 )
 
 var artifactOrder = []string{
@@ -64,9 +49,6 @@ func main() {
 	log.SetPrefix("powerperf: ")
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
-		case "tune":
-			runTune(os.Args[2:])
-			return
 		case "query":
 			runQuery(os.Args[2:])
 			return
@@ -131,72 +113,6 @@ func main() {
 				}
 			}
 		}
-	}
-}
-
-// runTune drives the experiment-grid auto-tuner.
-func runTune(args []string) {
-	fs := flag.NewFlagSet("powerperf tune", flag.ExitOnError)
-	seed := fs.Int64("seed", 42, "study seed for the calibration runs")
-	configs := fs.Int("configs", 2, "stock configurations per calibration study (x 61 benchmarks)")
-	repeats := fs.Int("repeats", 1, "cold-cache repeats per grid point; the fastest scores the point")
-	backends := fs.Int("backends", 2, "in-process powerperfd instances per calibration study")
-	gridName := fs.String("grid", "quick", "sweep to run: quick (lease sizes) or full (all knobs)")
-	out := fs.String("out", "", "also write the full JSON report to this file")
-	_ = fs.Parse(args)
-
-	// Calibration backends are throwaway: their per-request access lines
-	// would swamp the grid report, so only warnings get through.
-	telemetry.SetLogLevel(slog.LevelWarn)
-
-	var grid tune.Grid
-	switch *gridName {
-	case "quick":
-		grid = tune.QuickGrid()
-	case "full":
-		grid = tune.FullGrid()
-	default:
-		log.Fatalf("unknown grid %q (want quick or full)", *gridName)
-	}
-
-	rep, err := tune.Run(context.Background(), tune.Config{
-		Seed:     *seed,
-		Configs:  *configs,
-		Repeats:  *repeats,
-		Backends: *backends,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", a...)
-		},
-	}, grid)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("\nswept %d grid points (%d cells each, %d backends, seed %d)\n\n",
-		len(rep.Results), rep.Results[0].Cells, rep.Backends, rep.Seed)
-	for _, r := range rep.Results {
-		marker := " "
-		if r.Point == rep.Knee {
-			marker = "*"
-		}
-		fmt.Printf(" %s %-48s %8.3fs\n", marker, r.Point, r.Seconds)
-	}
-	fmt.Printf("\nknee: %s (%.3fs, best %.3fs)\n", rep.Knee, rep.KneeSeconds, rep.Best)
-	fmt.Printf("  powerperfd %s\n", rep.PowerperfdFlags())
-	fmt.Printf("  fullstudy  %s\n", rep.FullstudyFlags())
-	for _, e := range rep.Env() {
-		fmt.Printf("  %s\n", e)
-	}
-
-	if *out != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("report written to %s", *out)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -81,6 +82,10 @@ func runQuery(args []string) {
 	asJSON := fs.Bool("json", false, "emit JSON instead of tables")
 	query := storeQueryFlags(fs)
 	_ = fs.Parse(args)
+	if err := validateQueryFlags(*rows, *aggregates, *limit); err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 	s := openStore(*dir)
 	defer s.Close()
 	q := query()
@@ -147,6 +152,19 @@ func runQuery(args []string) {
 				m.ID, m.Seed, m.SealedTime().UTC().Format(time.RFC3339), m.Rows, m.Bytes)
 		}
 	}
+}
+
+// validateQueryFlags rejects flag values the query would otherwise
+// resolve silently: -rows would win over -aggregates, and a negative
+// -limit would read as unlimited.
+func validateQueryFlags(rows, aggregates bool, limit int) error {
+	if rows && aggregates {
+		return errors.New("-rows and -aggregates are exclusive")
+	}
+	if limit < 0 {
+		return fmt.Errorf("-limit %d: want >= 0 (0 = unlimited)", limit)
+	}
+	return nil
 }
 
 // runTrend serves the `powerperf trend` subcommand: replay the stored

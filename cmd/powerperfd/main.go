@@ -8,7 +8,7 @@
 // Usage:
 //
 //	powerperfd [-addr :8722] [-seed 42] [-workers N] [-queue 1024]
-//	           [-cache-cells 10980] [-cache-shards 16] [-read-timeout 30s]
+//	           [-cache-cells 10980] [-read-timeout 30s]
 //	           [-write-timeout 15m] [-idle-timeout 2m]
 //	           [-trace-buffer 4096] [-pprof] [-log-level info]
 //	           [-monitor-backends self,http://host:8722] [-monitor-interval 5s]
@@ -68,7 +68,6 @@ func main() {
 	workers := flag.Int("workers", 0, "measurement workers (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 1024, "bounded measurement queue depth")
 	cacheCells := flag.Int("cache-cells", 0, "measurement cache capacity in cells (0 = 4 study grids)")
-	cacheShards := flag.Int("cache-shards", 0, "measurement cache shard count, a power of two (0 = 16); tune with `powerperf tune`")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown limit")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "max duration to read a full request, header plus body (0 = none)")
 	writeTimeout := flag.Duration("write-timeout", 15*time.Minute, "max duration to write a full response; must cover a cold dataset stream (0 = none)")
@@ -89,34 +88,31 @@ func main() {
 		logger.Error("bad -log-level", slog.Any("error", err))
 		os.Exit(2)
 	}
-	if err := validateFlags(*cacheShards, *tailSample, *monBackends, *monInterval); err != nil {
+	opts := service.Options{
+		Seed:          *seed,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		CacheCapacity: *cacheCells,
+		TraceBuffer:   *traceBuffer,
+	}
+	if err := validateFlags(opts, *tailSample, *monBackends, *monInterval); err != nil {
 		logger.Error("bad flag", slog.Any("error", err))
 		os.Exit(2)
 	}
 
-	var studyStore *store.Store
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
 			logger.Error("bad -store-dir", slog.Any("error", err))
 			os.Exit(2)
 		}
-		studyStore = st
+		opts.Store = st
 		sst := st.Stats()
 		logger.Info("study store open", slog.String("dir", *storeDir),
 			slog.Int64("segments", sst.Segments), slog.Int64("rows", sst.Rows),
 			slog.Int64("truncated_tail_bytes", sst.TruncatedTail))
 	}
 
-	opts := service.Options{
-		Seed:          *seed,
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		CacheCapacity: *cacheCells,
-		CacheShards:   *cacheShards,
-		TraceBuffer:   *traceBuffer,
-		Store:         studyStore,
-	}
 	if *sloOn {
 		cfg := service.DefaultSLOConfig()
 		cfg.Objectives[0].LatencyThreshold = *sloLatency
@@ -200,10 +196,10 @@ func main() {
 	case <-shutdownCtx.Done():
 		logger.Warn("shutdown: drain limit hit, exiting with work queued")
 	}
-	if studyStore != nil {
+	if opts.Store != nil {
 		// Drain already flushed and fsynced the ingest; this releases
 		// the log file handle.
-		if err := studyStore.Close(); err != nil {
+		if err := opts.Store.Close(); err != nil {
 			logger.Warn("study store close", slog.Any("error", err))
 		}
 	}
@@ -212,11 +208,20 @@ func main() {
 // validateFlags rejects flag values the daemon would otherwise misread
 // or silently ignore, so a bad value is a clean exit rather than a
 // daemon running some other configuration.
-func validateFlags(cacheShards int, tailSample float64, monBackends string, monInterval time.Duration) error {
-	// The shard router masks, so a non-power-of-two count would skew
-	// (or skip) shards.
-	if err := service.ValidateCacheShards(cacheShards); err != nil {
-		return fmt.Errorf("-cache-shards: %w", err)
+func validateFlags(opts service.Options, tailSample float64, monBackends string, monInterval time.Duration) error {
+	// service.Options maps each of these to its default, so a value out
+	// of range would run a daemon sized other than asked.
+	if opts.Workers < 0 {
+		return fmt.Errorf("-workers %d: want >= 0 (0 = GOMAXPROCS)", opts.Workers)
+	}
+	if opts.QueueDepth <= 0 {
+		return fmt.Errorf("-queue %d: want > 0", opts.QueueDepth)
+	}
+	if opts.CacheCapacity < 0 {
+		return fmt.Errorf("-cache-cells %d: want >= 0 (0 = 4 study grids)", opts.CacheCapacity)
+	}
+	if opts.TraceBuffer < 0 {
+		return fmt.Errorf("-trace-buffer %d: want >= 0 (0 = 4096)", opts.TraceBuffer)
 	}
 	// Written as the valid range so NaN, which fails every comparison,
 	// is rejected too.

@@ -5,34 +5,40 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/service"
 )
 
 func TestValidateFlags(t *testing.T) {
+	defaults := service.Options{QueueDepth: 1024}
 	cases := []struct {
 		name        string
-		cacheShards int
+		opts        service.Options
 		tailSample  float64
 		monBackends string
 		monInterval time.Duration
 		ok          bool
 	}{
-		{name: "defaults", monInterval: 5 * time.Second, ok: true},
-		{name: "power-of-two shards", cacheShards: 32, monInterval: 5 * time.Second, ok: true},
-		{name: "odd shards", cacheShards: 12, monInterval: 5 * time.Second},
-		{name: "negative shards", cacheShards: -1, monInterval: 5 * time.Second},
-		{name: "tail sample in range", tailSample: 0.05, monInterval: 5 * time.Second, ok: true},
-		{name: "tail sample one", tailSample: 1, monInterval: 5 * time.Second, ok: true},
-		{name: "tail sample above one", tailSample: 1.5, monInterval: 5 * time.Second},
-		{name: "tail sample negative", tailSample: -0.1, monInterval: 5 * time.Second},
-		{name: "tail sample NaN", tailSample: math.NaN(), monInterval: 5 * time.Second},
-		{name: "tail sample +Inf", tailSample: math.Inf(1), monInterval: 5 * time.Second},
-		{name: "monitor with interval", monBackends: "self", monInterval: time.Second, ok: true},
-		{name: "monitor with zero interval", monBackends: "self", monInterval: 0},
-		{name: "monitor with negative interval", monBackends: "self", monInterval: -time.Second},
-		{name: "zero interval without monitor", monInterval: 0, ok: true},
+		{name: "defaults", opts: defaults, monInterval: 5 * time.Second, ok: true},
+		{name: "explicit sizes", opts: service.Options{Workers: 4, QueueDepth: 1, CacheCapacity: 100, TraceBuffer: 1}, monInterval: 5 * time.Second, ok: true},
+		{name: "negative workers", opts: service.Options{Workers: -1, QueueDepth: 1024}, monInterval: 5 * time.Second},
+		{name: "zero queue", opts: service.Options{QueueDepth: 0}, monInterval: 5 * time.Second},
+		{name: "negative queue", opts: service.Options{QueueDepth: -1}, monInterval: 5 * time.Second},
+		{name: "negative cache cells", opts: service.Options{QueueDepth: 1024, CacheCapacity: -1}, monInterval: 5 * time.Second},
+		{name: "negative trace buffer", opts: service.Options{QueueDepth: 1024, TraceBuffer: -1}, monInterval: 5 * time.Second},
+		{name: "tail sample in range", opts: defaults, tailSample: 0.05, monInterval: 5 * time.Second, ok: true},
+		{name: "tail sample one", opts: defaults, tailSample: 1, monInterval: 5 * time.Second, ok: true},
+		{name: "tail sample above one", opts: defaults, tailSample: 1.5, monInterval: 5 * time.Second},
+		{name: "tail sample negative", opts: defaults, tailSample: -0.1, monInterval: 5 * time.Second},
+		{name: "tail sample NaN", opts: defaults, tailSample: math.NaN(), monInterval: 5 * time.Second},
+		{name: "tail sample +Inf", opts: defaults, tailSample: math.Inf(1), monInterval: 5 * time.Second},
+		{name: "monitor with interval", opts: defaults, monBackends: "self", monInterval: time.Second, ok: true},
+		{name: "monitor with zero interval", opts: defaults, monBackends: "self", monInterval: 0},
+		{name: "monitor with negative interval", opts: defaults, monBackends: "self", monInterval: -time.Second},
+		{name: "zero interval without monitor", opts: defaults, monInterval: 0, ok: true},
 	}
 	for _, tc := range cases {
-		err := validateFlags(tc.cacheShards, tc.tailSample, tc.monBackends, tc.monInterval)
+		err := validateFlags(tc.opts, tc.tailSample, tc.monBackends, tc.monInterval)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: validateFlags = %v, want ok=%v", tc.name, err, tc.ok)
 		}

@@ -37,10 +37,6 @@ type SchedulerOptions struct {
 	// delivery, not total lease duration — a slow-but-moving backend is
 	// not stolen from.
 	LeaseExpiry time.Duration
-	// MaxLeaseHolders bounds how many backends may hold one lease at
-	// once (the original plus thieves); <= 0 selects 2. First result
-	// wins per cell; the loser's duplicates are discarded.
-	MaxLeaseHolders int
 	// MaxLeaseFailures is how many failed dispatches one lease absorbs
 	// before the run is declared failed; <= 0 selects 32. It bounds the
 	// retry loop when the whole fleet is down.
@@ -49,10 +45,6 @@ type SchedulerOptions struct {
 	// backend serves when MeasureBatch is called with workers <= 0;
 	// <= 0 selects 2.
 	PullersPerBackend int
-	// RequestTimeout is the per-stream deadline; <= 0 selects 5m. The
-	// stream's keep-alives do not extend it — it bounds one lease
-	// end-to-end.
-	RequestTimeout time.Duration
 	// BreakerThreshold and BreakerCooldown shape the per-backend circuit
 	// breaker; they default to 3 and 5s. A dead backend's pullers idle
 	// on the open breaker instead of hammering it, and the half-open
@@ -72,6 +64,16 @@ type SchedulerOptions struct {
 	Tracer *telemetry.Tracer
 }
 
+const (
+	// maxLeaseHolders bounds how many backends may hold one lease at
+	// once: the original and one thief. First result wins per cell; the
+	// loser's duplicates are discarded.
+	maxLeaseHolders = 2
+	// requestTimeout is the per-stream deadline. The stream's
+	// keep-alives do not extend it: it bounds one lease end-to-end.
+	requestTimeout = 5 * time.Minute
+)
+
 func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	if o.Seed == nil {
 		s := int64(42)
@@ -83,17 +85,11 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	if o.LeaseExpiry <= 0 {
 		o.LeaseExpiry = 2 * time.Second
 	}
-	if o.MaxLeaseHolders <= 0 {
-		o.MaxLeaseHolders = 2
-	}
 	if o.MaxLeaseFailures <= 0 {
 		o.MaxLeaseFailures = 32
 	}
 	if o.PullersPerBackend <= 0 {
 		o.PullersPerBackend = 2
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 5 * time.Minute
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
@@ -184,7 +180,7 @@ func NewScheduler(backends []string, opts SchedulerOptions) (*Scheduler, error) 
 		attr:     newAttribution(members),
 	}
 	for _, m := range members {
-		s.clients[m] = NewClient(m, hc, opts.RequestTimeout)
+		s.clients[m] = NewClient(m, hc, requestTimeout)
 		s.breakers[m] = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	return s, nil
@@ -340,7 +336,7 @@ func (r *run) acquire(backend string) (*lease, []int, string) {
 	steal := false
 	if pick == nil {
 		for _, l := range r.leases {
-			if l.remaining == 0 || l.holders == 0 || l.holders >= r.s.opts.MaxLeaseHolders {
+			if l.remaining == 0 || l.holders == 0 || l.holders >= maxLeaseHolders {
 				continue
 			}
 			if l.holderOf[backend] > 0 {

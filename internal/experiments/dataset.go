@@ -27,9 +27,6 @@ var AggregatesHeader = []string{
 	"configuration", "group", "perf_norm", "watts", "energy_norm", "benchmarks",
 }
 
-// fmtG renders dataset numbers the way the companion CSV does.
-func fmtG(v float64) string { return fmt.Sprintf("%.6g", v) }
-
 // Source is a measurement provider for the dataset streamers: the local
 // harness satisfies it directly, and the cluster coordinator satisfies
 // it over HTTP. The determinism contract makes the two interchangeable —

@@ -72,32 +72,3 @@ func TestBatchBlocksGoldenAcrossSchedules(t *testing.T) {
 		}
 	}
 }
-
-// TestSetBlockSizeSticks verifies the harness-level knob MeasureBatch
-// reads, which Study.SetBlockSize and fullstudy -batch-size feed.
-func TestSetBlockSizeSticks(t *testing.T) {
-	h, err := New(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.BlockSize() != 0 {
-		t.Fatalf("fresh harness block size %d, want 0 (automatic)", h.BlockSize())
-	}
-	h.SetBlockSize(17)
-	if h.BlockSize() != 17 {
-		t.Fatalf("block size %d after SetBlockSize(17)", h.BlockSize())
-	}
-	h.SetBlockSize(-3)
-	if h.BlockSize() != 0 {
-		t.Fatalf("negative block size should reset to automatic, got %d", h.BlockSize())
-	}
-	jobs := GridJobs(proc.StockConfigs()[:1], workload.ByGroup(workload.JavaScalable)[:3])
-	h.SetBlockSize(2) // does not divide 3
-	got, err := h.MeasureBatch(context.Background(), jobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(jobs) {
-		t.Fatalf("%d results, want %d", len(got), len(jobs))
-	}
-}

@@ -77,11 +77,6 @@ type Harness struct {
 	// benchmarks), and a Machine is immutable once built.
 	mmu      sync.Mutex
 	machines map[string]*sim.Machine
-
-	// blockSize is the default block MeasureBatch workers claim per
-	// scheduling step; 0 selects the automatic size. Set via
-	// SetBlockSize before issuing work.
-	blockSize int
 }
 
 // cacheEntry memoizes one measurement; the Once arbitrates concurrent
@@ -357,10 +352,4 @@ func runSeedFrom(base uint64, run, iter int) int64 {
 	f = fnvByte(f, '|')
 	f = fnvInt(f, int64(iter))
 	return int64(f)
-}
-
-// runSeed derives a stable per-run seed from the harness seed and the
-// run's identity, keeping the whole study reproducible.
-func (h *Harness) runSeed(bench string, machine *sim.Machine, run, iter int) int64 {
-	return runSeedFrom(h.seedBase(bench, machine), run, iter)
 }

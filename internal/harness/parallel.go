@@ -32,21 +32,6 @@ func DefaultBlockSize(jobs, workers int) int {
 	return block
 }
 
-// SetBlockSize fixes the block MeasureBatch workers claim per scheduling
-// step; n <= 0 restores the automatic size. Blocking is pure scheduling:
-// any block size produces byte-identical measurements (pinned by the
-// golden determinism tests), it only changes how work is handed out and
-// how often per-block setup (machine and meter resolution) is repeated.
-func (h *Harness) SetBlockSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	h.blockSize = n
-}
-
-// BlockSize reports the configured block size (0 = automatic).
-func (h *Harness) BlockSize() int { return h.blockSize }
-
 // MeasureBatch runs a set of measurements across a worker pool and
 // returns them in job order. Measurements are deterministic in the
 // harness seed and independent of scheduling order (each run derives its
@@ -59,7 +44,7 @@ func (h *Harness) BlockSize() int { return h.blockSize }
 // batch returns ctx.Err() promptly (in-flight cells finish their current
 // measurement first — a cell is the cancellation granularity).
 func (h *Harness) MeasureBatch(ctx context.Context, jobs []Job, workers int) ([]*Measurement, error) {
-	return h.MeasureBatchBlocks(ctx, jobs, workers, h.blockSize)
+	return h.MeasureBatchBlocks(ctx, jobs, workers, 0)
 }
 
 // MeasureBatchBlocks is MeasureBatch with an explicit scheduling block:

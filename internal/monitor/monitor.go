@@ -30,26 +30,25 @@ type Options struct {
 	Jitter time.Duration
 	// Timeout bounds each scrape request; <= 0 selects 5s.
 	Timeout time.Duration
-	// RingCap bounds samples retained per series; <= 0 selects 512.
-	RingCap int
-	// MaxSeriesPerBackend bounds series per backend; <= 0 selects 768.
-	MaxSeriesPerBackend int
 	// TopCells is how many slowest cells to retain per backend from its
 	// span ring; 0 selects 8, negative disables the traces scrape.
 	TopCells int
 	// Rules are the detector rules; nil selects DefaultRules().
 	Rules []Rule
-	// Retention is how long resolved alerts stay visible; <= 0 selects
-	// 10m.
-	Retention time.Duration
 	// Seed seeds the jitter generator; 0 selects 1. Jitter is the one
 	// intentionally random element here, but tests still deserve
 	// reproducibility.
 	Seed int64
-	// HTTPClient overrides the scrape transport; nil selects a dedicated
-	// client.
-	HTTPClient *http.Client
 }
+
+const (
+	// seriesRingCap bounds samples retained per series.
+	seriesRingCap = 512
+	// maxSeriesPerBackend bounds series per backend.
+	maxSeriesPerBackend = 768
+	// alertRetention is how long resolved alerts stay visible.
+	alertRetention = 10 * time.Minute
+)
 
 func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
@@ -61,19 +60,10 @@ func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 5 * time.Second
 	}
-	if o.RingCap <= 0 {
-		o.RingCap = 512
-	}
-	if o.MaxSeriesPerBackend <= 0 {
-		o.MaxSeriesPerBackend = 768
-	}
 	if o.TopCells == 0 {
 		o.TopCells = 8
 	} else if o.TopCells < 0 {
 		o.TopCells = 0
-	}
-	if o.Retention <= 0 {
-		o.Retention = 10 * time.Minute
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -177,7 +167,7 @@ func New(backends []string, opts Options) *Monitor {
 		}
 	}
 	logger := telemetry.Logger("monitor")
-	st := newStore(opts.RingCap, opts.MaxSeriesPerBackend)
+	st := newStore(seriesRingCap, maxSeriesPerBackend)
 	rules := opts.Rules
 	if rules == nil {
 		rules = DefaultRules()
@@ -187,7 +177,7 @@ func New(backends []string, opts Options) *Monitor {
 		backends:  bes,
 		store:     st,
 		scraper:   newScraper(bes, opts, st, logger),
-		detector:  newDetector(rules, st, logger, opts.Retention),
+		detector:  newDetector(rules, st, logger, alertRetention),
 		analytics: traceanalytics.New(traceanalytics.Options{}),
 		logger:    logger,
 		start:     time.Now(),

@@ -75,16 +75,13 @@ const traceEvery = 8
 func newScraper(backends []string, o Options, st *store, logger *slog.Logger) *scraper {
 	sc := &scraper{
 		backends:  backends,
-		hc:        o.HTTPClient,
+		hc:        &http.Client{},
 		timeout:   o.Timeout,
 		topCells:  o.TopCells,
 		userAgent: "powerperfmon/" + Version + " " + telemetry.BuildInfo().UserAgentToken(),
 		store:     st,
 		state:     make(map[string]*backendState, len(backends)),
 		logger:    logger,
-	}
-	if sc.hc == nil {
-		sc.hc = &http.Client{}
 	}
 	for _, be := range backends {
 		sc.state[be] = &backendState{histPrev: make(map[string]histCum)}

@@ -29,14 +29,9 @@ type FleetOptions struct {
 	// Each harvest blocks this long on the backend, so the caller runs
 	// harvests off its hot path.
 	Seconds int
-	// Windows bounds retained harvests per backend (<=0 selects 8).
-	Windows int
 	// Timeout guards each HTTP request beyond the CPU window itself
 	// (<=0 selects 5s).
 	Timeout time.Duration
-	// HTTPClient overrides the transport (tests); nil uses a private
-	// client so profile pulls never share the serving pool.
-	HTTPClient *http.Client
 	// UserAgent stamps harvest requests.
 	UserAgent string
 }
@@ -55,13 +50,17 @@ type Harvest struct {
 	HeapInuse   int64            // inuse_space bytes at capture (gauge)
 }
 
+// fleetWindows bounds retained harvests per backend.
+const fleetWindows = 8
+
 // Fleet harvests and retains profiles for a set of backends.
 type Fleet struct {
-	opts   FleetOptions
+	opts FleetOptions
+	// client is private, so profile pulls never share the serving pool.
 	client *http.Client
 
 	mu   sync.Mutex
-	wins map[string][]Harvest // oldest first, bounded by Windows
+	wins map[string][]Harvest // oldest first, bounded by fleetWindows
 }
 
 // NewFleet builds a fleet profiler.
@@ -69,21 +68,11 @@ func NewFleet(opts FleetOptions) *Fleet {
 	if opts.Seconds <= 0 {
 		opts.Seconds = 1
 	}
-	if opts.Windows <= 0 {
-		opts.Windows = 8
-	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 5 * time.Second
 	}
-	client := opts.HTTPClient
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &Fleet{opts: opts, client: client, wins: make(map[string][]Harvest)}
+	return &Fleet{opts: opts, client: &http.Client{}, wins: make(map[string][]Harvest)}
 }
-
-// Backends returns the configured backend URLs.
-func (f *Fleet) Backends() []string { return f.opts.Backends }
 
 // HarvestAll captures one window from every backend concurrently and
 // appends it to the rolling windows. Failures record an error harvest
@@ -97,8 +86,8 @@ func (f *Fleet) HarvestAll(ctx context.Context) {
 			h := f.harvestOne(ctx, backend)
 			f.mu.Lock()
 			win := append(f.wins[backend], h)
-			if len(win) > f.opts.Windows {
-				win = win[len(win)-f.opts.Windows:]
+			if len(win) > fleetWindows {
+				win = win[len(win)-fleetWindows:]
 			}
 			f.wins[backend] = win
 			f.mu.Unlock()
@@ -241,18 +230,6 @@ func (f *Fleet) CPUBusyFrac(backend string) (float64, bool) {
 		return 0, false
 	}
 	return float64(h.CPUTotalNS) / float64(h.CPUDurationNS), true
-}
-
-// MergedCPU merges the newest CPU windows across the fleet into one
-// flat per-function view.
-func (f *Fleet) MergedCPU() map[string]int64 {
-	flats := make([]map[string]int64, 0, len(f.opts.Backends))
-	for _, b := range f.opts.Backends {
-		if h, ok := f.Latest(b); ok {
-			flats = append(flats, h.CPUByFunc)
-		}
-	}
-	return Merge(flats...)
 }
 
 // MergedAllocDelta merges per-backend allocation deltas fleet-wide.

@@ -12,9 +12,8 @@ import (
 // (comma separator, LF line endings, the same quoting rules) while
 // allocating nothing on the row path: fields append into one reused
 // byte buffer, and numbers render through strconv's appenders instead
-// of fmt. It exists for the dataset row path, where the classic
-// CSVStream's []string rows and fmt.Sprintf cells dominated the
-// serving-path allocation profile.
+// of fmt. It exists for the dataset row path, where []string rows and
+// fmt.Sprintf cells dominated the serving-path allocation profile.
 //
 // Usage: NewZeroCSVStream writes the header; each row is a sequence of
 // Field/Int/FloatG6 calls closed by EndRow, which validates the column

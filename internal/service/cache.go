@@ -13,15 +13,14 @@ package service
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// cacheShards is the default shard count: enough to keep lock
-// contention off the request path at the tested concurrency (32+
-// clients), small enough that per-shard LRU capacity stays meaningful.
-// The tuner sweeps this knob through Options.CacheShards.
+// cacheShards is the shard count: enough to keep lock contention off
+// the request path at the tested concurrency (32+ clients), small
+// enough that per-shard LRU capacity stays meaningful. It must be a
+// power of two, because shardFor masks.
 const cacheShards = 16
 
 // Cache is a sharded LRU keyed by string with singleflight fills: the
@@ -69,49 +68,11 @@ func (e *entry) completed() bool {
 // (rounded up to a multiple of the shard count). capacity <= 0 selects
 // an effectively unbounded cache.
 func NewCache(capacity int) *Cache {
-	return NewCacheShards(capacity, cacheShards)
-}
-
-// ValidateCacheShards rejects shard counts the masked router cannot
-// serve: shardFor selects a shard with h & (shards-1), which is only a
-// uniform modulus when shards is a power of two. 0 (the default) is
-// valid; powerperfd checks its -cache-shards flag through this at
-// startup so a bad value is a clean exit, not a silently skewed cache.
-func ValidateCacheShards(n int) error {
-	if n < 0 {
-		return fmt.Errorf("service: cache shards must be >= 0, got %d", n)
-	}
-	if n&(n-1) != 0 {
-		return fmt.Errorf("service: cache shards must be a power of two, got %d", n)
-	}
-	return nil
-}
-
-// NewCacheShards is NewCache with an explicit shard count — the knob
-// the auto-tuner sweeps. shards <= 0 selects the default; a count that
-// is not a power of two rounds up to the next one, keeping the masked
-// shard router sound for callers that skip ValidateCacheShards.
-// Sharding is pure concurrency plumbing: any shard count serves the
-// same values.
-func NewCacheShards(capacity, shards int) *Cache {
-	if shards <= 0 {
-		shards = cacheShards
-	}
-	if shards&(shards-1) != 0 {
-		p := 1
-		for p < shards {
-			p <<= 1
-		}
-		shards = p
-	}
 	per := 0
 	if capacity > 0 {
-		per = (capacity + shards - 1) / shards
-		if per < 1 {
-			per = 1
-		}
+		per = (capacity + cacheShards - 1) / cacheShards
 	}
-	c := &Cache{perShard: per, shards: make([]shard, shards)}
+	c := &Cache{perShard: per, shards: make([]shard, cacheShards)}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*list.Element)
 	}
@@ -122,7 +83,7 @@ func NewCacheShards(capacity, shards int) *Cache {
 // stdlib's fnv.New32a allocates its state on every call, which put a
 // heap allocation on every cache lookup of the serving path. The mask
 // replaces the former modulus and requires len(shards) to be a power of
-// two, which NewCacheShards guarantees by construction.
+// two, which cacheShards is.
 func (c *Cache) shardFor(key string) *shard {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {

@@ -201,32 +201,27 @@ func TestPoolQueueFullHonorsContext(t *testing.T) {
 	}
 }
 
-func TestValidateCacheShards(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 4, 16, 64, 1024} {
-		if err := ValidateCacheShards(n); err != nil {
-			t.Errorf("ValidateCacheShards(%d) = %v, want nil", n, err)
+// TestCacheShardLayout pins the fixed shard layout the masked router
+// relies on: NewCache builds cacheShards shards, that count is a power
+// of two (shardFor selects with h & (shards-1), which is only a uniform
+// modulus then), and distinct keys reach every shard.
+func TestCacheShardLayout(t *testing.T) {
+	if cacheShards <= 0 || cacheShards&(cacheShards-1) != 0 {
+		t.Fatalf("cacheShards = %d, want a power of two", cacheShards)
+	}
+	c := NewCache(0)
+	if got := len(c.ShardLens()); got != cacheShards {
+		t.Fatalf("NewCache built %d shards, want %d", got, cacheShards)
+	}
+	for i := 0; i < 4096; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		if _, err := c.GetOrCompute(context.Background(), key, func() (any, error) { return i, nil }); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, n := range []int{-1, -16, 3, 5, 6, 7, 9, 15, 17, 100} {
-		if err := ValidateCacheShards(n); err == nil {
-			t.Errorf("ValidateCacheShards(%d) accepted a count the shard mask cannot serve", n)
-		}
-	}
-}
-
-// TestNewCacheShardsRoundsUpToPowerOfTwo pins the constructor's repair
-// of non-power-of-two counts: the masked router (h & (shards-1)) must
-// always see a power of two, or part of the key space would fold onto
-// a skewed subset of shards.
-func TestNewCacheShardsRoundsUpToPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 16}, {-3, 16}, // defaults
-		{1, 1}, {2, 2}, {16, 16},
-		{3, 4}, {5, 8}, {6, 8}, {9, 16}, {17, 32}, {100, 128},
-	} {
-		c := NewCacheShards(0, tc.in)
-		if got := len(c.ShardLens()); got != tc.want {
-			t.Errorf("NewCacheShards(0, %d) built %d shards, want %d", tc.in, got, tc.want)
+	for i, n := range c.ShardLens() {
+		if n == 0 {
+			t.Errorf("shard %d holds none of 4096 distinct keys", i)
 		}
 	}
 }

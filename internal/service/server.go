@@ -41,13 +41,6 @@ type Options struct {
 	// CacheCapacity bounds the measurement cache in cells; <= 0 selects
 	// 4 full study grids (about 11k cells).
 	CacheCapacity int
-	// CacheShards sets the measurement cache's shard count; <= 0 selects
-	// the default (16). Purely a contention knob — the auto-tuner sweeps
-	// it, values never change.
-	CacheShards int
-	// HarnessCapacity bounds how many per-seed harnesses stay resident;
-	// <= 0 selects 4.
-	HarnessCapacity int
 	// TraceBuffer bounds the tracer's completed-span ring served at
 	// /v1/traces; <= 0 selects telemetry.DefaultSpanBuffer.
 	TraceBuffer int
@@ -94,9 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheCapacity <= 0 {
 		o.CacheCapacity = 4 * 45 * 61
-	}
-	if o.HarnessCapacity <= 0 {
-		o.HarnessCapacity = 4
 	}
 	return o
 }
@@ -152,9 +142,9 @@ func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:      opts,
-		cache:     NewCacheShards(opts.CacheCapacity, opts.CacheShards),
+		cache:     NewCache(opts.CacheCapacity),
 		pool:      newWorkPool(opts.Workers, opts.QueueDepth),
-		harnesses: newHarnessCache(opts.HarnessCapacity),
+		harnesses: newHarnessCache(harnessCapacity),
 		tracer:    telemetry.NewTracer(opts.TraceBuffer),
 		logger:    telemetry.Logger("powerperfd"),
 		start:     time.Now(),
@@ -373,6 +363,10 @@ func (s *Server) Stats() Stats {
 		Store: s.ingest.stats(),
 	}
 }
+
+// harnessCapacity is how many per-seed harnesses a server keeps
+// resident.
+const harnessCapacity = 4
 
 // harnessCache is a small LRU of per-seed harnesses. Building a harness
 // calibrates the whole sensor rig, so residents are worth keeping, but

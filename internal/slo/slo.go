@@ -659,10 +659,3 @@ func formatGauge(v float64) string {
 	s := fmt.Sprintf("%.6g", v)
 	return s
 }
-
-// SortObjectiveNames sorts a copy of names for deterministic display.
-func SortObjectiveNames(names []string) []string {
-	out := append([]string(nil), names...)
-	sort.Strings(out)
-	return out
-}

@@ -204,30 +204,6 @@ func (r *Registry) histogram(name, help, labelKey, labelValue string) *Histogram
 	return h
 }
 
-// Summaries returns the digest of every series, keyed by family name
-// (labeled series append {label="value"}).
-func (r *Registry) Summaries() map[string]Summary {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	series := make([][]labeledHist, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-		series = append(series, f.series())
-	}
-	r.mu.Unlock()
-	out := make(map[string]Summary)
-	for i, f := range fams {
-		for _, s := range series[i] {
-			key := f.name
-			if f.labelKey != "" {
-				key = fmt.Sprintf("%s{%s=%q}", f.name, f.labelKey, s.value)
-			}
-			out[key] = s.h.Summary()
-		}
-	}
-	return out
-}
-
 // WritePrometheus renders every family as a Prometheus histogram:
 // cumulative _bucket series with le in seconds, then _sum and _count.
 // Families and label values are emitted in sorted order so scrapes are

@@ -23,11 +23,12 @@ type Options struct {
 	// MaxSpansPerTrace bounds one trace's span set; excess spans are
 	// dropped and the trace marked truncated (<=0 selects 1024).
 	MaxSpansPerTrace int
-	// MaxDurSamples bounds each RED key's duration ring (<=0: 512).
-	MaxDurSamples int
 	// ShareWindow is how many recent traces feed StageShares (<=0: 32).
 	ShareWindow int
 }
+
+// maxDurSamples bounds each RED key's duration ring.
+const maxDurSamples = 512
 
 func (o Options) withDefaults() Options {
 	if o.MaxTraces <= 0 {
@@ -35,9 +36,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSpansPerTrace <= 0 {
 		o.MaxSpansPerTrace = 1024
-	}
-	if o.MaxDurSamples <= 0 {
-		o.MaxDurSamples = 512
 	}
 	if o.ShareWindow <= 0 {
 		o.ShareWindow = 32
@@ -122,7 +120,7 @@ func (e *Engine) redFor(name, source string) *redAgg {
 	k := redKey{name: name, source: source}
 	r := e.red[k]
 	if r == nil {
-		r = &redAgg{durs: telemetry.NewRing[float64](e.opts.MaxDurSamples)}
+		r = &redAgg{durs: telemetry.NewRing[float64](maxDurSamples)}
 		e.red[k] = r
 	}
 	return r

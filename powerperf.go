@@ -35,7 +35,6 @@ package powerperf
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/experiments"
@@ -190,32 +189,6 @@ func (s *Study) Tracer() *telemetry.Tracer {
 		return nil
 	}
 	return s.ctx.H.Tracer()
-}
-
-// SetBlockSize fixes the scheduling block batch workers claim per
-// dispatch. Blocking is pure scheduling: any block size produces
-// byte-identical measurements, it only changes how work is handed out.
-// Tune with `powerperf tune`.
-//
-// n must be positive — a zero or negative block would stall the claim
-// loop, so it is rejected rather than silently coerced (callers that
-// want the automatic size simply never call SetBlockSize, or call
-// ResetBlockSize).
-func (s *Study) SetBlockSize(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("powerperf: block size must be positive, got %d (leave unset for automatic)", n)
-	}
-	if s != nil && s.ctx != nil {
-		s.ctx.H.SetBlockSize(n)
-	}
-	return nil
-}
-
-// ResetBlockSize restores the automatic scheduling block.
-func (s *Study) ResetBlockSize() {
-	if s != nil && s.ctx != nil {
-		s.ctx.H.SetBlockSize(0)
-	}
 }
 
 // ValidateRig sweeps every calibrated sensor across known currents and

@@ -269,44 +269,3 @@ func TestMeasureGrid(t *testing.T) {
 		t.Fatal("nil study accepted")
 	}
 }
-
-// TestStudySetBlockSizeValidation pins the fix for silently-accepted
-// non-positive block sizes: zero and negatives are rejected with an
-// error (the automatic block is selected by never calling SetBlockSize,
-// or by ResetBlockSize), and a valid size still measures bit-identically
-// — blocking is pure scheduling.
-func TestStudySetBlockSizeValidation(t *testing.T) {
-	study, err := NewStudy(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, -1, -64} {
-		if err := study.SetBlockSize(n); err == nil {
-			t.Errorf("SetBlockSize(%d) accepted a non-positive block", n)
-		}
-	}
-	if err := study.SetBlockSize(7); err != nil {
-		t.Fatalf("SetBlockSize(7): %v", err)
-	}
-	cps := StockConfigs()[:1]
-	blocked, err := study.MeasureGrid(context.Background(), cps, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	study.ResetBlockSize()
-	auto, err := study.MeasureGrid(context.Background(), cps, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range blocked {
-		if blocked[i].Seconds != auto[i].Seconds || blocked[i].Watts != auto[i].Watts {
-			t.Fatalf("cell %d: block size changed measurement values; it must be pure scheduling", i)
-		}
-	}
-	// Nil receivers stay inert, matching the rest of the Study surface.
-	var nilStudy *Study
-	if err := nilStudy.SetBlockSize(-2); err == nil {
-		t.Error("nil Study SetBlockSize(-2) accepted a non-positive block")
-	}
-	nilStudy.ResetBlockSize()
-}
