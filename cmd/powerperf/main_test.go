@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"strings"
 	"testing"
 	"time"
 )
@@ -24,6 +26,41 @@ func TestValidateQueryFlags(t *testing.T) {
 		err := validateQueryFlags(tc.rows, tc.aggregates, tc.limit)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: validateQueryFlags = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestStoreQueryFlags: each filter flag that takes a parsed value names
+// itself when the value does not parse, so query and trend can exit 2
+// before the store opens.
+func TestStoreQueryFlags(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		flag string // in the error; "" means the query parses
+	}{
+		{name: "no filters", args: nil},
+		{name: "all filters", args: []string{"-filter-seed", "-7", "-since", "2011-03-05T09:30:00Z", "-until", "1299317400", "-processor", "i7 (45)"}},
+		{name: "bad seed", args: []string{"-filter-seed", "x"}, flag: "-filter-seed"},
+		{name: "fractional seed", args: []string{"-filter-seed", "4.2"}, flag: "-filter-seed"},
+		{name: "bad since", args: []string{"-since", "garbage"}, flag: "-since"},
+		{name: "bad until", args: []string{"-until", "yesterday"}, flag: "-until"},
+		{name: "bad until, good since", args: []string{"-since", "0", "-until", "2011-03-05"}, flag: "-until"},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("query", flag.ContinueOnError)
+		query := storeQueryFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		q, err := query()
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.flag != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.flag)):
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.flag)
+		case tc.name == "all filters" && (q.Seed == nil || *q.Seed != -7 || !q.Since.Equal(q.Until) || q.Processor != "i7 (45)"):
+			t.Errorf("%s: query %+v", tc.name, q)
 		}
 	}
 }

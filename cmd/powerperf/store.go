@@ -29,32 +29,45 @@ func openStore(dir string) *store.Store {
 }
 
 // storeQueryFlags registers the shared row filters and returns a
-// closure that materializes the store.Query after parsing.
-func storeQueryFlags(fs *flag.FlagSet) func() store.Query {
+// closure that materializes the store.Query after parsing, or names the
+// flag whose value it cannot parse.
+func storeQueryFlags(fs *flag.FlagSet) func() (store.Query, error) {
 	processor := fs.String("processor", "", `filter rows by processor name, e.g. "i7 (45)"`)
 	benchmark := fs.String("benchmark", "", "filter rows by benchmark name")
 	config := fs.String("config", "", `filter rows by configuration notation, e.g. "4C2T@2.7GHz TB"`)
 	seed := fs.String("filter-seed", "", "only studies sealed under this seed")
 	since := fs.String("since", "", "only studies sealed at or after this time (RFC 3339 or Unix seconds)")
 	until := fs.String("until", "", "only studies sealed before this time (RFC 3339 or Unix seconds)")
-	return func() store.Query {
+	return func() (store.Query, error) {
 		q := store.Query{Processor: *processor, Benchmark: *benchmark, Config: *config}
 		if *seed != "" {
 			n, err := strconv.ParseInt(*seed, 10, 64)
 			if err != nil {
-				log.Fatalf("bad -filter-seed %q", *seed)
+				return q, fmt.Errorf("-filter-seed %q: want an integer", *seed)
 			}
 			q.Seed = &n
 		}
 		var err error
 		if q.Since, err = parseCLITime(*since); err != nil {
-			log.Fatal(err)
+			return q, fmt.Errorf("-since: %w", err)
 		}
 		if q.Until, err = parseCLITime(*until); err != nil {
-			log.Fatal(err)
+			return q, fmt.Errorf("-until: %w", err)
 		}
-		return q
+		return q, nil
 	}
+}
+
+// parseQuery materializes the query flags, exiting 2 on a value it
+// cannot parse: called before the store opens, so a bad flag is
+// reported as such whatever -store-dir names.
+func parseQuery(query func() (store.Query, error)) store.Query {
+	q, err := query()
+	if err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
+	return q
 }
 
 func parseCLITime(s string) (time.Time, error) {
@@ -86,9 +99,9 @@ func runQuery(args []string) {
 		log.Print(err)
 		os.Exit(2)
 	}
+	q := parseQuery(query)
 	s := openStore(*dir)
 	defer s.Close()
-	q := query()
 
 	switch {
 	case *rows:
@@ -176,10 +189,11 @@ func runTrend(args []string) {
 	asJSON := fs.Bool("json", false, "emit the full report as JSON instead of a table")
 	query := storeQueryFlags(fs)
 	_ = fs.Parse(args)
+	q := parseQuery(query)
 	s := openStore(*dir)
 	defer s.Close()
 
-	d, err := s.Collect(query())
+	d, err := s.Collect(q)
 	if err != nil {
 		log.Fatal(err)
 	}

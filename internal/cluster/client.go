@@ -110,9 +110,10 @@ func permanent(err error) bool {
 // send performs one exchange with the backend: it stamps the User-Agent
 // and the caller's trace headers, reports a transport failure as a
 // backend error (or the caller's cancellation as such), and turns a
-// non-200 answer into a backendError carrying the backend's message. On
-// success the caller owns the response body.
-func (c *Client) send(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+// non-200 answer into a backendError carrying the backend's message. A
+// non-nil body goes out as contentType. On success the caller owns the
+// response body.
+func (c *Client) send(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -122,7 +123,7 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte) (*h
 		return nil, fmt.Errorf("cluster: build request: %w", err)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	req.Header.Set("User-Agent", userAgent)
 	// Propagate the caller's trace so the backend's spans stitch into
@@ -160,7 +161,7 @@ func (c *Client) Healthz(ctx context.Context) error {
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
-	resp, err := c.send(ctx, http.MethodGet, "/healthz", nil)
+	resp, err := c.send(ctx, http.MethodGet, "/healthz", "", nil)
 	if err != nil {
 		return err
 	}

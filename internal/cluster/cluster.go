@@ -7,14 +7,13 @@ import (
 	"repro/internal/service"
 )
 
-// routeKey is a job's rendezvous key: exactly the determinism tuple, so
-// every scheduler homes a cell on the same backend and a backend's cache
-// sees a stable slice of the grid. strconv appends render the same bytes
-// the former fmt.Sprintf("%d|%s|%s|%d|%d|%.17g|%t", ...) did, so homes
-// are unchanged across versions.
-func routeKey(seed int64, j harness.Job) string {
+// appendRouteKey appends a job's rendezvous key to b: exactly the
+// determinism tuple, so every scheduler homes a cell on the same backend
+// and a backend's cache sees a stable slice of the grid. strconv appends
+// render the same bytes the former fmt.Sprintf("%d|%s|%s|%d|%d|%.17g|%t",
+// ...) did, so homes are unchanged across versions.
+func appendRouteKey(b []byte, seed int64, j harness.Job) []byte {
 	cfg := j.CP.Config
-	b := make([]byte, 0, 64)
 	b = strconv.AppendInt(b, seed, 10)
 	b = append(b, '|')
 	b = append(b, j.Bench.Name...)
@@ -27,29 +26,14 @@ func routeKey(seed int64, j harness.Job) string {
 	b = append(b, '|')
 	b = strconv.AppendFloat(b, cfg.ClockGHz, 'g', 17, 64)
 	b = append(b, '|')
-	b = strconv.AppendBool(b, cfg.Turbo)
-	return string(b)
-}
-
-// cellRequest renders a job as an explicit wire cell.
-func cellRequest(j harness.Job) service.CellRequest {
-	cfg := j.CP.Config
-	return service.CellRequest{
-		Benchmark: j.Bench.Name,
-		Processor: j.CP.Proc.Name,
-		Config: &service.ConfigJSON{
-			Cores: cfg.Cores, SMTWays: cfg.SMTWays, ClockGHz: cfg.ClockGHz, Turbo: cfg.Turbo,
-		},
-	}
+	return strconv.AppendBool(b, cfg.Turbo)
 }
 
 // echoes reports whether a streamed cell carries the identity of the
 // job it answers. The scheduler always sends an explicit configuration,
 // so the echo must match it field for field.
 func echoes(cr *service.CellResult, j harness.Job) bool {
-	cfg := j.CP.Config
-	return cr.Benchmark == j.Bench.Name && cr.Processor == j.CP.Proc.Name &&
-		cr.Config == service.ConfigJSON{Cores: cfg.Cores, SMTWays: cfg.SMTWays, ClockGHz: cfg.ClockGHz, Turbo: cfg.Turbo}
+	return cr.Benchmark == j.Bench.Name && cr.Processor == j.CP.Proc.Name && cr.Config == service.ConfigToJSON(j.CP.Config)
 }
 
 // BackendStats is one backend's resilience state plus its measured

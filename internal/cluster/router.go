@@ -45,11 +45,11 @@ func (r *Router) Members() []string {
 // score is the rendezvous weight of key on member. FNV-64a over
 // member NUL key: cheap, stateless, and uniform enough that a 45x61
 // grid spreads within a few percent of even (see FuzzRoute).
-func score(member, key string) uint64 {
+func score(member string, key []byte) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(member))
 	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(key))
+	_, _ = h.Write(key)
 	return h.Sum64()
 }
 
@@ -61,7 +61,7 @@ func (r *Router) Rank(key string) []string {
 	ranked := append([]string(nil), r.members...)
 	scores := make(map[string]uint64, len(ranked))
 	for _, m := range ranked {
-		scores[m] = score(m, key)
+		scores[m] = score(m, []byte(key))
 	}
 	sort.Slice(ranked, func(i, j int) bool {
 		si, sj := scores[ranked[i]], scores[ranked[j]]
@@ -73,8 +73,9 @@ func (r *Router) Rank(key string) []string {
 	return ranked
 }
 
-// Route returns key's owner, or "" for an empty member set.
-func (r *Router) Route(key string) string {
+// Route returns key's owner, or "" for an empty member set. The key is
+// bytes so a caller can route job after job from one reused buffer.
+func (r *Router) Route(key []byte) string {
 	var best string
 	var bestScore uint64
 	for _, m := range r.members {

@@ -16,6 +16,13 @@ func testMembers(n int) []string {
 	return ms
 }
 
+// routeKey is a job's rendezvous key rendered the way appendRouteKey
+// promises to render it, as the string Rank takes.
+func routeKey(seed int64, j harness.Job) string {
+	cfg := j.CP.Config
+	return fmt.Sprintf("%d|%s|%s|%d|%d|%.17g|%t", seed, j.Bench.Name, j.CP.Proc.Name, cfg.Cores, cfg.SMTWays, cfg.ClockGHz, cfg.Turbo)
+}
+
 // gridKeys is every cell of the full 45x61 study at seed 42 — the key
 // population the router shards in production.
 func gridKeys(t *testing.T) []string {
@@ -35,10 +42,10 @@ func TestRouterStability(t *testing.T) {
 	// duplicate) must route identically: scores, not positions, decide.
 	r2 := NewRouter([]string{members[2], members[0], members[1], members[0]})
 	for _, key := range gridKeys(t) {
-		if got1, got2 := r1.Route(key), r2.Route(key); got1 != got2 {
+		if got1, got2 := r1.Route([]byte(key)), r2.Route([]byte(key)); got1 != got2 {
 			t.Fatalf("Route(%q) unstable across member orderings: %q vs %q", key, got1, got2)
 		}
-		if r1.Route(key) != r1.Rank(key)[0] {
+		if r1.Route([]byte(key)) != r1.Rank(key)[0] {
 			t.Fatalf("Route(%q) disagrees with Rank[0]", key)
 		}
 	}
@@ -50,7 +57,7 @@ func TestRouterBalance(t *testing.T) {
 	counts := make(map[string]int)
 	keys := gridKeys(t)
 	for _, key := range keys {
-		counts[r.Route(key)]++
+		counts[r.Route([]byte(key))]++
 	}
 	mean := float64(len(keys)) / float64(len(members))
 	for _, m := range members {
@@ -69,8 +76,8 @@ func TestRouterMinimalDisruption(t *testing.T) {
 	survivors := NewRouter([]string{members[0], members[2]})
 	moved := 0
 	for _, key := range gridKeys(t) {
-		before := r.Route(key)
-		after := survivors.Route(key)
+		before := r.Route([]byte(key))
+		after := survivors.Route([]byte(key))
 		if before != dead {
 			// Keys the dead member never owned must not move.
 			if after != before {
@@ -89,6 +96,30 @@ func TestRouterMinimalDisruption(t *testing.T) {
 	}
 }
 
+// TestLeaseHomesMatchRank: the homes a run's lease plan gives, routed
+// from one reused key buffer, are the sorting reference's owners of
+// each job's key, over the full grid at seeds 42 and 0 and the fleet
+// sizes studies run on, so homes stay where they were.
+func TestLeaseHomesMatchRank(t *testing.T) {
+	jobs := harness.GridJobs(proc.ConfigSpace(), nil)
+	for _, seed := range []int64{42, 0} {
+		for _, n := range []int{2, 3} {
+			s, err := NewScheduler(testMembers(n), SchedulerOptions{Seed: &seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newRun(s, jobs, func() {})
+			for _, l := range r.leases {
+				for _, i := range l.idxs {
+					if want := s.router.Rank(routeKey(seed, jobs[i]))[0]; l.home != want {
+						t.Fatalf("seed %d, %d backends: job %d homed on %s, Rank says %s", seed, n, i, l.home, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzRoute fuzzes the rendezvous properties: determinism (same cell,
 // same member set, same owner — what keeps a cell's home stable),
 // membership (the owner is a member), and minimal disruption (removing
@@ -102,8 +133,8 @@ func FuzzRoute(f *testing.F) {
 		members := testMembers(int(n%8) + 1)
 		r := NewRouter(members)
 
-		owner := r.Route(key)
-		if owner != r.Route(key) {
+		owner := r.Route([]byte(key))
+		if owner != r.Route([]byte(key)) {
 			t.Fatal("Route not deterministic")
 		}
 		found := false
@@ -136,7 +167,7 @@ func FuzzRoute(f *testing.F) {
 			}
 			without = append(without, m)
 		}
-		if got := NewRouter(without).Route(key); got != owner {
+		if got := NewRouter(without).Route([]byte(key)); got != owner {
 			t.Fatalf("removing a non-owner moved key: %q -> %q", owner, got)
 		}
 		// Remove the owner: the key must land on the second rank.
@@ -146,7 +177,7 @@ func FuzzRoute(f *testing.F) {
 				survivors = append(survivors, m)
 			}
 		}
-		if got := NewRouter(survivors).Route(key); got != rank[1] {
+		if got := NewRouter(survivors).Route([]byte(key)); got != rank[1] {
 			t.Fatalf("removing the owner sent key to %q, want second rank %q", got, rank[1])
 		}
 	})

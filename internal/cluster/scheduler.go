@@ -235,8 +235,10 @@ func newRun(s *Scheduler, jobs []harness.Job, cancel context.CancelFunc) *run {
 	// home's pullers sweep the job list front to back. With one backend
 	// this is exactly the in-order slicing of the whole job list.
 	open := make(map[string]*lease, len(s.backends))
+	key := make([]byte, 0, 64)
 	for i, j := range jobs {
-		home := s.router.Route(routeKey(s.seed, j))
+		key = appendRouteKey(key[:0], s.seed, j)
+		home := s.router.Route(key)
 		l := open[home]
 		if l == nil || len(l.idxs) == s.opts.LeaseCells {
 			l = &lease{
@@ -598,8 +600,11 @@ func (s *Scheduler) streamLease(ctx context.Context, c *Client, r *run, l *lease
 		Lane:   service.LaneBulk,
 		Cells:  make([]service.CellRequest, len(idxs)),
 	}
+	cfgs := make([]service.ConfigJSON, len(idxs))
 	for i, idx := range idxs {
-		req.Cells[i] = cellRequest(r.jobs[idx])
+		j := r.jobs[idx]
+		cfgs[i] = service.ConfigToJSON(j.CP.Config)
+		req.Cells[i] = service.CellRequest{Benchmark: j.Bench.Name, Processor: j.CP.Proc.Name, Config: &cfgs[i]}
 	}
 	s.cellsReq.Add(int64(len(idxs)))
 	ctx, span := s.tracer.StartSpan(ctx, "scheduler.lease",

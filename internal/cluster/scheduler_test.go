@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/md5"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -352,7 +351,7 @@ func TestSchedulerLeasePlanHomes(t *testing.T) {
 			partial[l.home]++
 		}
 		for _, i := range l.idxs {
-			if home := router.Route(routeKey(7, jobs[i])); home != l.home {
+			if home := router.Route(appendRouteKey(nil, 7, jobs[i])); home != l.home {
 				t.Fatalf("lease %d (home %s) holds job %d, whose home is %s", id, l.home, i, home)
 			}
 			if seen[i] {
@@ -532,18 +531,14 @@ func TestSchedulerRejectsSwappedCells(t *testing.T) {
 	inner := service.NewServer(service.Options{Seed: 42}).Handler()
 	swapper := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/measure" {
-			var req service.MeasureRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			req, _, err := service.DecodeMeasureRequest(r.Body)
+			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
 			n := len(req.Cells)
 			req.Cells[0], req.Cells[n-1] = req.Cells[n-1], req.Cells[0]
-			body, err := json.Marshal(&req)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
+			body := service.AppendMeasureRequest(nil, req)
 			r.Body = io.NopCloser(bytes.NewReader(body))
 			r.ContentLength = int64(len(body))
 		}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,6 +25,10 @@ var ErrStreamTruncated = errors.New("cluster: measure stream truncated")
 // pullers at once, so each stream takes a decoder of its own.
 var streamDecoders = sync.Pool{New: func() any { return service.NewStreamDecoder(nil) }}
 
+// requestCellBytes sizes a request frame's buffer per cell: two names,
+// presence bytes, two varints and a float64.
+const requestCellBytes = 64
+
 // MeasureStream posts req to /v1/measure?stream=1 and invokes onCell
 // for every cell frame as it arrives, in backend completion order.
 // Keep-alive frames are consumed internally. A nil return means the
@@ -46,13 +49,13 @@ func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest,
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("cluster: marshal request: %w", err)
-	}
+	// The request goes out as one frame. Its buffer is the request's
+	// own, not pooled: the transport may still read a body after Do
+	// returns. A cell encodes to well under requestCellBytes.
+	body := service.AppendMeasureRequest(make([]byte, 0, requestCellBytes*(len(req.Cells)+1)), req)
 	start := time.Now()
 	defer func() { c.lat.Observe(time.Since(start)) }()
-	resp, err := c.send(ctx, http.MethodPost, "/v1/measure?stream=1", buf)
+	resp, err := c.send(ctx, http.MethodPost, "/v1/measure?stream=1", service.StreamContentType, body)
 	if err != nil {
 		return err
 	}

@@ -231,9 +231,6 @@ func newDetector(rules []Rule, st *store, logger *slog.Logger, retention time.Du
 	for i, r := range rules {
 		withDefaults[i] = r.withDefaults()
 	}
-	if retention <= 0 {
-		retention = 10 * time.Minute
-	}
 	return &Detector{
 		rules:     withDefaults,
 		store:     st,

@@ -21,17 +21,14 @@ type PushDetector struct {
 }
 
 // NewPushDetector builds a detector for the given rules over an
-// internal store. ringCap bounds samples retained per series (<=0
-// selects 256); retention is how long resolved alerts linger (<=0
-// selects the detector default). subsystem names the logger.
-func NewPushDetector(subsystem string, rules []Rule, ringCap int, retention time.Duration) *PushDetector {
-	if ringCap <= 0 {
-		ringCap = 256
-	}
-	st := newStore(ringCap, 64)
+// internal store that keeps the monitor's seriesRingCap samples per
+// series and resolved alerts for its alertRetention. subsystem names
+// the logger.
+func NewPushDetector(subsystem string, rules []Rule) *PushDetector {
+	st := newStore(seriesRingCap, 64)
 	return &PushDetector{
 		st:  st,
-		det: newDetector(rules, st, telemetry.Logger(subsystem), retention),
+		det: newDetector(rules, st, telemetry.Logger(subsystem), alertRetention),
 	}
 }
 

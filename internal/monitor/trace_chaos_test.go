@@ -101,8 +101,8 @@ func TestCriticalPathUnderChaos(t *testing.T) {
 			h2.ServeHTTP(w, r)
 			return
 		}
-		var lease struct{ Cells []json.RawMessage }
-		if err := json.NewDecoder(r.Body).Decode(&lease); err != nil {
+		lease, _, err := service.DecodeMeasureRequest(r.Body)
+		if err != nil {
 			t.Errorf("victim: decode lease: %v", err)
 			return
 		}

@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzConfigParse drives the measure-request decoder with arbitrary
-// bodies: it must never panic, and anything it accepts must be
-// well-formed — resolved cells in request order, each with a stable
-// cache key, and stable under a decode/re-encode round trip.
+// bodies, JSON and request frames: it must never panic, and anything it
+// accepts must be well-formed — resolved cells in request order, each
+// with a stable cache key, and stable under a round trip through either
+// codec.
 func FuzzConfigParse(f *testing.F) {
 	f.Add(`{"cells":[{"benchmark":"mcf","processor":"i7 (45)"}]}`)
 	f.Add(`{"seed":7,"cells":[{"benchmark":"jess","processor":"i5 (32)","config":{"cores":2,"smt":2,"clock_ghz":1.2,"turbo":false}}]}`)
@@ -22,6 +23,10 @@ func FuzzConfigParse(f *testing.F) {
 	f.Add(`"just a string"`)
 	f.Add("\x00\xff{")
 	f.Add(`{"seed":-9223372036854775808,"cells":[{"benchmark":"db","processor":"Pentium4 (130)"}]}`)
+	f.Add(string(AppendMeasureRequest(nil, leaseRequest(16))))
+	for _, body := range badRequestFrames() {
+		f.Add(string(body))
+	}
 
 	f.Fuzz(func(t *testing.T, body string) {
 		req, cells, err := DecodeMeasureRequest(strings.NewReader(body))
@@ -54,24 +59,25 @@ func FuzzConfigParse(f *testing.F) {
 			}
 		}
 
-		// Round trip: re-encoding an accepted request and decoding again
-		// must accept and resolve to the same cells.
-		reenc, err := json.Marshal(req)
+		// Round trip: re-encoding an accepted request in either codec and
+		// decoding again must accept and resolve to the same cells.
+		js, err := json.Marshal(req)
 		if err != nil {
 			t.Fatalf("re-encode accepted request: %v", err)
 		}
-		req2, cells2, err := DecodeMeasureRequest(bytes.NewReader(reenc))
-		if err != nil {
-			t.Fatalf("round-tripped request rejected: %v (body %s)", err, reenc)
-		}
-		if len(cells2) != len(cells) {
-			t.Fatalf("round trip resolved %d cells, want %d", len(cells2), len(cells))
-		}
-		for i := range cells {
-			if cellKey(seed, cells[i]) != cellKey(seed, cells2[i]) {
-				t.Fatalf("round trip changed cell %d key", i)
+		for _, reenc := range [][]byte{js, AppendMeasureRequest(nil, req)} {
+			_, cells2, err := DecodeMeasureRequest(bytes.NewReader(reenc))
+			if err != nil {
+				t.Fatalf("round-tripped request rejected: %v (body %q)", err, reenc)
+			}
+			if len(cells2) != len(cells) {
+				t.Fatalf("round trip resolved %d cells, want %d", len(cells2), len(cells))
+			}
+			for i := range cells {
+				if cellKey(seed, cells[i]) != cellKey(seed, cells2[i]) {
+					t.Fatalf("round trip changed cell %d key", i)
+				}
 			}
 		}
-		_ = req2
 	})
 }

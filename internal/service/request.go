@@ -1,6 +1,9 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -133,20 +136,21 @@ type cell struct {
 }
 
 // DecodeMeasureRequest strictly parses and validates a measure request
-// body: unknown fields are rejected, every cell must name a known
+// body, JSON or one request frame (stream.go), picking the codec from
+// the body's first byte rather than from a header, so a recorded body
+// replays as it was sent. Unknown JSON fields, malformed frames and
+// anything after the body are rejected, every cell must name a known
 // benchmark and processor, and explicit configurations must pass the
 // part's BIOS validation. It never panics on arbitrary input (fuzzed by
 // FuzzConfigParse).
 func DecodeMeasureRequest(r io.Reader) (*MeasureRequest, []cell, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req MeasureRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("service: decode request: %w", err)
-	}
-	// A second document in the body is as malformed as a bad first one.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, nil, errors.New("service: trailing data after request body")
+	br := requestReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	req, err := readMeasureRequest(br)
+	br.Reset(nil)
+	requestReaders.Put(br)
+	if err != nil {
+		return nil, nil, err
 	}
 	switch req.Detail {
 	case "", "summary", DetailFull:
@@ -162,7 +166,176 @@ func DecodeMeasureRequest(r io.Reader) (*MeasureRequest, []cell, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &req, cells, nil
+	return req, cells, nil
+}
+
+// requestReaders recycles the buffered readers request bodies are read
+// through. Each keeps only bufio's default 4 KiB, which holds a lease's
+// whole request frame; a larger frame is read into a buffer of its own
+// that the pool never keeps.
+var requestReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+var errTrailingData = errors.New("service: trailing data after request body")
+
+// readMeasureRequest reads one whole request body in the codec its
+// first byte names.
+func readMeasureRequest(br *bufio.Reader) (*MeasureRequest, error) {
+	if b, _ := br.Peek(1); len(b) == 1 && b[0] == frameRequest {
+		return readRequestFrame(br)
+	}
+	dec := json.NewDecoder(br)
+	dec.DisallowUnknownFields()
+	req := new(MeasureRequest)
+	if err := dec.Decode(req); err != nil {
+		return nil, fmt.Errorf("service: decode request: %w", err)
+	}
+	// A second document in the body is as malformed as a bad first one.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, errTrailingData
+	}
+	return req, nil
+}
+
+// readRequestFrame reads a body that is one request frame. The declared
+// length is checked against MaxStreamFrameBytes before any payload byte
+// is read, a body that ends inside the frame is truncated, and any byte
+// after it is trailing data.
+func readRequestFrame(br *bufio.Reader) (*MeasureRequest, error) {
+	_, _ = br.ReadByte() // the kind byte, already peeked
+	n, err := binary.ReadUvarint(br)
+	switch {
+	case err == io.EOF:
+		err = io.ErrUnexpectedEOF
+	case err == nil && n > MaxStreamFrameBytes:
+		err = ErrStreamFrameTooLong
+	}
+	if err != nil {
+		return nil, fmt.Errorf("service: decode request frame: %w", err)
+	}
+	var p []byte
+	peeked := n <= uint64(br.Size())
+	if peeked {
+		p, err = br.Peek(int(n))
+	} else {
+		// Grown as bytes arrive, so a declared length the body does
+		// not deliver cannot force a buffer of that size.
+		var b bytes.Buffer
+		_, err = io.CopyN(&b, br, int64(n))
+		p = b.Bytes()
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("service: decode request frame: %w", err)
+	}
+	req, err := decodeRequestFrame(p)
+	if err != nil {
+		return nil, err
+	}
+	if peeked {
+		_, _ = br.Discard(len(p)) // the decoded request does not alias p
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, errTrailingData
+	}
+	return req, nil
+}
+
+// minCellFrameBytes is the smallest cell a request frame can hold: two
+// empty names and an absent configuration.
+const minCellFrameBytes = 3
+
+// decodeRequestFrame decodes a request frame's payload, every byte of
+// which must be consumed, without validating what it names. Names
+// resolve against the per-process index (names), and the detail and
+// lane against their vocabulary, so a lease decodes without a string
+// allocation; the configurations share one backing array.
+func decodeRequestFrame(p []byte) (*MeasureRequest, error) {
+	fr := frameReader{b: p}
+	st := new(struct {
+		req  MeasureRequest
+		seed int64
+	}) // the request and the seed it points at, in one allocation
+	req := &st.req
+	if fr.bool() {
+		st.seed = fr.varint()
+		req.Seed = &st.seed
+	}
+	req.Detail = requestWord(fr.strBytes())
+	req.Lane = requestWord(fr.strBytes())
+	// The count is checked against the request bound and the bytes
+	// present before the slices are sized from it, so a forged count
+	// cannot force a large allocation.
+	// A failed read leaves no bytes and a zero count.
+	n := fr.uvarint()
+	if n > MaxCells {
+		return nil, errTooManyCells(n)
+	}
+	if n > uint64(fr.remaining()/minCellFrameBytes) {
+		return nil, fmt.Errorf("service: decode request frame: %d cells exceed the frame", n)
+	}
+	ix := names()
+	req.Cells = make([]CellRequest, n)
+	var cfgs []ConfigJSON
+	for i := range req.Cells {
+		c := &req.Cells[i]
+		c.Benchmark = ix.benchName(fr.strBytes())
+		c.Processor = ix.procName(fr.strBytes())
+		if !fr.bool() {
+			continue
+		}
+		if cfgs == nil {
+			cfgs = make([]ConfigJSON, 0, len(req.Cells)-i)
+		}
+		cfgs = append(cfgs, fr.config())
+		c.Config = &cfgs[len(cfgs)-1]
+	}
+	if fr.err != nil {
+		return nil, fmt.Errorf("service: decode request frame: %w", fr.err)
+	}
+	if fr.off != len(p) {
+		return nil, fmt.Errorf("service: request frame has %d trailing bytes", len(p)-fr.off)
+	}
+	return req, nil
+}
+
+// requestWord returns b as the detail or lane value it spells without
+// allocating, and any other value as a fresh string for the validation
+// to reject.
+func requestWord(b []byte) string {
+	for _, w := range [...]string{"summary", DetailFull, LaneInteractive, LaneBulk} {
+		if string(b) == w {
+			return w
+		}
+	}
+	return string(b)
+}
+
+// AppendMeasureRequest appends req to b as one request frame, the
+// binary body DecodeMeasureRequest reads alongside JSON, and returns
+// the extended slice. It allocates only to grow b.
+func AppendMeasureRequest(b []byte, req *MeasureRequest) []byte {
+	at := len(b)
+	b = append(b, make([]byte, frameRoom)...)
+	b = appendBool(b, req.Seed != nil)
+	if req.Seed != nil {
+		b = binary.AppendVarint(b, *req.Seed)
+	}
+	b = appendStr(b, req.Detail)
+	b = appendStr(b, req.Lane)
+	b = binary.AppendUvarint(b, uint64(len(req.Cells)))
+	for i := range req.Cells {
+		c := &req.Cells[i]
+		b = appendStr(b, c.Benchmark)
+		b = appendStr(b, c.Processor)
+		b = appendBool(b, c.Config != nil)
+		if c.Config != nil {
+			b = appendConfig(b, c.Config)
+		}
+	}
+	// Slide the frame down over the unused part of the reserved room.
+	return append(b[:at], b[putFrameHeader(b, at, frameRequest):]...)
 }
 
 // nameIndex maps benchmark and processor names to one shared instance
@@ -173,6 +346,24 @@ func DecodeMeasureRequest(r io.Reader) (*MeasureRequest, []cell, error) {
 type nameIndex struct {
 	benches map[string]*workload.Benchmark
 	procs   map[string]*proc.Processor
+}
+
+// benchName returns the benchmark name b spells as the index's own
+// string, which costs no allocation, or an unknown one as a fresh
+// string for the caller's checks to reject.
+func (ix *nameIndex) benchName(b []byte) string {
+	if bm, ok := ix.benches[string(b)]; ok {
+		return bm.Name
+	}
+	return string(b)
+}
+
+// procName is benchName for processor names.
+func (ix *nameIndex) procName(b []byte) string {
+	if p, ok := ix.procs[string(b)]; ok {
+		return p.Name
+	}
+	return string(b)
 }
 
 var names = sync.OnceValue(func() *nameIndex {
@@ -197,7 +388,7 @@ func resolveCells(reqs []CellRequest) ([]cell, error) {
 		return nil, errors.New("service: request names no cells")
 	}
 	if len(reqs) > MaxCells {
-		return nil, fmt.Errorf("service: %d cells exceeds the %d-cell request bound", len(reqs), MaxCells)
+		return nil, errTooManyCells(uint64(len(reqs)))
 	}
 	ix := names()
 	cells := make([]cell, 0, len(reqs))
@@ -230,6 +421,10 @@ func resolveCells(reqs []CellRequest) ([]cell, error) {
 	return cells, nil
 }
 
+func errTooManyCells(n uint64) error {
+	return fmt.Errorf("service: %d cells exceeds the %d-cell request bound", n, MaxCells)
+}
+
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // cellKey is the cache key of one cell: exactly the determinism
@@ -257,8 +452,8 @@ func cellKey(seed int64, c cell) string {
 	return string(b)
 }
 
-// configJSON renders a resolved configuration back to the wire form.
-func configJSON(cfg proc.Config) ConfigJSON {
+// ConfigToJSON converts a configuration to the wire form.
+func ConfigToJSON(cfg proc.Config) ConfigJSON {
 	return ConfigJSON{Cores: cfg.Cores, SMTWays: cfg.SMTWays, ClockGHz: cfg.ClockGHz, Turbo: cfg.Turbo}
 }
 

@@ -272,7 +272,7 @@ func setCellResult(res *CellResult, d *CellDetail, c cell, m *harness.Measuremen
 	*res = CellResult{
 		Benchmark:  c.bench.Name,
 		Processor:  c.cp.Proc.Name,
-		Config:     configJSON(c.cp.Config),
+		Config:     ConfigToJSON(c.cp.Config),
 		Suite:      string(c.bench.Suite),
 		Group:      c.bench.Group.String(),
 		Runs:       len(m.Runs),

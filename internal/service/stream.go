@@ -28,6 +28,12 @@ import (
 //	'e' error       message (non-empty)  terminal: the batch failed
 //	'd' done        cells                terminal: every cell was sent
 //
+// A measure request body may be one frame of a sixth kind instead of
+// JSON (request.go); DecodeMeasureRequest tells the two apart by the
+// body's first byte, since 'q' cannot begin a JSON text:
+//
+//	'q' request     MeasureRequest       the whole body: seed, detail, lane, cells
+//
 // Payloads hold zig-zag varints for Go ints, uvarint-length-prefixed
 // strings, one byte (0 or 1) per bool, and the raw little-endian
 // IEEE-754 bits of every float64 — the encoding internal/store segments
@@ -35,7 +41,10 @@ import (
 // measured. A CellResult is laid out in field order; its Full detail
 // follows a presence byte as the run-sample count, each run (seconds,
 // watts, counters), the mean counters, and the two confidence
-// intervals (mean, half, level, n).
+// intervals (mean, half, level, n). A request frame holds a presence
+// byte and the seed, the detail and lane strings, the uvarint cell
+// count, and per cell the benchmark and processor names, then a
+// presence byte and the configuration laid out as in a CellResult.
 //
 // A stream that ends without a terminal frame was truncated (backend
 // death, severed connection) and the client must treat every unsent cell
@@ -53,6 +62,7 @@ const (
 	frameKeepAlive = 'k'
 	frameError     = 'e'
 	frameDone      = 'd'
+	frameRequest   = 'q'
 )
 
 // MaxStreamFrameBytes bounds one frame's payload. The largest legitimate
@@ -309,6 +319,10 @@ func known(b []byte, want string) string {
 	return string(b)
 }
 
+func (r *frameReader) config() ConfigJSON {
+	return ConfigJSON{Cores: r.int(), SMTWays: r.int(), ClockGHz: r.f64(), Turbo: r.bool()}
+}
+
 func (r *frameReader) counters() CountersJSON {
 	return CountersJSON{
 		Cycles: r.f64(), Instructions: r.f64(), AppInstructions: r.f64(), ServiceInstructions: r.f64(),
@@ -336,13 +350,8 @@ func (r *frameReader) cellResult(c *CellResult, d *CellDetail) {
 	} else {
 		c.Benchmark = string(benchName)
 	}
-	procName := r.strBytes()
-	if p, ok := ix.procs[string(procName)]; ok {
-		c.Processor = p.Name
-	} else {
-		c.Processor = string(procName)
-	}
-	c.Config = ConfigJSON{Cores: r.int(), SMTWays: r.int(), ClockGHz: r.f64(), Turbo: r.bool()}
+	c.Processor = ix.procName(r.strBytes())
+	c.Config = r.config()
 	c.Suite = known(r.strBytes(), suite)
 	c.Group = known(r.strBytes(), group)
 	c.Runs = r.int()
@@ -446,13 +455,20 @@ func (sw *streamWriter) send(ev *StreamEvent) error {
 		return errors.New("service: empty stream event")
 	}
 	sw.buf = b
+	_, err := sw.w.Write(b[putFrameHeader(b, 0, kind):])
+	return err
+}
+
+// putFrameHeader writes kind and the payload's length into the
+// frameRoom bytes reserved at b[at:], right-aligned against the payload
+// that fills the rest of b, and returns the offset the frame starts at.
+func putFrameHeader(b []byte, at int, kind byte) int {
 	var n [binary.MaxVarintLen64]byte
-	ln := binary.PutUvarint(n[:], uint64(len(b)-frameRoom))
-	start := frameRoom - 1 - ln
+	ln := binary.PutUvarint(n[:], uint64(len(b)-at-frameRoom))
+	start := at + frameRoom - 1 - ln
 	b[start] = kind
 	copy(b[start+1:], n[:ln])
-	_, err := sw.w.Write(b[start:])
-	return err
+	return start
 }
 
 // sendCell writes the cell frame of a measurement taken for c at the
@@ -485,6 +501,13 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
+func appendConfig(b []byte, c *ConfigJSON) []byte {
+	b = binary.AppendVarint(b, int64(c.Cores))
+	b = binary.AppendVarint(b, int64(c.SMTWays))
+	b = appendF64(b, c.ClockGHz)
+	return appendBool(b, c.Turbo)
+}
+
 func appendCounters(b []byte, c *CountersJSON) []byte {
 	for _, v := range [...]float64{c.Cycles, c.Instructions, c.AppInstructions, c.ServiceInstructions,
 		c.LLCMisses, c.DTLBMisses, c.BranchInstructions} {
@@ -503,10 +526,7 @@ func appendCI(b []byte, ci *CIJSON) []byte {
 func appendCellResult(b []byte, c *CellResult) []byte {
 	b = appendStr(b, c.Benchmark)
 	b = appendStr(b, c.Processor)
-	b = binary.AppendVarint(b, int64(c.Config.Cores))
-	b = binary.AppendVarint(b, int64(c.Config.SMTWays))
-	b = appendF64(b, c.Config.ClockGHz)
-	b = appendBool(b, c.Config.Turbo)
+	b = appendConfig(b, &c.Config)
 	b = appendStr(b, c.Suite)
 	b = appendStr(b, c.Group)
 	b = binary.AppendVarint(b, int64(c.Runs))

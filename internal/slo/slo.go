@@ -244,7 +244,7 @@ func New(cfg Config) (*Engine, error) {
 				cfg.SlowShort, cfg.SlowLong, cfg.SlowBurn),
 		},
 	}
-	e.det = monitor.NewPushDetector("slo", rules, 512, 0)
+	e.det = monitor.NewPushDetector("slo", rules)
 	return e, nil
 }
 
