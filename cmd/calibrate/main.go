@@ -69,7 +69,7 @@ func main() {
 		fmt.Printf("%-16s  paper %7.1f %7.1f %7.1f %7.1f   min %4.1f max %5.1f\n", "",
 			pg[4], pg[5], pg[6], pg[7], res.WattsMin, res.WattsMax)
 	}
-	ctx := &experiments.Context{H: h, Ref: ref}
+	ctx := &experiments.Context{Measure: h.Measure, Ref: ref}
 	printFigures(ctx)
 	printPareto(ctx)
 	_ = os.Stdout.Sync()

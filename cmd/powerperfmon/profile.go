@@ -41,26 +41,21 @@ func runProfile(args []string) {
 		os.Exit(2)
 	}
 
-	fleet := profiling.NewFleet(profiling.FleetOptions{
-		Backends:  targets,
-		Seconds:   *seconds,
-		UserAgent: "powerperfmon/" + telemetry.BuildInfo().UserAgentToken(),
-	})
+	ua := "powerperfmon/" + telemetry.BuildInfo().UserAgentToken()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	fmt.Fprintf(os.Stderr, "harvest 1/2 (%ds CPU window per backend)...\n", *seconds)
-	fleet.HarvestAll(ctx)
+	first := profiling.Capture(ctx, targets, *seconds, ua)
 	select {
 	case <-time.After(*gap):
 	case <-ctx.Done():
 		return
 	}
 	fmt.Fprintf(os.Stderr, "harvest 2/2...\n")
-	fleet.HarvestAll(ctx)
+	second := profiling.Capture(ctx, targets, *seconds, ua)
 
-	reports := fleet.Report(*top)
-	merged := profiling.TopK(fleet.MergedAllocDelta(), *top)
+	reports, merged := profiling.Compare(targets, first, second, *top)
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

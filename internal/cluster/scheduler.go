@@ -12,11 +12,10 @@ import (
 
 	"log/slog"
 
+	"repro/internal/experiments"
 	"repro/internal/harness"
-	"repro/internal/proc"
 	"repro/internal/service"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // SchedulerOptions configures a Scheduler. The zero value selects sane
@@ -634,30 +633,11 @@ func (s *Scheduler) streamLease(ctx context.Context, c *Client, r *run, l *lease
 
 // Reference builds the Section 2.6 normalization table from scheduled
 // measurements — bit-identical to a local harness.Reference() at the
-// same seed, because both feed BuildReference the same measurements.
-// The accumulation is keyed by cell identity, so it is independent of
-// which backend measured what and in what order results arrived.
+// same seed, because experiments.ReferenceFrom keys the batch by cell
+// identity, independent of which backend measured what and in what
+// order results arrived.
 func (s *Scheduler) Reference(ctx context.Context, workers int) (*harness.Reference, error) {
-	refs, err := harness.ReferenceCells()
-	if err != nil {
-		return nil, err
-	}
-	jobs := harness.GridJobs(refs, nil)
-	ms, err := s.MeasureBatch(ctx, jobs, workers)
-	if err != nil {
-		return nil, err
-	}
-	byCell := make(map[string]*harness.Measurement, len(ms))
-	for i, m := range ms {
-		byCell[jobs[i].Bench.Name+"|"+jobs[i].CP.String()] = m
-	}
-	return harness.BuildReference(func(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*harness.Measurement, error) {
-		m, ok := byCell[b.Name+"|"+cp.String()]
-		if !ok {
-			return nil, fmt.Errorf("cluster: %s on %s missing from reference batch", b.Name, cp)
-		}
-		return m, nil
-	})
+	return experiments.ReferenceFrom(ctx, s, workers)
 }
 
 // ProbeHealth hits every backend's /healthz once, concurrently, and

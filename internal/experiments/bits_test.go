@@ -43,15 +43,16 @@ func TestMeasuredBitsPinned(t *testing.T) {
 			"aggregates.csv":   "e5600ff29f254c2a1c6eff1d7f4ea56a",
 		}},
 	} {
-		c := ctx(t)
-		if tc.seed != 42 {
-			var err error
-			if c, err = NewContext(tc.seed); err != nil {
-				t.Fatal(err)
-			}
+		hs, err := harness.New(tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := hs.Reference()
+		if err != nil {
+			t.Fatal(err)
 		}
 		jobs := harness.GridJobs(proc.ConfigSpace(), nil)
-		ms, err := c.H.MeasureBatch(context.Background(), jobs, 0)
+		ms, err := hs.MeasureBatch(context.Background(), jobs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,10 +66,10 @@ func TestMeasuredBitsPinned(t *testing.T) {
 
 		// The grid is cached now, so rendering measures nothing again.
 		var mbuf, abuf bytes.Buffer
-		if err := StreamMeasurementsCSV(context.Background(), c, nil, &mbuf, 0); err != nil {
+		if err := StreamMeasurementsCSVFrom(context.Background(), hs, ref, nil, &mbuf, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := StreamAggregatesCSV(context.Background(), c, nil, &abuf, 0); err != nil {
+		if err := StreamAggregatesCSVFrom(context.Background(), hs, ref, nil, &abuf, 0); err != nil {
 			t.Fatal(err)
 		}
 		for file, got := range map[string][]byte{"measurements.csv": mbuf.Bytes(), "aggregates.csv": abuf.Bytes()} {

@@ -27,29 +27,50 @@ var AggregatesHeader = []string{
 	"configuration", "group", "perf_norm", "watts", "energy_norm", "benchmarks",
 }
 
-// Source is a measurement provider for the dataset streamers: the local
-// harness satisfies it directly, and the cluster coordinator satisfies
-// it over HTTP. The determinism contract makes the two interchangeable —
-// both return bit-identical measurements for the same cells, so the
+// Source is a measurement provider for the dataset streamers and
+// ReferenceFrom: the local harness satisfies it directly, the cluster
+// scheduler satisfies it over HTTP, and powerperfd satisfies it through
+// its cell cache. The determinism contract makes them interchangeable —
+// all return bit-identical measurements for the same cells, so the
 // streamed CSVs are byte-identical regardless of the source.
 type Source interface {
 	MeasureBatch(ctx context.Context, jobs []harness.Job, workers int) ([]*harness.Measurement, error)
 }
 
-// StreamMeasurementsCSV measures the cross product of cps and all 61
-// benchmarks and streams measurements.csv rows to w as configurations
-// complete, flushing at configuration boundaries so HTTP clients see
-// incremental progress. Nil cps selects the paper's 45 configurations.
-// The grid is pre-warmed through the worker pool (workers <= 0 selects
-// GOMAXPROCS); ctx aborts at measurement-cell granularity.
-func StreamMeasurementsCSV(ctx context.Context, c *Context, cps []proc.ConfiguredProcessor, w io.Writer, workers int) error {
-	if err := c.check(); err != nil {
-		return err
+// ReferenceFrom builds the Section 2.6 normalization table from one
+// batch of harness.ReferenceCells measured through src. BuildReference
+// reads the batch keyed by cell identity, so the table is bit-identical
+// to a local harness's Reference whichever source measured the cells.
+func ReferenceFrom(ctx context.Context, src Source, workers int) (*harness.Reference, error) {
+	refs, err := harness.ReferenceCells()
+	if err != nil {
+		return nil, err
 	}
-	return StreamMeasurementsCSVFrom(ctx, c.H, c.Ref, cps, w, workers)
+	jobs := harness.GridJobs(refs, nil)
+	ms, err := src.MeasureBatch(ctx, jobs, workers)
+	if err != nil {
+		return nil, err
+	}
+	byCell := make(map[string]*harness.Measurement, len(ms))
+	for i, m := range ms {
+		byCell[jobs[i].Bench.Name+"|"+jobs[i].CP.String()] = m
+	}
+	return harness.BuildReference(func(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*harness.Measurement, error) {
+		m, ok := byCell[b.Name+"|"+cp.String()]
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s on %s missing from reference batch", b.Name, cp)
+		}
+		return m, nil
+	})
 }
 
-// StreamMeasurementsCSVFrom is StreamMeasurementsCSV over any Source.
+// StreamMeasurementsCSVFrom measures the cross product of cps and all
+// 61 benchmarks through src and streams measurements.csv rows to w,
+// normalized by ref, flushing at configuration boundaries so HTTP
+// clients see incremental progress. Nil cps selects the paper's 45
+// configurations. workers is src's batch parallelism (<= 0 selects
+// GOMAXPROCS for a local harness); ctx aborts at measurement-cell
+// granularity.
 func StreamMeasurementsCSVFrom(ctx context.Context, src Source, ref *harness.Reference, cps []proc.ConfiguredProcessor, w io.Writer, workers int) error {
 	if cps == nil {
 		cps = proc.ConfigSpace()
@@ -109,17 +130,9 @@ func StreamMeasurementsCSVFrom(ctx context.Context, src Source, ref *harness.Ref
 	return s.Close()
 }
 
-// StreamAggregatesCSV streams aggregates.csv rows (per-group and
-// equally weighted averages per configuration, Section 2.6) to w. Nil
-// cps selects the paper's 45 configurations.
-func StreamAggregatesCSV(ctx context.Context, c *Context, cps []proc.ConfiguredProcessor, w io.Writer, workers int) error {
-	if err := c.check(); err != nil {
-		return err
-	}
-	return StreamAggregatesCSVFrom(ctx, c.H, c.Ref, cps, w, workers)
-}
-
-// StreamAggregatesCSVFrom is StreamAggregatesCSV over any Source.
+// StreamAggregatesCSVFrom streams aggregates.csv rows (per-group and
+// equally weighted averages per configuration, Section 2.6) to w,
+// measuring through src. Nil cps selects the paper's 45 configurations.
 func StreamAggregatesCSVFrom(ctx context.Context, src Source, ref *harness.Reference, cps []proc.ConfiguredProcessor, w io.Writer, workers int) error {
 	if cps == nil {
 		cps = proc.ConfigSpace()

@@ -14,12 +14,14 @@ import (
 	"repro/internal/workload"
 )
 
-// Context carries the shared harness and normalization reference. All
-// experiments drawing from one Context share its measurement cache, the
-// way the paper's analyses all draw on one dataset.
+// Context carries the measurement source and the normalization
+// reference. All experiments drawing from one Context share its
+// measurements, the way the paper's analyses all draw on one dataset: a
+// local harness's memo behind NewContext, the daemon's cell cache
+// behind powerperfd.
 type Context struct {
-	H   *harness.Harness
-	Ref *harness.Reference
+	Measure harness.MeasureFunc
+	Ref     *harness.Reference
 }
 
 // NewContext builds a harness (calibrating the sensor rig) and measures
@@ -33,7 +35,12 @@ func NewContext(seed int64) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Context{H: h, Ref: ref}, nil
+	return &Context{Measure: h.Measure, Ref: ref}, nil
+}
+
+// measureConfig aggregates one configuration over all four groups.
+func (c *Context) measureConfig(cp proc.ConfiguredProcessor) (*harness.ConfigResult, error) {
+	return harness.AggregateConfig(cp, c.Measure, c.Ref, nil)
 }
 
 // Ratio is a relative comparison of two configurations, as plotted in
@@ -56,11 +63,11 @@ type GroupEnergy struct {
 // compare measures two configurations over all groups and returns the
 // weighted-average ratios and the per-group energy breakdown.
 func (c *Context) compare(label string, num, den proc.ConfiguredProcessor) (Ratio, GroupEnergy, error) {
-	rn, err := c.H.MeasureConfig(num, c.Ref, nil)
+	rn, err := c.measureConfig(num)
 	if err != nil {
 		return Ratio{}, GroupEnergy{}, err
 	}
-	rd, err := c.H.MeasureConfig(den, c.Ref, nil)
+	rd, err := c.measureConfig(den)
 	if err != nil {
 		return Ratio{}, GroupEnergy{}, err
 	}
@@ -106,7 +113,7 @@ func stock(name string) (proc.ConfiguredProcessor, error) {
 var errNilContext = errors.New("experiments: nil context")
 
 func (c *Context) check() error {
-	if c == nil || c.H == nil || c.Ref == nil {
+	if c == nil || c.Measure == nil || c.Ref == nil {
 		return errNilContext
 	}
 	return nil

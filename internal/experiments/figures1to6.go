@@ -32,11 +32,11 @@ func Figure1(c *Context) (*Figure1Result, error) {
 	}
 	res := &Figure1Result{}
 	for _, b := range workload.MultithreadedJava() {
-		mf, err := c.H.Measure(b, full)
+		mf, err := c.Measure(b, full)
 		if err != nil {
 			return nil, err
 		}
-		ms, err := c.H.Measure(b, single)
+		ms, err := c.Measure(b, single)
 		if err != nil {
 			return nil, err
 		}
@@ -71,7 +71,7 @@ func Figure2(c *Context) (*Figure2Result, error) {
 	res := &Figure2Result{}
 	for _, cp := range proc.StockConfigs() {
 		for _, b := range workload.All() {
-			m, err := c.H.Measure(b, cp)
+			m, err := c.Measure(b, cp)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +111,7 @@ func Figure3(c *Context) (*Figure3Result, error) {
 	}
 	res := &Figure3Result{}
 	for _, b := range workload.All() {
-		m, err := c.H.Measure(b, cp)
+		m, err := c.Measure(b, cp)
 		if err != nil {
 			return nil, err
 		}
@@ -224,11 +224,11 @@ func Figure6(c *Context) (*Figure6Result, error) {
 	}
 	res := &Figure6Result{}
 	for _, b := range workload.SingleThreadedJava() {
-		m2, err := c.H.Measure(b, two)
+		m2, err := c.Measure(b, two)
 		if err != nil {
 			return nil, err
 		}
-		m1, err := c.H.Measure(b, one)
+		m1, err := c.Measure(b, one)
 		if err != nil {
 			return nil, err
 		}

@@ -64,7 +64,7 @@ func Figure7(c *Context) (*Figure7Result, error) {
 			cp := proc.ConfiguredProcessor{Proc: p, Config: proc.Config{
 				Cores: p.Spec.Cores, SMTWays: p.Spec.SMTWays, ClockGHz: ghz,
 			}}
-			cr, err := c.H.MeasureConfig(cp, c.Ref, nil)
+			cr, err := c.measureConfig(cp)
 			if err != nil {
 				return nil, err
 			}
@@ -290,7 +290,7 @@ func Figure11(c *Context) (*Figure11Result, error) {
 	}
 	res := &Figure11Result{}
 	for _, cp := range proc.StockConfigs() {
-		cr, err := c.H.MeasureConfig(cp, c.Ref, nil)
+		cr, err := c.measureConfig(cp)
 		if err != nil {
 			return nil, err
 		}

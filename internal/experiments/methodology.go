@@ -42,7 +42,7 @@ func MeterComparison(c *Context) (*MeterComparisonResult, error) {
 	for _, cp := range proc.StockConfigs() {
 		var chip, wall []float64
 		for _, b := range workload.All() {
-			m, err := c.H.Measure(b, cp)
+			m, err := c.Measure(b, cp)
 			if err != nil {
 				return nil, err
 			}

@@ -67,11 +67,11 @@ func ScalingAnalysis(c *Context) (*ScalingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		oldR, err := c.H.MeasureConfig(oldCP, c.Ref, nil)
+		oldR, err := c.measureConfig(oldCP)
 		if err != nil {
 			return nil, err
 		}
-		newR, err := c.H.MeasureConfig(newCP, c.Ref, nil)
+		newR, err := c.measureConfig(newCP)
 		if err != nil {
 			return nil, err
 		}

@@ -49,11 +49,11 @@ func Section31(c *Context) (*Section31Result, error) {
 	}
 	res := &Section31Result{}
 	for _, b := range workload.SingleThreadedJava() {
-		m1, err := c.H.Measure(b, one)
+		m1, err := c.Measure(b, one)
 		if err != nil {
 			return nil, err
 		}
-		m2, err := c.H.Measure(b, two)
+		m2, err := c.Measure(b, two)
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ func Table2(c *Context, cps []proc.ConfiguredProcessor) (*Table2Result, error) {
 	if cps == nil {
 		cps = proc.StockConfigs()
 	}
-	tbl, err := c.H.ConfidenceTable(cps)
+	tbl, err := harness.ConfidenceTable(c.Measure, cps)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func Table4(c *Context) ([]Table4Row, error) {
 	stocks := proc.StockConfigs()
 	rows := make([]Table4Row, len(stocks))
 	for i, cp := range stocks {
-		res, err := c.H.MeasureConfig(cp, c.Ref, nil)
+		res, err := c.measureConfig(cp)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,7 @@ func Table5(c *Context) (*Table5Result, error) {
 	}
 	for _, cp := range cps {
 		res.All = append(res.All, cp.String())
-		cr, err := c.H.MeasureConfig(cp, c.Ref, nil)
+		cr, err := c.measureConfig(cp)
 		if err != nil {
 			return nil, err
 		}

@@ -209,8 +209,9 @@ type CIRow struct {
 	PowerAvg, PowerMax float64
 }
 
-// ConfidenceTable computes Table 2 over the given configurations.
-func (h *Harness) ConfidenceTable(cps []proc.ConfiguredProcessor) (*CITable, error) {
+// ConfidenceTable computes Table 2 over the given configurations from
+// any measurement source.
+func ConfidenceTable(measure MeasureFunc, cps []proc.ConfiguredProcessor) (*CITable, error) {
 	if len(cps) == 0 {
 		return nil, errors.New("harness: no configurations")
 	}
@@ -219,7 +220,7 @@ func (h *Harness) ConfidenceTable(cps []proc.ConfiguredProcessor) (*CITable, err
 	var perGroupP [4][]float64
 	for _, cp := range cps {
 		for _, b := range workload.All() {
-			m, err := h.Measure(b, cp)
+			m, err := measure(b, cp)
 			if err != nil {
 				return nil, err
 			}

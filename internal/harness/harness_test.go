@@ -253,7 +253,7 @@ func TestMeasureConfigNilReference(t *testing.T) {
 
 func TestConfidenceTableMatchesTable2Shape(t *testing.T) {
 	h, _ := testHarness(t)
-	tbl, err := h.ConfidenceTable(proc.StockConfigs())
+	tbl, err := ConfidenceTable(h.Measure, proc.StockConfigs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestConfidenceTableMatchesTable2Shape(t *testing.T) {
 	if jn.TimeAvg <= nn.TimeAvg {
 		t.Errorf("Java time CI %v not above native %v", jn.TimeAvg, nn.TimeAvg)
 	}
-	if _, err := h.ConfidenceTable(nil); err == nil {
+	if _, err := ConfidenceTable(h.Measure, nil); err == nil {
 		t.Fatal("empty configuration list accepted")
 	}
 }

@@ -16,9 +16,6 @@ type RuleKind int
 const (
 	// KindThreshold compares the series' latest value to Value.
 	KindThreshold RuleKind = iota
-	// KindRate compares the series' reset-corrected increase per second
-	// over the last Window samples to Value (counters only).
-	KindRate
 	// KindCI is the paper's regression test turned on the system: the
 	// mean of the last Window samples must stay inside the Student-t
 	// confidence interval of the preceding Baseline samples (at Level,
@@ -29,25 +26,16 @@ const (
 	// on sustained drift: projected relative change across the window
 	// beyond Value with fit R2 of at least MinR2.
 	KindTrend
-	// KindGolden compares the series' latest value to a fixed golden
-	// reference (Value) within relative tolerance RelTol — drift against
-	// the committed seed-42 aggregates, detected the way the paper
-	// validates sensors against reference currents.
-	KindGolden
 )
 
 func (k RuleKind) String() string {
 	switch k {
 	case KindThreshold:
 		return "threshold"
-	case KindRate:
-		return "rate"
 	case KindCI:
 		return "ci"
 	case KindTrend:
 		return "trend"
-	case KindGolden:
-		return "golden"
 	}
 	return "unknown"
 }
@@ -73,14 +61,14 @@ type Rule struct {
 	Series string
 	Kind   RuleKind
 	Cmp    Compare
-	// Value is the threshold, rate limit, trend limit (relative drift
-	// per window), or golden reference, per Kind.
+	// Value is the threshold (KindThreshold) or the trend limit
+	// (KindTrend: relative drift per window).
 	Value float64
-	// RelTol widens the CI (KindCI) or golden band (KindGolden) by a
-	// relative margin; the CI default of 0 trusts the interval as-is.
+	// RelTol widens the CI (KindCI) by a relative margin; the default of
+	// 0 trusts the interval as-is.
 	RelTol float64
 	// Window is the recent-sample count judged by the rule; defaults to
-	// 5 (KindCI/KindRate) or 12 (KindTrend).
+	// 5 (KindCI) or 12 (KindTrend).
 	Window int
 	// Baseline is the baseline-sample count preceding the window for
 	// KindCI; defaults to 20.
@@ -128,10 +116,8 @@ func (r Rule) withDefaults() Rule {
 	}
 	if r.MinSamples <= 0 {
 		switch r.Kind {
-		case KindThreshold, KindGolden:
+		case KindThreshold:
 			r.MinSamples = 1
-		case KindRate:
-			r.MinSamples = 2
 		case KindCI:
 			r.MinSamples = r.Baseline + r.Window
 		case KindTrend:
@@ -329,28 +315,10 @@ func judge(r *Rule, samples []Sample) (bool, float64, string) {
 			return true, v, fmt.Sprintf("%s %s %g (threshold %g)", r.Series, cmpWord(r.Cmp), v, r.Value)
 		}
 		return false, v, ""
-	case KindRate:
-		w := tailN(samples, r.Window)
-		v := Rate(w)
-		if exceeds(r.Cmp, v, r.Value) {
-			return true, v, fmt.Sprintf("%s rate %.4g/s %s %g/s", r.Series, v, cmpWord(r.Cmp), r.Value)
-		}
-		return false, v, ""
 	case KindCI:
 		return judgeCI(r, samples)
 	case KindTrend:
 		return judgeTrend(r, samples)
-	case KindGolden:
-		v := samples[len(samples)-1].V
-		if r.Value == 0 {
-			return false, v, ""
-		}
-		drift := (v - r.Value) / r.Value
-		if abs(drift) > r.RelTol {
-			return true, v, fmt.Sprintf("%s %.6g drifted %+.2f%% from golden %.6g (tolerance ±%.2f%%)",
-				r.Series, v, drift*100, r.Value, r.RelTol*100)
-		}
-		return false, v, ""
 	}
 	return false, 0, ""
 }

@@ -102,23 +102,6 @@ func TestPendingThatClearsIsNoise(t *testing.T) {
 	}
 }
 
-func TestRateRule(t *testing.T) {
-	st := newStore(16, 32)
-	d := newTestDetector(st, Rule{Name: "breaker_opening", Series: "opens", Kind: KindRate, Cmp: Above, Value: 0, Window: 5, For: 1})
-
-	seedSeries(st, be, "opens", 3, 3, 3)
-	d.Evaluate([]string{be}, ts(2))
-	if got := d.Alerts(); len(got) != 0 {
-		t.Fatalf("flat counter raised %+v", got)
-	}
-	st.push(be, "opens", Sample{T: ts(3), V: 5})
-	d.Evaluate([]string{be}, ts(3))
-	got := d.Alerts()
-	if len(got) != 1 || !strings.Contains(got[0].Reason, "rate") {
-		t.Fatalf("rising counter: %+v, want one rate alert", got)
-	}
-}
-
 func TestCIRuleDetectsRegression(t *testing.T) {
 	st := newStore(64, 32)
 	rule := Rule{
@@ -216,25 +199,6 @@ func TestTrendRule(t *testing.T) {
 	d2.Evaluate([]string{be}, ts(12))
 	if got := d2.Alerts(); len(got) != 0 {
 		t.Fatalf("noise raised a trend alert: %+v", got)
-	}
-}
-
-func TestGoldenRule(t *testing.T) {
-	st := newStore(16, 32)
-	d := newTestDetector(st, Rule{
-		Name: "power_drift", Series: "pkg_watts", Kind: KindGolden,
-		Value: 42.0, RelTol: 0.02, For: 1,
-	})
-	st.push(be, "pkg_watts", Sample{T: ts(0), V: 42.5})
-	d.Evaluate([]string{be}, ts(0))
-	if got := d.Alerts(); len(got) != 0 {
-		t.Fatalf("within tolerance raised %+v", got)
-	}
-	st.push(be, "pkg_watts", Sample{T: ts(1), V: 44.0})
-	d.Evaluate([]string{be}, ts(1))
-	got := d.Alerts()
-	if len(got) != 1 || !strings.Contains(got[0].Reason, "golden") {
-		t.Fatalf("4.8%% golden drift: %+v, want one alert", got)
 	}
 }
 

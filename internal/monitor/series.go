@@ -32,40 +32,3 @@ func Values(samples []Sample) []float64 {
 	}
 	return out
 }
-
-// CounterDeltas converts cumulative counter samples into per-interval
-// increases, handling counter resets (a process restart zeroes every
-// counter): a drop is read as a reset, and the post-reset value counts
-// as that interval's whole increase — the convention Prometheus rate()
-// uses. len(result) == len(samples)-1.
-func CounterDeltas(samples []Sample) []float64 {
-	if len(samples) < 2 {
-		return nil
-	}
-	out := make([]float64, len(samples)-1)
-	for i := 1; i < len(samples); i++ {
-		d := samples[i].V - samples[i-1].V
-		if d < 0 { // reset
-			d = samples[i].V
-		}
-		out[i-1] = d
-	}
-	return out
-}
-
-// Rate returns a counter's reset-corrected increase per second over the
-// sampled span, or 0 when the span is degenerate.
-func Rate(samples []Sample) float64 {
-	if len(samples) < 2 {
-		return 0
-	}
-	elapsed := samples[len(samples)-1].T.Sub(samples[0].T).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	var total float64
-	for _, d := range CounterDeltas(samples) {
-		total += d
-	}
-	return total / elapsed
-}

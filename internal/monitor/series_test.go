@@ -18,32 +18,6 @@ func TestRingMinimumCapacity(t *testing.T) {
 	}
 }
 
-func TestCounterDeltasHandlesReset(t *testing.T) {
-	samples := []Sample{
-		{T: ts(0), V: 10}, {T: ts(1), V: 15}, {T: ts(2), V: 3}, {T: ts(3), V: 7},
-	}
-	got := CounterDeltas(samples)
-	// The drop 15->3 is a process restart: the post-reset value 3 counts
-	// as that interval's whole increase.
-	if want := []float64{5, 3, 4}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("CounterDeltas=%v, want %v", got, want)
-	}
-}
-
-func TestRate(t *testing.T) {
-	samples := []Sample{{T: ts(0), V: 0}, {T: ts(10), V: 30}}
-	if got := Rate(samples); got != 3 {
-		t.Fatalf("Rate=%v, want 3/s", got)
-	}
-	if got := Rate(samples[:1]); got != 0 {
-		t.Fatalf("Rate of one sample = %v, want 0", got)
-	}
-	same := []Sample{{T: ts(5), V: 1}, {T: ts(5), V: 2}}
-	if got := Rate(same); got != 0 {
-		t.Fatalf("Rate over zero span = %v, want 0", got)
-	}
-}
-
 func TestStoreSeriesCap(t *testing.T) {
 	st := newStore(4, 2)
 	st.push("be", "a", Sample{T: ts(0), V: 1})

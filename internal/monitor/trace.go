@@ -64,11 +64,10 @@ func (m *Monitor) pushTraceSeries(now time.Time) {
 // traceviewResponse is the GET /v1/traceview payload: the fleet
 // summary plus search results, or one full waterfall with ?trace=.
 type traceviewResponse struct {
-	Generated time.Time                 `json:"generated"`
-	Summary   *traceanalytics.Summary   `json:"summary,omitempty"`
-	Traces    []traceanalytics.Digest   `json:"traces,omitempty"`
-	Trace     *traceanalytics.Trace     `json:"trace,omitempty"`
-	Flame     *traceanalytics.FlameNode `json:"flame,omitempty"`
+	Generated time.Time               `json:"generated"`
+	Summary   *traceanalytics.Summary `json:"summary,omitempty"`
+	Traces    []traceanalytics.Digest `json:"traces,omitempty"`
+	Trace     *traceanalytics.Trace   `json:"trace,omitempty"`
 }
 
 // TraceviewHandler serves GET /v1/traceview:
@@ -80,7 +79,6 @@ type traceviewResponse struct {
 //	?op=NAME             traces containing a span named NAME
 //	?min_ms=X            traces at least X ms of wall time
 //	?limit=N             result cap (default 20)
-//	?flame=1             include the fleet-merged flame hierarchy
 func (m *Monitor) TraceviewHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -126,9 +124,6 @@ func (m *Monitor) TraceviewHandler() http.Handler {
 		}
 		for _, tr := range m.analytics.Search(query) {
 			resp.Traces = append(resp.Traces, tr.Digest())
-		}
-		if q.Get("flame") == "1" {
-			resp.Flame = m.analytics.Flame()
 		}
 		writeTraceview(w, &resp)
 	})

@@ -1,14 +1,10 @@
 package profiling
 
-// Fleet continuous profiling: harvest pprof CPU and heap profiles from
-// every backend's -pprof endpoint, keep a bounded rolling window per
-// backend, and answer the operational questions raw profiles cannot —
-// how busy is each backend's CPU, how fast is it allocating, and which
-// functions does the latest window charge for the change. The monitor
-// drives HarvestAll on a jittered cadence (observer effect: profiles
-// are pulled between sweeps, never from the serving path), and alloc
-// rates are pushed as series so allocation regressions ride the same
-// detector state machine as every other alert.
+// Fleet profiling: capture pprof CPU and heap profiles from backends'
+// -pprof endpoints, and compare two captures per backend — how busy
+// each backend's CPU was, how fast it allocated between the captures,
+// and which functions account for the change. `powerperfmon profile`
+// takes the two captures and prints the comparison.
 
 import (
 	"context"
@@ -19,22 +15,6 @@ import (
 	"sync"
 	"time"
 )
-
-// FleetOptions configures a fleet profiler.
-type FleetOptions struct {
-	// Backends are base URLs whose /debug/pprof endpoints to harvest
-	// (powerperfd -pprof mounts them).
-	Backends []string
-	// Seconds is the CPU sampling window per harvest (<=0 selects 1).
-	// Each harvest blocks this long on the backend, so the caller runs
-	// harvests off its hot path.
-	Seconds int
-	// Timeout guards each HTTP request beyond the CPU window itself
-	// (<=0 selects 5s).
-	Timeout time.Duration
-	// UserAgent stamps harvest requests.
-	UserAgent string
-}
 
 // Harvest is one backend's profile capture.
 type Harvest struct {
@@ -50,61 +30,45 @@ type Harvest struct {
 	HeapInuse   int64            // inuse_space bytes at capture (gauge)
 }
 
-// fleetWindows bounds retained harvests per backend.
-const fleetWindows = 8
+// captureTimeout guards each profile request beyond the CPU window
+// itself.
+const captureTimeout = 5 * time.Second
 
-// Fleet harvests and retains profiles for a set of backends.
-type Fleet struct {
-	opts FleetOptions
-	// client is private, so profile pulls never share the serving pool.
-	client *http.Client
+// captureClient is private, so profile pulls never share a serving
+// pool.
+var captureClient = &http.Client{}
 
-	mu   sync.Mutex
-	wins map[string][]Harvest // oldest first, bounded by fleetWindows
-}
-
-// NewFleet builds a fleet profiler.
-func NewFleet(opts FleetOptions) *Fleet {
-	if opts.Seconds <= 0 {
-		opts.Seconds = 1
+// Capture takes one capture from every backend concurrently: a CPU
+// profile sampled for seconds (<= 0 selects 1), then the heap. Each
+// capture blocks that long on its backend, so callers run captures off
+// their hot path. A failed capture carries its error in Err rather
+// than aborting the others.
+func Capture(ctx context.Context, backends []string, seconds int, userAgent string) []Harvest {
+	if seconds <= 0 {
+		seconds = 1
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
-	}
-	return &Fleet{opts: opts, client: &http.Client{}, wins: make(map[string][]Harvest)}
-}
-
-// HarvestAll captures one window from every backend concurrently and
-// appends it to the rolling windows. Failures record an error harvest
-// (visible in snapshots) rather than aborting the fleet.
-func (f *Fleet) HarvestAll(ctx context.Context) {
+	out := make([]Harvest, len(backends))
 	var wg sync.WaitGroup
-	for _, b := range f.opts.Backends {
+	for i, b := range backends {
 		wg.Add(1)
-		go func(backend string) {
+		go func() {
 			defer wg.Done()
-			h := f.harvestOne(ctx, backend)
-			f.mu.Lock()
-			win := append(f.wins[backend], h)
-			if len(win) > fleetWindows {
-				win = win[len(win)-fleetWindows:]
-			}
-			f.wins[backend] = win
-			f.mu.Unlock()
-		}(b)
+			out[i] = captureOne(ctx, b, seconds, userAgent)
+		}()
 	}
 	wg.Wait()
+	return out
 }
 
-func (f *Fleet) harvestOne(ctx context.Context, backend string) Harvest {
+func captureOne(ctx context.Context, backend string, seconds int, userAgent string) Harvest {
 	h := Harvest{T: time.Now()}
-	cpu, err := f.get(ctx, backend, fmt.Sprintf("/debug/pprof/profile?seconds=%d", f.opts.Seconds),
-		time.Duration(f.opts.Seconds)*time.Second+f.opts.Timeout)
+	cpu, err := get(ctx, backend, fmt.Sprintf("/debug/pprof/profile?seconds=%d", seconds),
+		time.Duration(seconds)*time.Second+captureTimeout, userAgent)
 	if err != nil {
 		h.Err = err.Error()
 		return h
 	}
-	heap, err := f.get(ctx, backend, "/debug/pprof/heap", f.opts.Timeout)
+	heap, err := get(ctx, backend, "/debug/pprof/heap", captureTimeout, userAgent)
 	if err != nil {
 		h.Err = err.Error()
 		return h
@@ -134,17 +98,17 @@ func (f *Fleet) harvestOne(ctx context.Context, backend string) Harvest {
 	return h
 }
 
-func (f *Fleet) get(ctx context.Context, backend, path string, timeout time.Duration) ([]byte, error) {
+func get(ctx context.Context, backend, path string, timeout time.Duration, userAgent string) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(backend, "/")+path, nil)
 	if err != nil {
 		return nil, err
 	}
-	if f.opts.UserAgent != "" {
-		req.Header.Set("User-Agent", f.opts.UserAgent)
+	if userAgent != "" {
+		req.Header.Set("User-Agent", userAgent)
 	}
-	resp, err := f.client.Do(req)
+	resp, err := captureClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -155,96 +119,8 @@ func (f *Fleet) get(ctx context.Context, backend, path string, timeout time.Dura
 	return io.ReadAll(io.LimitReader(resp.Body, maxProfileBytes+1))
 }
 
-// last returns the most recent n successful harvests, newest first.
-func (f *Fleet) last(backend string, n int) []Harvest {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	win := f.wins[backend]
-	out := make([]Harvest, 0, n)
-	for i := len(win) - 1; i >= 0 && len(out) < n; i-- {
-		if win[i].Err == "" {
-			out = append(out, win[i])
-		}
-	}
-	return out
-}
-
-// Latest returns the newest successful harvest for a backend.
-func (f *Fleet) Latest(backend string) (Harvest, bool) {
-	h := f.last(backend, 1)
-	if len(h) == 0 {
-		return Harvest{}, false
-	}
-	return h[0], true
-}
-
-// LastError returns the newest harvest error for a backend, "" when the
-// newest capture succeeded or none exist.
-func (f *Fleet) LastError(backend string) string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	win := f.wins[backend]
-	if len(win) == 0 {
-		return ""
-	}
-	return win[len(win)-1].Err
-}
-
-// AllocDelta diffs the two newest harvests' cumulative allocation
-// profiles: which functions allocated how many bytes across the window,
-// and how long that window was. Counter-reset aware: a backend restart
-// (cumulative total went backwards) reports not-ok rather than a
-// nonsense negative delta.
-func (f *Fleet) AllocDelta(backend string) (delta map[string]int64, window time.Duration, ok bool) {
-	hs := f.last(backend, 2)
-	if len(hs) < 2 {
-		return nil, 0, false
-	}
-	cur, prev := hs[0], hs[1]
-	if cur.AllocTotal < prev.AllocTotal {
-		return nil, 0, false
-	}
-	return Diff(cur.AllocByFunc, prev.AllocByFunc), cur.T.Sub(prev.T), true
-}
-
-// AllocRate returns a backend's allocation rate in bytes/second over
-// the newest harvest pair.
-func (f *Fleet) AllocRate(backend string) (float64, bool) {
-	hs := f.last(backend, 2)
-	if len(hs) < 2 {
-		return 0, false
-	}
-	cur, prev := hs[0], hs[1]
-	dt := cur.T.Sub(prev.T).Seconds()
-	if dt <= 0 || cur.AllocTotal < prev.AllocTotal {
-		return 0, false
-	}
-	return float64(cur.AllocTotal-prev.AllocTotal) / dt, true
-}
-
-// CPUBusyFrac returns the fraction of the sampled window a backend
-// spent on CPU (can exceed 1 on multicore).
-func (f *Fleet) CPUBusyFrac(backend string) (float64, bool) {
-	h, ok := f.Latest(backend)
-	if !ok || h.CPUDurationNS <= 0 {
-		return 0, false
-	}
-	return float64(h.CPUTotalNS) / float64(h.CPUDurationNS), true
-}
-
-// MergedAllocDelta merges per-backend allocation deltas fleet-wide.
-func (f *Fleet) MergedAllocDelta() map[string]int64 {
-	flats := make([]map[string]int64, 0, len(f.opts.Backends))
-	for _, b := range f.opts.Backends {
-		if d, _, ok := f.AllocDelta(b); ok {
-			flats = append(flats, d)
-		}
-	}
-	return Merge(flats...)
-}
-
-// BackendReport is the operator-facing digest of one backend's rolling
-// profile window, JSON-shaped for the CLI and dashboard.
+// BackendReport is the operator-facing digest of one backend's two
+// captures, JSON-shaped for the CLI.
 type BackendReport struct {
 	Backend      string  `json:"backend"`
 	CapturedAt   string  `json:"captured_at,omitempty"`
@@ -256,26 +132,40 @@ type BackendReport struct {
 	TopAllocDiff []Entry `json:"top_alloc_delta,omitempty"`
 }
 
-// Report digests every backend's state, top-k'd for display.
-func (f *Fleet) Report(topK int) []BackendReport {
-	out := make([]BackendReport, 0, len(f.opts.Backends))
-	for _, b := range f.opts.Backends {
-		r := BackendReport{Backend: b, Err: f.LastError(b)}
-		if h, ok := f.Latest(b); ok {
-			r.CapturedAt = h.T.UTC().Format(time.RFC3339)
-			r.HeapInuse = h.HeapInuse
-			r.TopCPU = TopK(h.CPUByFunc, topK)
+// Compare digests two captures per backend, first[i] and then second[i]
+// of backends[i], into one report per backend, top-k'd for display, and
+// the fleet-merged top allocation delta. A report's error is its second
+// capture's; its CPU and heap figures come from the newer successful
+// capture. The allocation rate and delta need both captures, and a
+// cumulative total that went backwards (a restarted backend) yields
+// neither rather than a negative delta.
+func Compare(backends []string, first, second []Harvest, topK int) ([]BackendReport, []Entry) {
+	reports := make([]BackendReport, len(backends))
+	var deltas []map[string]int64
+	for i, b := range backends {
+		prev, cur := first[i], second[i]
+		r := BackendReport{Backend: b, Err: cur.Err}
+		latest := cur
+		if latest.Err != "" {
+			latest = prev
 		}
-		if v, ok := f.CPUBusyFrac(b); ok {
-			r.CPUBusyFrac = v
+		if latest.Err == "" {
+			r.CapturedAt = latest.T.UTC().Format(time.RFC3339)
+			r.HeapInuse = latest.HeapInuse
+			r.TopCPU = TopK(latest.CPUByFunc, topK)
+			if latest.CPUDurationNS > 0 {
+				r.CPUBusyFrac = float64(latest.CPUTotalNS) / float64(latest.CPUDurationNS)
+			}
 		}
-		if v, ok := f.AllocRate(b); ok {
-			r.AllocPerSec = v
-		}
-		if d, _, ok := f.AllocDelta(b); ok {
+		if prev.Err == "" && cur.Err == "" && cur.AllocTotal >= prev.AllocTotal {
+			d := Diff(cur.AllocByFunc, prev.AllocByFunc)
 			r.TopAllocDiff = TopK(d, topK)
+			if dt := cur.T.Sub(prev.T).Seconds(); dt > 0 {
+				r.AllocPerSec = float64(cur.AllocTotal-prev.AllocTotal) / dt
+			}
+			deltas = append(deltas, d)
 		}
-		out = append(out, r)
+		reports[i] = r
 	}
-	return out
+	return reports, TopK(Merge(deltas...), topK)
 }

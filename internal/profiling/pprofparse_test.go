@@ -134,67 +134,73 @@ func TestFleetHarvestAndDelta(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	fleet := NewFleet(FleetOptions{
-		Backends: []string{srv.URL},
-		Seconds:  1,
-		Timeout:  10 * time.Second,
-	})
+	backends := []string{srv.URL}
 	ctx := context.Background()
-	fleet.HarvestAll(ctx)
-	if err := fleet.LastError(srv.URL); err != "" {
+	first := Capture(ctx, backends, 1, "")
+	if err := first[0].Err; err != "" {
 		t.Fatalf("first harvest failed: %s", err)
 	}
-	h, ok := fleet.Latest(srv.URL)
-	if !ok {
-		t.Fatal("no harvest retained")
-	}
-	if h.AllocTotal <= 0 {
+	if first[0].AllocTotal <= 0 {
 		t.Fatal("harvest has no cumulative allocations")
 	}
 	// Allocate between harvests so the delta is non-empty.
 	allocSink = burnAlloc(3000)
-	fleet.HarvestAll(ctx)
+	second := Capture(ctx, backends, 1, "")
 	allocSink = nil
 
-	delta, window, ok := fleet.AllocDelta(srv.URL)
-	if !ok {
-		t.Fatal("no alloc delta after two harvests")
+	if second[0].T.Sub(first[0].T) <= 0 {
+		t.Fatalf("window = %v", second[0].T.Sub(first[0].T))
 	}
-	if window <= 0 {
-		t.Fatalf("window = %v", window)
+	rep, merged := Compare(backends, first, second, 5)
+	if len(rep) != 1 || rep[0].Err != "" || rep[0].CapturedAt == "" {
+		t.Fatalf("report wrong: %+v", rep)
 	}
 	var total int64
-	for _, v := range delta {
-		if v > 0 {
-			total += v
+	for _, e := range rep[0].TopAllocDiff {
+		if e.Value > 0 {
+			total += e.Value
 		}
 	}
 	if total <= 0 {
-		t.Fatalf("alloc delta empty: %+v", delta)
+		t.Fatalf("alloc delta empty: %+v", rep[0].TopAllocDiff)
 	}
-	if merged := fleet.MergedAllocDelta(); len(merged) == 0 {
+	if len(merged) == 0 {
 		t.Fatal("fleet-merged alloc delta empty after allocation churn")
 	}
-	if rate, ok := fleet.AllocRate(srv.URL); !ok || rate <= 0 {
-		t.Fatalf("alloc rate = %v ok=%v", rate, ok)
-	}
-	rep := fleet.Report(5)
-	if len(rep) != 1 || rep[0].AllocPerSec <= 0 {
-		t.Fatalf("report wrong: %+v", rep)
+	if rep[0].AllocPerSec <= 0 {
+		t.Fatalf("alloc rate = %v", rep[0].AllocPerSec)
 	}
 }
 
 func TestFleetRecordsUnreachableBackend(t *testing.T) {
-	fleet := NewFleet(FleetOptions{
-		Backends: []string{"http://127.0.0.1:1"},
-		Seconds:  1,
-		Timeout:  200 * time.Millisecond,
-	})
-	fleet.HarvestAll(context.Background())
-	if fleet.LastError("http://127.0.0.1:1") == "" {
+	backends := []string{"http://127.0.0.1:1"}
+	first := Capture(context.Background(), backends, 1, "")
+	if first[0].Err == "" {
 		t.Fatal("unreachable backend left no error")
 	}
-	if _, ok := fleet.Latest("http://127.0.0.1:1"); ok {
+	rep, _ := Compare(backends, first, first, 5)
+	if rep[0].Err == "" {
+		t.Fatal("report dropped the capture error")
+	}
+	if rep[0].CapturedAt != "" {
 		t.Fatal("failed harvest must not count as latest success")
+	}
+}
+
+// TestCompareSkipsDeltaAcrossRestart: a backend whose cumulative
+// allocation total went backwards between captures restarted, so it
+// reports no delta and no rate rather than negative ones, while its
+// latest capture still reports CPU and heap.
+func TestCompareSkipsDeltaAcrossRestart(t *testing.T) {
+	t0 := time.Unix(100, 0)
+	first := []Harvest{{T: t0, AllocTotal: 5000, AllocByFunc: map[string]int64{"a": 5000}}}
+	second := []Harvest{{T: t0.Add(time.Second), AllocTotal: 800, AllocByFunc: map[string]int64{"a": 800},
+		CPUTotalNS: 5e8, CPUDurationNS: 1e9, HeapInuse: 42}}
+	rep, merged := Compare([]string{"b"}, first, second, 5)
+	if r := rep[0]; r.AllocPerSec != 0 || r.TopAllocDiff != nil || len(merged) != 0 {
+		t.Fatalf("restart reported a delta: %+v merged %+v", r, merged)
+	}
+	if r := rep[0]; r.CPUBusyFrac != 0.5 || r.HeapInuse != 42 {
+		t.Fatalf("latest capture not reported: %+v", r)
 	}
 }

@@ -143,13 +143,13 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 
 func TestPoolDrainRejectsNewWork(t *testing.T) {
 	p := newWorkPool(2, 4)
-	v, err := p.Do(context.Background(), func() (any, error) { return 7, nil })
+	v, err := p.DoLane(context.Background(), laneInteractive, func() (any, error) { return 7, nil })
 	if err != nil || v != 7 {
-		t.Fatalf("Do: %v, %v", v, err)
+		t.Fatalf("DoLane: %v, %v", v, err)
 	}
 	p.Close()
-	if _, err := p.Do(context.Background(), func() (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
-		t.Fatalf("post-drain Do err = %v, want ErrDraining", err)
+	if _, err := p.DoLane(context.Background(), laneInteractive, func() (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
+		t.Fatalf("post-drain DoLane err = %v, want ErrDraining", err)
 	}
 	p.Close() // idempotent
 }
@@ -162,14 +162,14 @@ func TestPoolDrainCompletesQueuedWork(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _ = p.Do(context.Background(), func() (any, error) { <-block; done.Add(1); return nil, nil })
+		_, _ = p.DoLane(context.Background(), laneInteractive, func() (any, error) { <-block; done.Add(1); return nil, nil })
 	}()
 	// Queue more behind the blocked one.
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = p.Do(context.Background(), func() (any, error) { done.Add(1); return nil, nil })
+			_, _ = p.DoLane(context.Background(), laneInteractive, func() (any, error) { done.Add(1); return nil, nil })
 		}()
 	}
 	// Let the submissions land, then drain while releasing the head.
@@ -190,14 +190,14 @@ func TestPoolQueueFullHonorsContext(t *testing.T) {
 	defer p.Close()
 	block := make(chan struct{})
 	defer close(block)
-	go p.Do(context.Background(), func() (any, error) { <-block; return nil, nil })
+	go p.DoLane(context.Background(), laneInteractive, func() (any, error) { <-block; return nil, nil })
 	time.Sleep(10 * time.Millisecond) // head task occupies the worker
-	go p.Do(context.Background(), func() (any, error) { return nil, nil })
+	go p.DoLane(context.Background(), laneInteractive, func() (any, error) { return nil, nil })
 	time.Sleep(10 * time.Millisecond) // second task fills the queue
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := p.Do(ctx, func() (any, error) { return nil, nil }); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("full-queue Do err = %v, want deadline exceeded", err)
+	if _, err := p.DoLane(ctx, laneInteractive, func() (any, error) { return nil, nil }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("full-queue DoLane err = %v, want deadline exceeded", err)
 	}
 }
 

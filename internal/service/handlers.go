@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/harness"
+	"repro/internal/proc"
+	"repro/internal/workload"
 )
 
 // maxRequestBytes bounds a request body; the largest legitimate measure
@@ -152,50 +154,51 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 }
 
 // fanOutMeasure measures cells with a claim-by-index fan-out across a
-// bounded set of request goroutines, calling sink (possibly from many
-// goroutines at once) for each measured cell, and returns the first
-// error. Real computation is admitted by the shared worker pool through
-// lane l; these goroutines mostly wait on cache fills, so the cap only
-// bounds bookkeeping, not parallelism. A batch whose every cell reached
-// sink is complete even if ctx ended afterwards.
+// bounded set of goroutines, calling sink (possibly from many goroutines
+// at once) for each measured cell, and returns the first error. The
+// caller claims cells too, so a one-cell request starts no goroutine
+// and waits on none. Real computation is admitted by the shared worker
+// pool through lane l; these goroutines mostly wait on cache fills, so
+// the cap only bounds bookkeeping, not parallelism. A batch whose every
+// cell reached sink is complete even if ctx ended afterwards.
 func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, cells []cell, sink func(i int, m *harness.Measurement)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	fan := len(cells)
-	if fan > 64 {
-		fan = 64
-	}
 	var next, sunk atomic.Int64
 	// Mutex, not atomic.Value: measureCell failures carry heterogeneous
 	// concrete error types, which atomic.Value.CompareAndSwap rejects by
 	// panicking.
 	var errMu sync.Mutex
 	var firstErr error
+	claim := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(cells) || ctx.Err() != nil {
+				return
+			}
+			m, err := s.measureCell(ctx, seed, l, cells[i])
+			if err != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				errMu.Unlock()
+				cancel()
+				return
+			}
+			sink(i, m)
+			sunk.Add(1)
+		}
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < fan; g++ {
+	for g := 1; g < min(len(cells), 64); g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) || ctx.Err() != nil {
-					return
-				}
-				m, err := s.measureCell(ctx, seed, l, cells[i])
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					cancel()
-					return
-				}
-				sink(i, m)
-				sunk.Add(1)
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
 	errMu.Lock()
 	defer errMu.Unlock()
@@ -208,6 +211,36 @@ func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, cells []
 	// Parent cancellation (client disconnect) before every cell reached
 	// sink means the batch is incomplete.
 	return ctx.Err()
+}
+
+// seedSource is an experiments.Source over the daemon's own cell path:
+// it measures a batch at one seed through fanOutMeasure on the bulk
+// lane, so the dataset and experiment endpoints read and fill the cache
+// /v1/measure serves. The pool bounds computation, so workers is
+// ignored.
+type seedSource struct {
+	s    *Server
+	seed int64
+}
+
+func (src seedSource) MeasureBatch(ctx context.Context, jobs []harness.Job, _ int) ([]*harness.Measurement, error) {
+	cells := make([]cell, len(jobs))
+	for i, j := range jobs {
+		cells[i] = cell{bench: j.Bench, cp: j.CP}
+	}
+	ms := make([]*harness.Measurement, len(jobs))
+	if err := src.s.fanOutMeasure(ctx, src.seed, laneBulk, cells, func(i int, m *harness.Measurement) { ms[i] = m }); err != nil {
+		return nil, err
+	}
+	return ms, nil
+}
+
+// measure is the source's one-cell form, the experiments.Context's
+// MeasureFunc.
+func (src seedSource) measure(ctx context.Context) harness.MeasureFunc {
+	return func(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*harness.Measurement, error) {
+		return src.s.measureCell(ctx, src.seed, laneBulk, cell{bench: b, cp: cp})
+	}
 }
 
 // measureStream serves one measure request as a chunked stream of
@@ -280,7 +313,7 @@ func (s *Server) commitStudy(ctx context.Context, rec *studyRecorder) {
 
 // experimentRegistry maps URL ids to the paper's artifact generators.
 // Table 3 is static specification data; everything else measures through
-// the shared daemon-seed context.
+// the daemon's cell cache at the daemon seed.
 var experimentRegistry = map[string]func(*experiments.Context) (any, error){
 	"table2":   func(c *experiments.Context) (any, error) { return experiments.Table2(c, nil) },
 	"table3":   func(*experiments.Context) (any, error) { return experiments.Table3(), nil },
@@ -351,29 +384,31 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 }
 
 // experimentJSON returns the rendered artifact, cached by id: the
-// generators draw on the shared measurement context, so each artifact is
-// computed once per daemon lifetime.
+// generators measure through the daemon's cell path, so each artifact is
+// computed once per daemon lifetime and its cells serve every other
+// endpoint. The generation outlives a client that leaves, as every
+// cache fill does; Drain still stops it at its next uncached cell.
 func (s *Server) experimentJSON(ctx context.Context, id string) ([]byte, error) {
 	gen, ok := experimentRegistry[id]
 	if !ok {
 		return nil, errNotFound
 	}
 	v, err := s.cache.GetOrCompute(ctx, "exp|"+id, func() (any, error) {
-		return s.pool.Do(ctx, func() (any, error) {
-			c, err := s.experimentsContext()
-			if err != nil {
-				return nil, err
-			}
-			res, err := gen(c)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(struct {
-				ID     string `json:"id"`
-				Seed   int64  `json:"seed"`
-				Result any    `json:"result"`
-			}{id, s.opts.Seed, res})
-		})
+		ctx := context.WithoutCancel(ctx)
+		src := seedSource{s, s.opts.Seed}
+		ref, err := experiments.ReferenceFrom(ctx, src, 0)
+		if err != nil {
+			return nil, err
+		}
+		res, err := gen(&experiments.Context{Measure: src.measure(ctx), Ref: ref})
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(struct {
+			ID     string `json:"id"`
+			Seed   int64  `json:"seed"`
+			Result any    `json:"result"`
+		}{id, s.opts.Seed, res})
 	})
 	if err != nil {
 		return nil, err
@@ -407,23 +442,23 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	if table == "" {
 		table = "measurements"
 	}
-	var stream func(context.Context, *experiments.Context) error
+	stream := experiments.StreamMeasurementsCSVFrom
 	switch table {
 	case "measurements":
-		stream = func(ctx context.Context, c *experiments.Context) error {
-			return experiments.StreamMeasurementsCSV(ctx, c, nil, flushWriter{w, flusherOf(w)}, s.opts.Workers)
-		}
 	case "aggregates":
-		stream = func(ctx context.Context, c *experiments.Context) error {
-			return experiments.StreamAggregatesCSV(ctx, c, nil, flushWriter{w, flusherOf(w)}, s.opts.Workers)
-		}
+		stream = experiments.StreamAggregatesCSVFrom
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown table %q (want measurements or aggregates)", table))
 		return
 	}
-	c, err := s.experimentsContext()
+	src := seedSource{s, s.opts.Seed}
+	ref, err := experiments.ReferenceFrom(r.Context(), src, 0)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		status := http.StatusInternalServerError
+		if errors.Is(err, ErrDraining) {
+			status = http.StatusServiceUnavailable
+		}
+		writeError(w, status, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
@@ -431,9 +466,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	// The status line is committed before streaming; a mid-stream error
 	// can only abort the connection, which the CSV's missing final rows
 	// make detectable.
-	if err := stream(r.Context(), c); err != nil {
-		_ = err // connection-level failure; nothing more to write
-	}
+	_ = stream(r.Context(), src, ref, nil, flushWriter{w, flusherOf(w)}, 0)
 }
 
 func flusherOf(w http.ResponseWriter) http.Flusher {

@@ -11,12 +11,12 @@ import (
 var ErrDraining = errors.New("service: draining, not accepting new work")
 
 // lane selects a work-pool priority class. Interactive work (ad-hoc
-// /v1/measure requests, experiment fills) is dequeued before bulk work
-// (study traffic from the cluster scheduler), so a human poking one cell
-// is never stuck behind a five-thousand-cell study. Preemption is at
-// dequeue granularity: a bulk cell already executing runs to completion,
-// but every idle worker drains the interactive lane dry before touching
-// the bulk lane again.
+// /v1/measure requests) is dequeued before bulk work (study traffic from
+// the cluster scheduler, dataset and experiment fills), so a human
+// poking one cell is never stuck behind a five-thousand-cell study.
+// Preemption is at dequeue granularity: a bulk cell already executing
+// runs to completion, but every idle worker drains the interactive lane
+// dry before touching the bulk lane again.
 type lane int
 
 const (
@@ -106,16 +106,11 @@ type poolResult struct {
 	err error
 }
 
-// doneChans recycles Do's single-use result channels. A channel is
+// doneChans recycles DoLane's single-use result channels. A channel is
 // returned to the pool only on paths where no send can still be
 // pending: after the result is received, or when the task was never
 // enqueued (ctx expired first), so a recycled channel is always empty.
 var doneChans = sync.Pool{New: func() any { return make(chan poolResult, 1) }}
-
-// Do runs fn on the interactive lane; see DoLane.
-func (p *workPool) Do(ctx context.Context, fn func() (any, error)) (any, error) {
-	return p.DoLane(ctx, laneInteractive, fn)
-}
 
 // DoLane runs fn on the pool's given lane and waits for its result.
 // Enqueueing respects ctx (a caller can give up while the queue is

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/monitor"
 	"repro/internal/proc"
@@ -91,9 +90,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the powerperfd core: the measurement cache, the worker pool,
-// per-seed harnesses, and the lazily built experiments context. It is
-// wired to HTTP by Handler (handlers.go).
+// Server is the powerperfd core: the measurement cache, the worker pool
+// and the per-seed harnesses, the one path every cell the daemon serves
+// is computed through. It is wired to HTTP by Handler (handlers.go).
 type Server struct {
 	opts  Options
 	cache *Cache
@@ -106,14 +105,6 @@ type Server struct {
 	// and a span is two clock reads plus a ring slot.
 	tracer *telemetry.Tracer
 	logger *slog.Logger
-
-	// expOnce builds the experiments context (harness + normalization
-	// reference at the daemon seed) on first use; experiments and
-	// dataset requests share it the way the paper's analyses share one
-	// dataset.
-	expOnce sync.Once
-	expCtx  *experiments.Context
-	expErr  error
 
 	start    time.Time
 	draining atomic.Bool
@@ -300,16 +291,6 @@ func setCellResult(res *CellResult, d *CellDetail, c cell, m *harness.Measuremen
 		PowerCI:    CIToJSON(m.PowerCI),
 	}
 	res.Full = d
-}
-
-// experimentsContext returns the shared daemon-seed experiments context,
-// building it (rig calibration plus the 61x4 normalization reference) on
-// first use.
-func (s *Server) experimentsContext() (*experiments.Context, error) {
-	s.expOnce.Do(func() {
-		s.expCtx, s.expErr = experiments.NewContext(s.opts.Seed)
-	})
-	return s.expCtx, s.expErr
 }
 
 // Stats is a snapshot of the server counters: /metricsz renders it,

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/proc"
 	"repro/internal/telemetry"
@@ -438,6 +439,98 @@ func TestDatasetEndpointMatchesCommittedDataset(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/v1/dataset?table=nope"); code != http.StatusBadRequest {
 		t.Fatalf("unknown table accepted: %d", code)
+	}
+}
+
+// TestDatasetServedFromMeasureCache pins the daemon's one cell path: a
+// server that measured the study grid through /v1/measure answers both
+// dataset tables from that cache — the reference's 244 cells and the
+// grid's 2,745 all hits, not one fill — with the committed bytes.
+func TestDatasetServedFromMeasureCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full 45x61 grid in -short mode")
+	}
+	srv := NewServer(Options{Seed: 42})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	jobs := harness.GridJobs(proc.ConfigSpace(), nil)
+	req := MeasureRequest{Cells: make([]CellRequest, len(jobs))}
+	for i, j := range jobs {
+		cfg := ConfigToJSON(j.CP.Config)
+		req.Cells[i] = CellRequest{Benchmark: j.Bench.Name, Processor: j.CP.Proc.Name, Config: &cfg}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, b := postMeasure(t, ts.URL, string(body)); code != http.StatusOK {
+		t.Fatalf("measure grid: %d %.200s", code, b)
+	}
+
+	refCells := 4 * len(workload.All())
+	before := srv.Stats().Cache
+	for i, file := range []string{"measurements", "aggregates"} {
+		code, got := get(t, ts.URL+"/v1/dataset?table="+file)
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", file, code, got)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "dataset", file+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: bytes differ from committed dataset/%s.csv (%d vs %d bytes)", file, file, len(got), len(want))
+		}
+		st := srv.Stats().Cache
+		if st.Misses != before.Misses {
+			t.Errorf("after %s: %d fills, want 0", file, st.Misses-before.Misses)
+		}
+		if hits, want := st.Hits-before.Hits, int64((i+1)*(refCells+len(jobs))); hits != want {
+			t.Errorf("after %s: %d cache hits, want %d", file, hits, want)
+		}
+	}
+}
+
+// TestExperimentEndpointsMatchLocalGenerators: every artifact the
+// daemon serves is byte-identical to its generator run over a local
+// harness at the same seed. A one-worker daemon also shows that a
+// generation never waits on the pool slot its own cells need.
+func TestExperimentEndpointsMatchLocalGenerators(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every generator twice in -short mode")
+	}
+	srv := NewServer(Options{Seed: 42, Workers: 1})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	local, err := experiments.NewContext(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ExperimentIDs() {
+		code, b := get(t, ts.URL+"/v1/experiments/"+id)
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", id, code, b)
+		}
+		var doc struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		res, err := experimentRegistry[id](local)
+		if err != nil {
+			t.Fatalf("%s locally: %v", id, err)
+		}
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(doc.Result, want) {
+			t.Errorf("%s: served result differs from the local generator's (%d vs %d bytes)", id, len(doc.Result), len(want))
+		}
 	}
 }
 

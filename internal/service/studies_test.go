@@ -143,7 +143,11 @@ func TestStudiesRoundTripByteIdenticalCSV(t *testing.T) {
 	}
 
 	// Byte-identical export against the live streamers.
-	c, err := experiments.NewContext(42)
+	h, err := harness.New(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := h.Reference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +158,9 @@ func TestStudiesRoundTripByteIdenticalCSV(t *testing.T) {
 		}
 		var live bytes.Buffer
 		if table == "measurements" {
-			err = experiments.StreamMeasurementsCSV(t.Context(), c, nil, &live, 4)
+			err = experiments.StreamMeasurementsCSVFrom(t.Context(), h, ref, nil, &live, 4)
 		} else {
-			err = experiments.StreamAggregatesCSV(t.Context(), c, nil, &live, 4)
+			err = experiments.StreamAggregatesCSVFrom(t.Context(), h, ref, nil, &live, 4)
 		}
 		if err != nil {
 			t.Fatal(err)

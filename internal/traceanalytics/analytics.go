@@ -3,8 +3,8 @@ package traceanalytics
 // Engine is the fleet trace-assembly store: the monitor feeds it raw
 // span harvests (one Ingest per backend scrape, plus coordinator
 // self-reports), it dedups and groups them per trace, and serves
-// assembled waterfalls, critical paths, per-operation RED stats, a
-// merged flame hierarchy, and fleet stage shares for the detector.
+// assembled waterfalls, critical paths, per-operation RED stats, and
+// fleet stage shares for the detector.
 // All methods are safe for concurrent use.
 
 import (
@@ -294,30 +294,6 @@ func (e *Engine) RED() []REDStat {
 		return out[i].Backend < out[j].Backend
 	})
 	return out
-}
-
-// Flame merges every retained trace into one name-keyed hierarchy.
-// SelfMS aggregates critical-path self time, TotalMS raw span time.
-func (e *Engine) Flame() *FlameNode {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	root := &FlameNode{Name: "fleet"}
-	for _, id := range e.order {
-		tb := e.traces[id]
-		if tb == nil {
-			continue
-		}
-		if tr := e.assembleLocked(id, tb); tr != nil {
-			root.mergeTrace(tr)
-			root.Count++
-			root.TotalMS += tr.WallMS
-		}
-	}
-	root.sortDesc()
-	return root
 }
 
 // Stats counts the engine's intake.

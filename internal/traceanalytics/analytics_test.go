@@ -340,36 +340,12 @@ func TestStageSharesAndSummary(t *testing.T) {
 	}
 }
 
-func TestFlameMerge(t *testing.T) {
-	e := New(Options{})
-	for trace := uint64(1); trace <= 3; trace++ {
-		e.Ingest("src", []telemetry.SpanData{
-			mkSpan(trace, 1, 0, "root.op", 0, 30),
-			mkSpan(trace, 2, 1, "child.op", 5, 10),
-		})
-	}
-	root := e.Flame()
-	if root == nil || root.Count != 3 {
-		t.Fatalf("flame root: %+v", root)
-	}
-	if len(root.Children) != 1 || root.Children[0].Name != "root.op" || root.Children[0].Count != 3 {
-		t.Fatalf("flame level 1: %+v", root.Children)
-	}
-	lvl1 := root.Children[0]
-	if len(lvl1.Children) != 1 || lvl1.Children[0].Name != "child.op" || lvl1.Children[0].Count != 3 {
-		t.Fatalf("flame level 2: %+v", lvl1.Children)
-	}
-	if lvl1.TotalMS != 90 || lvl1.Children[0].TotalMS != 30 {
-		t.Fatalf("flame totals: parent %.1f child %.1f", lvl1.TotalMS, lvl1.Children[0].TotalMS)
-	}
-}
-
 func TestNilEngineSafe(t *testing.T) {
 	var e *Engine
 	if e.Ingest("x", []telemetry.SpanData{mkSpan(1, 1, 0, "a", 0, 1)}) != 0 {
 		t.Fatal("nil Ingest")
 	}
-	if e.Trace(1) != nil || e.Search(Query{}) != nil || e.Flame() != nil {
+	if e.Trace(1) != nil || e.Search(Query{}) != nil {
 		t.Fatal("nil reads")
 	}
 	if e.Stats() != (Stats{}) {

@@ -136,6 +136,7 @@ func StockConfigs() []ConfiguredProcessor { return proc.StockConfigs() }
 // and a measurement cache; it is the entry point for reproducing the
 // paper's dataset and analyses.
 type Study struct {
+	h   *harness.Harness
 	ctx *experiments.Context
 }
 
@@ -143,11 +144,15 @@ type Study struct {
 // sensor per fleet machine and measures the normalization reference
 // (Section 2.6). The seed makes every subsequent number deterministic.
 func NewStudy(seed int64) (*Study, error) {
-	ctx, err := experiments.NewContext(seed)
+	h, err := harness.New(seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Study{ctx: ctx}, nil
+	ref, err := h.Reference()
+	if err != nil {
+		return nil, err
+	}
+	return &Study{h: h, ctx: &experiments.Context{Measure: h.Measure, Ref: ref}}, nil
 }
 
 // Measure runs the full methodology for one benchmark on one configured
@@ -157,7 +162,7 @@ func (s *Study) Measure(b *Benchmark, cp ConfiguredProcessor) (*Measurement, err
 	if s == nil || s.ctx == nil {
 		return nil, errors.New("powerperf: nil study")
 	}
-	return s.ctx.H.Measure(b, cp)
+	return s.h.Measure(b, cp)
 }
 
 // MeasureConfig measures all 61 benchmarks on one configuration and
@@ -167,7 +172,7 @@ func (s *Study) MeasureConfig(cp ConfiguredProcessor) (*ConfigResult, error) {
 	if s == nil || s.ctx == nil {
 		return nil, errors.New("powerperf: nil study")
 	}
-	return s.ctx.H.MeasureConfig(cp, s.ctx.Ref, nil)
+	return s.h.MeasureConfig(cp, s.ctx.Ref, nil)
 }
 
 // Reference exposes the four-processor normalization baseline.
@@ -179,7 +184,7 @@ func (s *Study) Reference() *Reference { return s.ctx.Ref }
 // study results are byte-identical with it on or off. nil disables.
 func (s *Study) SetTracer(t *telemetry.Tracer) {
 	if s != nil && s.ctx != nil {
-		s.ctx.H.SetTracer(t)
+		s.h.SetTracer(t)
 	}
 }
 
@@ -188,13 +193,13 @@ func (s *Study) Tracer() *telemetry.Tracer {
 	if s == nil || s.ctx == nil {
 		return nil
 	}
-	return s.ctx.H.Tracer()
+	return s.h.Tracer()
 }
 
 // ValidateRig sweeps every calibrated sensor across known currents and
 // reports the worst error, reproducing the paper's meter validation.
 func (s *Study) ValidateRig(knownAmps []float64) ([]sensor.ValidationReport, error) {
-	return s.ctx.H.Rig().Validate(knownAmps)
+	return s.h.Rig().Validate(knownAmps)
 }
 
 // Experiment generators: one per table and figure of the evaluation.
@@ -307,7 +312,7 @@ func (s *Study) MeasureGrid(ctx context.Context, cps []ConfiguredProcessor, benc
 	if s == nil || s.ctx == nil {
 		return nil, errors.New("powerperf: nil study")
 	}
-	return s.ctx.H.MeasureBatch(ctx, harness.GridJobs(cps, benches), workers)
+	return s.h.MeasureBatch(ctx, harness.GridJobs(cps, benches), workers)
 }
 
 // Findings evaluates the paper's thirteen named findings (Workload 1-4,
@@ -327,7 +332,7 @@ func (s *Study) WriteMeasurementsCSV(ctx context.Context, w io.Writer, cps []Con
 	if s == nil || s.ctx == nil {
 		return errors.New("powerperf: nil study")
 	}
-	return experiments.StreamMeasurementsCSV(ctx, s.ctx, cps, w, workers)
+	return experiments.StreamMeasurementsCSVFrom(ctx, s.h, s.ctx.Ref, cps, w, workers)
 }
 
 // WriteAggregatesCSV streams the companion dataset's aggregates.csv
@@ -336,5 +341,5 @@ func (s *Study) WriteAggregatesCSV(ctx context.Context, w io.Writer, cps []Confi
 	if s == nil || s.ctx == nil {
 		return errors.New("powerperf: nil study")
 	}
-	return experiments.StreamAggregatesCSV(ctx, s.ctx, cps, w, workers)
+	return experiments.StreamAggregatesCSVFrom(ctx, s.h, s.ctx.Ref, cps, w, workers)
 }
