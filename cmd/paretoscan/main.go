@@ -21,37 +21,19 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paretoscan: ")
 	seed := flag.Int64("seed", 42, "study seed")
-	group := flag.String("group", "average", "workload selector: average, nn, ns, jn, js")
+	groupName := flag.String("group", "average", "workload selector: average, nn, ns, jn, js")
 	all := flag.Bool("all", false, "scan all 45 configurations, not just the 45nm space")
 	metric := flag.String("metric", "energy", "scalar objective to rank by: energy, edp, ed2p")
 	flag.Parse()
 
-	var objective pareto.Objective
-	switch *metric {
-	case "energy":
-		objective = pareto.Energy
-	case "edp":
-		objective = pareto.EDP
-	case "ed2p":
-		objective = pareto.ED2P
-	default:
-		log.Fatalf("unknown metric %q (want energy, edp, ed2p)", *metric)
+	objective, group, err := validateFlags(*metric, *groupName, flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paretoscan:", err)
+		os.Exit(2)
 	}
-
-	var groups []workload.Group
 	label := "Average (four groups, equally weighted)"
-	switch *group {
-	case "average":
-	case "nn":
-		groups, label = []workload.Group{workload.NativeNonScalable}, workload.NativeNonScalable.String()
-	case "ns":
-		groups, label = []workload.Group{workload.NativeScalable}, workload.NativeScalable.String()
-	case "jn":
-		groups, label = []workload.Group{workload.JavaNonScalable}, workload.JavaNonScalable.String()
-	case "js":
-		groups, label = []workload.Group{workload.JavaScalable}, workload.JavaScalable.String()
-	default:
-		log.Fatalf("unknown group %q (want average, nn, ns, jn, js)", *group)
+	if group != nil {
+		label = group.String()
 	}
 
 	study, err := powerperf.NewStudy(*seed)
@@ -70,8 +52,8 @@ func main() {
 			log.Fatal(err)
 		}
 		perf, energy := res.PerfW, res.EnergyW
-		if groups != nil {
-			g := res.Groups[int(groups[0])]
+		if group != nil {
+			g := res.Groups[int(*group)]
 			perf, energy = g.Perf, g.Energy
 		}
 		points = append(points, pareto.Point{Label: cp.String(), Perf: perf, Energy: energy})
@@ -130,4 +112,31 @@ func main() {
 		fmt.Printf("  %d. %-28s %s %.4f (perf %.2f, energy %.3f)\n",
 			i+1, ranked[i].Label, objective, scores[i], ranked[i].Perf, ranked[i].Energy)
 	}
+}
+
+// validateFlags checks the flags before any harness is built and
+// returns the objective -metric names and the workload group -group
+// names, nil for the four-group average. paretoscan takes no
+// arguments, so a stray one (a flag missing its dash, say) is an error
+// rather than silently ignored.
+func validateFlags(metric, group string, args []string) (pareto.Objective, *workload.Group, error) {
+	objectives := map[string]pareto.Objective{"energy": pareto.Energy, "edp": pareto.EDP, "ed2p": pareto.ED2P}
+	objective, ok := objectives[metric]
+	if !ok {
+		return 0, nil, fmt.Errorf("-metric: unknown metric %q (want energy, edp, ed2p)", metric)
+	}
+	groups := map[string]workload.Group{"nn": workload.NativeNonScalable, "ns": workload.NativeScalable,
+		"jn": workload.JavaNonScalable, "js": workload.JavaScalable}
+	var g *workload.Group
+	if group != "average" {
+		sel, ok := groups[group]
+		if !ok {
+			return 0, nil, fmt.Errorf("-group: unknown group %q (want average, nn, ns, jn, js)", group)
+		}
+		g = &sel
+	}
+	if len(args) > 0 {
+		return 0, nil, fmt.Errorf("unexpected arguments %q: paretoscan takes flags only", args)
+	}
+	return objective, g, nil
 }

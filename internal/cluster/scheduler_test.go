@@ -470,12 +470,28 @@ func TestSchedulerAcquirePrefersHome(t *testing.T) {
 // a quarter of the cells again (placement by chance refills about
 // half), and both passes return measurements identical to a local
 // harness.
+//
+// The property needs backends that run at one speed: a backend that
+// falls behind hands the other a different tail of its leases in each
+// pass, and the helper refills whatever it did not compute before. Two
+// in-process backends on a busy host drift apart by scheduling alone,
+// so each fill and each lease costs a fixed sleep that outweighs the
+// CPU work behind it, and the two stay in step.
 func TestSchedulerAffinityKeepsCachesWarm(t *testing.T) {
+	const fillDelay, leaseDelay = 2 * time.Millisecond, 2 * time.Millisecond
 	var srvs []*service.Server
 	var urls []string
 	for i := 0; i < 2; i++ {
-		srv := service.NewServer(service.Options{Seed: 42})
-		ts := httptest.NewServer(srv.Handler())
+		srv := service.NewServer(service.Options{Seed: 42, Hooks: &service.Hooks{
+			BeforeMeasure: func(int64, string, string) error {
+				time.Sleep(fillDelay)
+				return nil
+			}}})
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(leaseDelay)
+			h.ServeHTTP(w, r)
+		}))
 		t.Cleanup(ts.Close)
 		srvs = append(srvs, srv)
 		urls = append(urls, ts.URL)

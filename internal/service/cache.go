@@ -189,6 +189,29 @@ func (c *Cache) GetOrComputeOutcome(ctx context.Context, key string, fn func() (
 	return e.val, OutcomeMiss, e.err
 }
 
+// Resident returns the value of key's completed, successful fill and
+// counts a hit. It counts nothing and reports false when key is absent,
+// still filling or failed, so the GetOrComputeOutcome call that follows
+// counts the miss or the coalesced wait.
+func (c *Cache) Resident(key string) (any, bool) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	el, ok := s.entries[key]
+	if !ok {
+		s.mu.Unlock()
+		return nil, false
+	}
+	e := el.Value.(*entry)
+	if !e.completed() || e.err != nil {
+		s.mu.Unlock()
+		return nil, false
+	}
+	s.lru.MoveToFront(el)
+	s.mu.Unlock()
+	c.hits.Add(1)
+	return e.val, true
+}
+
 // Len returns the number of resident entries.
 func (c *Cache) Len() int {
 	n := 0

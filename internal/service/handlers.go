@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -129,7 +130,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]CellResult, len(cells))
-	err = s.fanOutMeasure(r.Context(), seed, l, cells, func(i int, m *harness.Measurement) {
+	err = s.fanOutMeasure(r.Context(), seed, l, cells, nil, func(i int, m *harness.Measurement) {
 		rec.observe(i, m)
 		var d *CellDetail
 		if full {
@@ -155,13 +156,15 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 
 // fanOutMeasure measures cells with a claim-by-index fan-out across a
 // bounded set of goroutines, calling sink (possibly from many goroutines
-// at once) for each measured cell, and returns the first error. The
+// at once) for each measured cell, and returns the first error. keys,
+// when non-nil, holds each cell's cache key, computed once by a caller
+// that looked the cells up already; nil computes them here. The
 // caller claims cells too, so a one-cell request starts no goroutine
 // and waits on none. Real computation is admitted by the shared worker
 // pool through lane l; these goroutines mostly wait on cache fills, so
 // the cap only bounds bookkeeping, not parallelism. A batch whose every
 // cell reached sink is complete even if ctx ended afterwards.
-func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, cells []cell, sink func(i int, m *harness.Measurement)) error {
+func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, cells []cell, keys []string, sink func(i int, m *harness.Measurement)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var next, sunk atomic.Int64
@@ -176,7 +179,13 @@ func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, cells []
 			if i >= len(cells) || ctx.Err() != nil {
 				return
 			}
-			m, err := s.measureCell(ctx, seed, l, cells[i])
+			var key string
+			if keys != nil {
+				key = keys[i]
+			} else {
+				key = cellKey(seed, cells[i])
+			}
+			m, err := s.measureCell(ctx, seed, l, cells[i], key)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -229,7 +238,7 @@ func (src seedSource) MeasureBatch(ctx context.Context, jobs []harness.Job, _ in
 		cells[i] = cell{bench: j.Bench, cp: j.CP}
 	}
 	ms := make([]*harness.Measurement, len(jobs))
-	if err := src.s.fanOutMeasure(ctx, src.seed, laneBulk, cells, func(i int, m *harness.Measurement) { ms[i] = m }); err != nil {
+	if err := src.s.fanOutMeasure(ctx, src.seed, laneBulk, cells, nil, func(i int, m *harness.Measurement) { ms[i] = m }); err != nil {
 		return nil, err
 	}
 	return ms, nil
@@ -239,45 +248,95 @@ func (src seedSource) MeasureBatch(ctx context.Context, jobs []harness.Job, _ in
 // MeasureFunc.
 func (src seedSource) measure(ctx context.Context) harness.MeasureFunc {
 	return func(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*harness.Measurement, error) {
-		return src.s.measureCell(ctx, src.seed, laneBulk, cell{bench: b, cp: cp})
+		c := cell{bench: b, cp: cp}
+		return src.s.measureCell(ctx, src.seed, laneBulk, c, cellKey(src.seed, c))
 	}
 }
 
-// measureStream serves one measure request as a chunked stream of
-// binary frames (see stream.go for the frame vocabulary): the header
-// frame first, one cell frame per completed cell in completion order,
+// measureStream serves one measure request as a stream of binary
+// frames (see stream.go for the frame vocabulary): the header frame
+// first, one cell frame per completed cell in completion order,
 // keep-alives while nothing is ready, and a terminal done or error
-// frame. The 200 status commits before any cell computes — a failure
-// mid-batch surfaces as the terminal error frame, and a severed stream
-// (no terminal frame) tells the client every unsent cell is unmeasured.
+// frame.
+//
+// Cells the cache already holds are answered first, in request order,
+// from the handler's own goroutine; only the rest go to the fan-out. A
+// lease whose every cell is resident is therefore one reply, written
+// once with its Content-Length (unless it outgrows the writer's
+// buffer), and starts no goroutine, channel or timer. Otherwise the
+// resident cells are flushed with the header, and the 200 status
+// commits before any cell computes — a failure mid-batch surfaces as
+// the terminal error frame, and a severed stream (no terminal frame)
+// tells the client every unsent cell is unmeasured.
+//
+// A batch commits to the study store if and only if every cell was
+// measured, whatever became of the client's writes.
 func (s *Server) measureStream(w http.ResponseWriter, r *http.Request, seed int64, l lane, full bool, cells []cell, rec *studyRecorder) {
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
+	ctx := r.Context()
 	w.Header().Set("Content-Type", StreamContentType)
-	w.WriteHeader(http.StatusOK)
 	sw := newStreamWriter(w, flusherOf(w))
 	defer sw.release()
-	if err := sw.send(&StreamEvent{Header: &StreamHeader{Seed: seed, Cells: len(cells)}}); err != nil {
+	// Frames only buffer until the first write out, whose error the
+	// writer keeps and reports from then on.
+	_ = sw.send(&StreamEvent{Header: &StreamHeader{Seed: seed, Cells: len(cells)}})
+
+	// The cells to compute, by request index, and their cache keys.
+	var todo []int
+	var keys []string
+	for i, c := range cells {
+		key := cellKey(seed, c)
+		m := s.residentCell(ctx, seed, c, key)
+		if m == nil {
+			if todo == nil {
+				todo, keys = make([]int, 0, len(cells)-i), make([]string, 0, len(cells)-i)
+			}
+			todo = append(todo, i)
+			keys = append(keys, key)
+			continue
+		}
+		rec.observe(i, m)
+		// The pass goes on past a failed write, so a batch the cache
+		// holds whole is measured, and commits, whatever the client
+		// does.
+		_ = sw.sendCell(i, c, m, full)
+	}
+	if len(todo) == 0 {
+		_ = sw.send(&StreamEvent{Done: &StreamDone{Cells: sw.cells}})
+		if !sw.wrote {
+			w.Header().Set("Content-Length", strconv.Itoa(len(sw.buf)))
+		}
+		// Every cell is measured: the batch commits even if the
+		// client is gone.
+		_ = sw.writeOut()
+		s.commitStudy(ctx, rec)
 		return
 	}
-	sw.flush()
+	if err := sw.flush(); err != nil {
+		return
+	}
 
-	// A measured cell crosses to the writer as its index and the
-	// measurement the cache already holds; the writer encodes it from
-	// there. One slot per cell lets a lease's fan-out hand off every
-	// cell without waiting on the writer, and the cap is the fan-out's
-	// 64 goroutines: a full buffer then holds one finished cell per
-	// goroutine, which the writer coalesces into one flush.
-	ch := make(chan streamItem, min(len(cells), 64))
+	// A measured cell crosses to the writer as its request index and
+	// the measurement the cache already holds; the writer encodes it
+	// from there. One slot per cell lets a lease's fan-out hand off
+	// every cell without waiting on the writer, and the cap is the
+	// fan-out's 64 goroutines: a full buffer then holds one finished
+	// cell per goroutine, which the writer coalesces into one flush.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	rest := make([]cell, len(todo))
+	for k, i := range todo {
+		rest[k] = cells[i]
+	}
+	ch := make(chan streamItem, min(len(rest), 64))
 	var fanErr error
 	go func() {
 		// The deferred close runs after the fanErr write, and run only
 		// reads fanErr after seeing the channel closed, so the error
 		// handoff is race-free.
 		defer close(ch)
-		fanErr = s.fanOutMeasure(ctx, seed, l, cells, func(i int, m *harness.Measurement) {
-			rec.observe(i, m)
-			ch <- streamItem{index: i, m: m}
+		fanErr = s.fanOutMeasure(ctx, seed, l, rest, keys, func(k int, m *harness.Measurement) {
+			rec.observe(todo[k], m)
+			ch <- streamItem{index: todo[k], m: m}
 		})
 	}()
 	if err := sw.run(ch, cells, full, s.opts.StreamKeepAlive, func() error { return fanErr }); err != nil {

@@ -203,24 +203,17 @@ func (s *Server) Drain() {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // measureCell computes (or serves from cache) one cell under one seed,
-// admitting uncached fills through the given worker-pool lane. The
-// cache holds the full harness Measurement, so one resident entry
-// serves both summary and full-detail requests. Each cell records a
-// span annotated with its cache outcome and study seed; uncached fills
-// also record a service.queue child covering the time spent waiting
-// for a worker lane (critical-path analytics split queue wait from
-// kernel compute with it), and feed the fill-duration histogram.
-func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c cell) (*harness.Measurement, error) {
-	// One slot beyond the three start attributes holds the outcome, so
-	// Annotate below appends in place and the span keeps one 4-slot
-	// array instead of growing to 6; only a failed cell's error
-	// annotation grows it.
-	attrs := make([]telemetry.Attr, 3, 4)
-	attrs[0] = telemetry.String("benchmark", c.bench.Name)
-	attrs[1] = telemetry.String("processor", c.cp.Proc.Name)
-	attrs[2] = telemetry.String("seed", strconv.FormatInt(seed, 10))
-	cellCtx, span := s.tracer.StartSpan(ctx, "service.cell", attrs...)
-	v, outcome, err := s.cache.GetOrComputeOutcome(ctx, cellKey(seed, c), func() (any, error) {
+// whose cache key is key, admitting uncached fills through the given
+// worker-pool lane. The cache holds the full harness Measurement, so
+// one resident entry serves both summary and full-detail requests. Each
+// cell records a span annotated with its cache outcome and study seed;
+// uncached fills also record a service.queue child covering the time
+// spent waiting for a worker lane (critical-path analytics split queue
+// wait from kernel compute with it), and feed the fill-duration
+// histogram.
+func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c cell, key string) (*harness.Measurement, error) {
+	cellCtx, span := s.startCellSpan(ctx, seed, c)
+	v, outcome, err := s.cache.GetOrComputeOutcome(ctx, key, func() (any, error) {
 		fillStart := time.Now()
 		_, qspan := s.tracer.StartSpan(cellCtx, "service.queue")
 		v, err := s.pool.DoLane(ctx, l, func() (any, error) {
@@ -253,6 +246,35 @@ func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c cell) (*
 	}
 	span.End()
 	return v.(*harness.Measurement), nil
+}
+
+// residentCell returns the measurement the cache holds for key, c's
+// key under seed, when its fill has completed and succeeded, and
+// records it as measureCell records a hit: the cache's hit counter and
+// a service.cell span with outcome=hit. Otherwise it records nothing
+// and returns nil, leaving the cell to measureCell.
+func (s *Server) residentCell(ctx context.Context, seed int64, c cell, key string) *harness.Measurement {
+	v, ok := s.cache.Resident(key)
+	if !ok {
+		return nil
+	}
+	_, span := s.startCellSpan(ctx, seed, c)
+	span.Annotate(telemetry.String("outcome", OutcomeHit.String()))
+	span.End()
+	return v.(*harness.Measurement)
+}
+
+// startCellSpan starts the service.cell span of c under seed. One slot
+// beyond the three start attributes holds the outcome, so the caller's
+// Annotate appends in place and the span keeps one 4-slot array
+// instead of growing to 6; only a failed cell's error annotation grows
+// it.
+func (s *Server) startCellSpan(ctx context.Context, seed int64, c cell) (context.Context, *telemetry.Span) {
+	attrs := make([]telemetry.Attr, 3, 4)
+	attrs[0] = telemetry.String("benchmark", c.bench.Name)
+	attrs[1] = telemetry.String("processor", c.cp.Proc.Name)
+	attrs[2] = telemetry.String("seed", strconv.FormatInt(seed, 10))
+	return s.tracer.StartSpan(ctx, "service.cell", attrs...)
 }
 
 // setCellResult flattens a measurement, measured for c, into res, the

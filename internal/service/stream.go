@@ -384,21 +384,34 @@ func (r *frameReader) cellResult(c *CellResult, d *CellDetail) {
 	c.Full = d
 }
 
-// streamWriter serializes measure-stream frames onto one HTTP response:
-// cells arrive on a channel from the measurement fan-out, keep-alives
-// fire while no cell is ready, and the response flushes whenever the
-// channel momentarily drains (batching flushes under load, staying
-// prompt when cells trickle).
+// streamWriter serializes measure-stream frames onto one HTTP response.
+// Frames collect in one buffer and reach the response in one Write per
+// flush: cells arrive on a channel from the measurement fan-out,
+// keep-alives fire while no cell is ready, and the response flushes
+// whenever the channel momentarily drains (batching flushes under
+// load, staying prompt when cells trickle). The buffer is written out
+// whenever it reaches streamBufferBytes, so however many cells a reply
+// carries, the writer holds at most that much plus one frame.
 type streamWriter struct {
 	w       io.Writer
 	flusher http.Flusher
-	buf     []byte // frame buffer, reused so a frame costs no allocation
+	buf     []byte // frames not yet written, reused so a frame costs no allocation
+	wrote   bool   // some frames have been written to w
+	err     error  // sticky: the first failed Write
+	cells   int    // cell frames sent
 
 	// cell and detail hold the wire form of the cell being encoded,
 	// refilled for every cell frame.
 	cell   StreamCell
 	detail CellDetail
 }
+
+// streamBufferBytes is the size at which a stream writer writes its
+// buffer out. A 16-cell full-detail lease (about 15 KB) fits, so a
+// lease answered from the cache is one Write; a MaxCells reply (about
+// 5 MB) goes out in pieces of this size plus at most one frame, which
+// bounds the storage a pooled writer keeps.
+const streamBufferBytes = 64 << 10
 
 // streamItem is one measured cell on its way to the stream writer: its
 // index in the request and the measurement the cache holds.
@@ -420,6 +433,7 @@ func newStreamWriter(w io.Writer, f http.Flusher) *streamWriter {
 // release returns sw to the pool; the caller must not use it again.
 func (sw *streamWriter) release() {
 	sw.w, sw.flusher = nil, nil
+	sw.buf, sw.wrote, sw.err, sw.cells = sw.buf[:0], false, nil, 0
 	streamWriters.Put(sw)
 }
 
@@ -427,12 +441,15 @@ func (sw *streamWriter) release() {
 // byte and the longest uvarint length.
 const frameRoom = 1 + binary.MaxVarintLen64
 
-// send writes ev as one frame with a single Write.
+// send appends ev as one frame to the buffer, writing the buffer out
+// once it reaches streamBufferBytes. After a failed Write it sends
+// nothing and returns that error.
 func (sw *streamWriter) send(ev *StreamEvent) error {
-	if cap(sw.buf) < frameRoom {
-		sw.buf = make([]byte, frameRoom, 2048)
+	if sw.err != nil {
+		return sw.err
 	}
-	b := sw.buf[:frameRoom]
+	at := len(sw.buf)
+	b := append(sw.buf, make([]byte, frameRoom)...)
 	var kind byte
 	switch {
 	case ev.Header != nil:
@@ -443,6 +460,7 @@ func (sw *streamWriter) send(ev *StreamEvent) error {
 		kind = frameCell
 		b = binary.AppendVarint(b, int64(ev.Cell.Index))
 		b = appendCellResult(b, &ev.Cell.Result)
+		sw.cells++
 	case ev.KeepAlive:
 		kind = frameKeepAlive
 	case ev.Error != "":
@@ -454,9 +472,12 @@ func (sw *streamWriter) send(ev *StreamEvent) error {
 	default:
 		return errors.New("service: empty stream event")
 	}
-	sw.buf = b
-	_, err := sw.w.Write(b[putFrameHeader(b, 0, kind):])
-	return err
+	// Slide the frame down over the unused part of the reserved room.
+	sw.buf = append(b[:at], b[putFrameHeader(b, at, kind):]...)
+	if len(sw.buf) >= streamBufferBytes {
+		return sw.writeOut()
+	}
+	return nil
 }
 
 // putFrameHeader writes kind and the payload's length into the
@@ -471,7 +492,7 @@ func putFrameHeader(b []byte, at int, kind byte) int {
 	return start
 }
 
-// sendCell writes the cell frame of a measurement taken for c at the
+// sendCell sends the cell frame of a measurement taken for c at the
 // request's index. The wire form is filled into the writer's own cell
 // and detail, so the frame costs no allocation, and its bytes are the
 // ones send writes for the same CellResult. full selects the
@@ -484,6 +505,28 @@ func (sw *streamWriter) sendCell(index int, c cell, m *harness.Measurement, full
 	sw.cell.Index = index
 	setCellResult(&sw.cell.Result, d, c, m)
 	return sw.send(&StreamEvent{Cell: &sw.cell})
+}
+
+// writeOut hands every buffered frame to w in one Write, without a
+// flush.
+func (sw *streamWriter) writeOut() error {
+	if sw.err == nil && len(sw.buf) > 0 {
+		_, sw.err = sw.w.Write(sw.buf)
+		sw.wrote = true
+	}
+	sw.buf = sw.buf[:0]
+	return sw.err
+}
+
+// flush writes the buffered frames out and pushes them to the client.
+func (sw *streamWriter) flush() error {
+	if err := sw.writeOut(); err != nil {
+		return err
+	}
+	if sw.flusher != nil {
+		sw.flusher.Flush()
+	}
+	return nil
 }
 
 func appendF64(b []byte, v float64) []byte {
@@ -549,23 +592,20 @@ func appendCellResult(b []byte, c *CellResult) []byte {
 	return appendCI(b, &c.Full.PowerCI)
 }
 
-func (sw *streamWriter) flush() {
-	if sw.flusher != nil {
-		sw.flusher.Flush()
-	}
-}
-
 // run drains measured cells until the channel closes, encoding each
 // against its request cell in cells, then emits the terminal frame: the
-// batch's error if errFn reports one, the done frame otherwise.
-// keepAlive <= 0 selects the default heartbeat.
+// batch's error if errFn reports one, the done frame, counting every
+// cell frame the writer sent, otherwise. The terminal frame is written
+// but not flushed: it leaves with the end of the chunked body when the
+// handler returns, so the client reads the end of the stream with it
+// and its connection stays reusable. keepAlive <= 0 selects the default
+// heartbeat.
 func (sw *streamWriter) run(items <-chan streamItem, cells []cell, full bool, keepAlive time.Duration, errFn func() error) error {
 	if keepAlive <= 0 {
 		keepAlive = defaultStreamKeepAlive
 	}
 	t := time.NewTimer(keepAlive)
 	defer t.Stop()
-	sent := 0
 	for items != nil {
 		select {
 		case it, ok := <-items:
@@ -576,11 +616,12 @@ func (sw *streamWriter) run(items <-chan streamItem, cells []cell, full bool, ke
 			if err := sw.sendCell(it.index, cells[it.index], it.m, full); err != nil {
 				return err
 			}
-			sent++
 			// Opportunistic flush: only when no further cell is ready,
 			// so a hot backend coalesces many frames per flush.
 			if len(items) == 0 {
-				sw.flush()
+				if err := sw.flush(); err != nil {
+					return err
+				}
 			}
 			if !t.Stop() {
 				<-t.C
@@ -590,22 +631,19 @@ func (sw *streamWriter) run(items <-chan streamItem, cells []cell, full bool, ke
 			if err := sw.send(&StreamEvent{KeepAlive: true}); err != nil {
 				return err
 			}
-			sw.flush()
+			if err := sw.flush(); err != nil {
+				return err
+			}
 			t.Reset(keepAlive)
 		}
 	}
+	// A failed send is sticky, so writeOut reports it.
 	if err := errFn(); err != nil {
-		if werr := sw.send(&StreamEvent{Error: err.Error()}); werr != nil {
-			return werr
-		}
-		sw.flush()
-		return nil
+		_ = sw.send(&StreamEvent{Error: err.Error()})
+		return sw.writeOut()
 	}
-	if err := sw.send(&StreamEvent{Done: &StreamDone{Cells: sent}}); err != nil {
-		return err
-	}
-	sw.flush()
-	return nil
+	_ = sw.send(&StreamEvent{Done: &StreamDone{Cells: sw.cells}})
+	return sw.writeOut()
 }
 
 // defaultStreamKeepAlive is the heartbeat cadence when Options leaves

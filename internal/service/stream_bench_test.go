@@ -72,6 +72,9 @@ func BenchmarkStreamEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	if err := sw.flush(); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(float64(w.n)/float64(b.N), "wire-B/cell")
 }
 
@@ -93,6 +96,9 @@ func BenchmarkStreamDecode(b *testing.B) {
 		}
 	}
 	if err := sw.send(&StreamEvent{Done: &StreamDone{Cells: len(g.cells)}}); err != nil {
+		b.Fatal(err)
+	}
+	if err := sw.flush(); err != nil {
 		b.Fatal(err)
 	}
 	stream := buf.Bytes()

@@ -196,6 +196,243 @@ func TestMeasureStreamError(t *testing.T) {
 	}
 }
 
+// gridLease is a lease of the first n cells of the stock grid at full
+// detail on the bulk lane, as the scheduler sends one, with the cells
+// the handler resolves them to.
+func gridLease(t testing.TB, n int) ([]byte, []cell) {
+	t.Helper()
+	seed := int64(42)
+	req := &MeasureRequest{Seed: &seed, Detail: DetailFull, Lane: LaneBulk}
+	for _, j := range harness.GridJobs(nil, nil)[:n] {
+		cfg := ConfigToJSON(j.CP.Config)
+		req.Cells = append(req.Cells, CellRequest{Benchmark: j.Bench.Name, Processor: j.CP.Proc.Name, Config: &cfg})
+	}
+	body := AppendMeasureRequest(nil, req)
+	_, cells, err := DecodeMeasureRequest(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, cells
+}
+
+// writeCounter wraps a ResponseWriter, counting the handler's Writes
+// and the largest, and passing flushes through.
+type writeCounter struct {
+	http.ResponseWriter
+	writes, largest int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	w.largest = max(w.largest, len(p))
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *writeCounter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// countWrites serves h through a writeCounter per request and hands
+// each request's counter to the test once the handler has returned.
+func countWrites(h http.Handler, counts chan<- *writeCounter) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		wc := &writeCounter{ResponseWriter: w}
+		h.ServeHTTP(wc, r)
+		counts <- wc
+	})
+}
+
+func postLease(t *testing.T, url string, body []byte) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/measure?stream=1", StreamContentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("lease: HTTP %d", resp.StatusCode)
+	}
+	return resp
+}
+
+// countFills is a hook that counts the cells a server computes; it is
+// never called for a cache hit.
+func countFills(n *atomic.Int64) *Hooks {
+	return &Hooks{BeforeMeasure: func(int64, string, string) error {
+		n.Add(1)
+		return nil
+	}}
+}
+
+// TestMeasureStreamResidentLeaseIsOneWrite: a lease whose every cell
+// the cache holds is answered by the handler alone, in one Write: a
+// Content-Length reply, not a chunked one, carrying the header, the
+// cells in request order and the done frame, each cell counted as a
+// cache hit and none computed.
+func TestMeasureStreamResidentLeaseIsOneWrite(t *testing.T) {
+	var fills atomic.Int64
+	srv := NewServer(Options{Seed: 42, Hooks: countFills(&fills)})
+	defer srv.Drain()
+	counts := make(chan *writeCounter, 1)
+	ts := httptest.NewServer(countWrites(srv.Handler(), counts))
+	defer ts.Close()
+	body, cells := gridLease(t, 16)
+
+	resp := postLease(t, ts.URL, body)
+	decodeAll(t, resp.Body)
+	resp.Body.Close()
+	<-counts
+	before := srv.Stats().Cache
+
+	resp = postLease(t, ts.URL, body)
+	reply, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wc := <-counts; wc.writes != 1 {
+		t.Fatalf("resident lease took %d writes, want 1", wc.writes)
+	}
+	if resp.ContentLength != int64(len(reply)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("resident reply: Content-Length %d, Transfer-Encoding %v for a %d-byte body; want the length, not chunked",
+			resp.ContentLength, resp.TransferEncoding, len(reply))
+	}
+	evs := decodeAll(t, bytes.NewReader(reply))
+	if len(evs) != len(cells)+2 || evs[0].Header == nil || evs[0].Header.Cells != len(cells) {
+		t.Fatalf("resident reply has %d frames, want header, %d cells, done", len(evs), len(cells))
+	}
+	for i, ev := range evs[1 : len(evs)-1] {
+		if ev.Cell == nil || ev.Cell.Index != i || ev.Cell.Result.Benchmark != cells[i].bench.Name {
+			t.Fatalf("frame %d is %+v, want cell %d in request order", i+1, ev, i)
+		}
+	}
+	if done := evs[len(evs)-1].Done; done == nil || done.Cells != len(cells) {
+		t.Fatalf("terminal frame %+v, want done with %d cells", evs[len(evs)-1], len(cells))
+	}
+	after := srv.Stats().Cache
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 16 || misses != 0 {
+		t.Fatalf("resident lease: %d hits, %d misses, want 16 and 0", hits, misses)
+	}
+	if n := fills.Load(); n != 16 {
+		t.Fatalf("two leases of 16 cells ran the fill hook %d times, want 16", n)
+	}
+}
+
+// TestMeasureStreamMixedLease: a lease half of whose cells are resident
+// delivers every index exactly once, bit-identical to a local
+// measurement, and computes only the other half.
+func TestMeasureStreamMixedLease(t *testing.T) {
+	var fills atomic.Int64
+	srv := NewServer(Options{Seed: 42, Hooks: countFills(&fills)})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body, cells := gridLease(t, 16)
+
+	var even []cell
+	for i := 0; i < len(cells); i += 2 {
+		even = append(even, cells[i])
+	}
+	if err := srv.fanOutMeasure(context.Background(), 42, laneBulk, even, nil, func(int, *harness.Measurement) {}); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Stats().Cache
+
+	resp := postLease(t, ts.URL, body)
+	evs := decodeAll(t, resp.Body)
+	resp.Body.Close()
+	if done := evs[len(evs)-1].Done; done == nil || done.Cells != len(cells) {
+		t.Fatalf("terminal frame %+v, want done with %d cells", evs[len(evs)-1], len(cells))
+	}
+	h, err := harness.New(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]bool, len(cells))
+	for _, ev := range evs[1 : len(evs)-1] {
+		if ev.KeepAlive {
+			continue
+		}
+		if ev.Cell == nil || seen[ev.Cell.Index] {
+			t.Fatalf("unexpected frame %+v", ev)
+		}
+		i := ev.Cell.Index
+		seen[i] = true
+		m, err := h.MeasureUncached(cells[i].bench, cells[i].cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want CellResult
+		setCellResult(&want, new(CellDetail), cells[i], m)
+		if !bitsEqual(reflect.ValueOf(ev.Cell.Result), reflect.ValueOf(want)) {
+			t.Fatalf("cell %d differs from a local measurement", i)
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("cell %d never delivered", i)
+		}
+	}
+	after := srv.Stats().Cache
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 8 || misses != 8 {
+		t.Fatalf("mixed lease: %d hits, %d misses, want 8 and 8", hits, misses)
+	}
+	if n := fills.Load(); n != 16 {
+		t.Fatalf("8 warmed and 8 leased cells ran the fill hook %d times, want 16", n)
+	}
+}
+
+// TestMeasureStreamLargeResidentReply: a MaxCells request the cache
+// holds whole streams every cell in request order, yet the writer
+// never buffers more than streamBufferBytes plus one frame: the reply
+// leaves in bounded writes, chunked since it outgrew one buffer.
+func TestMeasureStreamLargeResidentReply(t *testing.T) {
+	srv := NewServer(Options{Seed: 42})
+	defer srv.Drain()
+	_, lease := gridLease(t, 16)
+	ms := make([]*harness.Measurement, len(lease))
+	err := srv.fanOutMeasure(context.Background(), 42, laneBulk, lease, nil, func(i int, m *harness.Measurement) { ms[i] = m })
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 0 // the longest cell frame
+	for i, m := range ms {
+		sc := &StreamCell{Index: MaxCells}
+		setCellResult(&sc.Result, new(CellDetail), lease[i], m)
+		largest = max(largest, len(frames(t, &StreamEvent{Cell: sc})))
+	}
+	seed := int64(42)
+	req := &MeasureRequest{Seed: &seed, Detail: DetailFull, Lane: LaneBulk}
+	for i := 0; i < MaxCells; i++ {
+		c := lease[i%len(lease)]
+		cfg := ConfigToJSON(c.cp.Config)
+		req.Cells = append(req.Cells, CellRequest{Benchmark: c.bench.Name, Processor: c.cp.Proc.Name, Config: &cfg})
+	}
+	before := srv.Stats().Cache
+
+	rec := httptest.NewRecorder()
+	wc := &writeCounter{ResponseWriter: rec}
+	srv.Handler().ServeHTTP(wc, httptest.NewRequest(http.MethodPost, "/v1/measure?stream=1",
+		bytes.NewReader(AppendMeasureRequest(nil, req))))
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != "" {
+		t.Fatalf("HTTP %d, Content-Length %q; want 200 and no length", rec.Code, rec.Header().Get("Content-Length"))
+	}
+	if wc.largest >= streamBufferBytes+largest || wc.writes < rec.Body.Len()/(streamBufferBytes+largest) {
+		t.Fatalf("%d writes, largest %d bytes, for a %d-byte reply; want each under %d+%d",
+			wc.writes, wc.largest, rec.Body.Len(), streamBufferBytes, largest)
+	}
+	evs := decodeAll(t, rec.Body)
+	if len(evs) != MaxCells+2 || evs[0].Header == nil || evs[len(evs)-1].Done == nil || evs[len(evs)-1].Done.Cells != MaxCells {
+		t.Fatalf("reply has %d frames, want header, %d cells, done", len(evs), MaxCells)
+	}
+	for i, ev := range evs[1 : len(evs)-1] {
+		if ev.Cell == nil || ev.Cell.Index != i || ev.Cell.Result.Benchmark != req.Cells[i].Benchmark {
+			t.Fatalf("frame %d is %+v, want cell %d in request order", i+1, ev, i)
+		}
+	}
+	after := srv.Stats().Cache
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != MaxCells || misses != 0 {
+		t.Fatalf("%d hits, %d misses, want %d and 0", hits, misses, MaxCells)
+	}
+}
+
 // TestMeasureStreamLaneValidation rejects unknown lanes up front, on
 // the streamed and buffered paths alike.
 func TestMeasureStreamLaneValidation(t *testing.T) {
@@ -216,10 +453,14 @@ func frames(t testing.TB, evs ...*StreamEvent) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw := newStreamWriter(&buf, nil)
+	defer sw.release()
 	for _, ev := range evs {
 		if err := sw.send(ev); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := sw.flush(); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -441,7 +682,13 @@ func TestStreamWriterCellAllocs(t *testing.T) {
 			}
 		}
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+	if err := sw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("frames encoded from the measurement differ from frames of a fresh CellResult")
 	}
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -363,8 +364,9 @@ func TestStreamedStudyRecorded(t *testing.T) {
 // context the moment the client leaves, as a severed connection does.
 type leavingClient struct {
 	header http.Header
+	writes int
 	cells  int
-	leave  func(frame []byte, cells int) bool
+	leave  func(kind byte, cells int) bool
 	cancel context.CancelFunc
 	gone   bool
 }
@@ -372,31 +374,44 @@ type leavingClient struct {
 func (c *leavingClient) Header() http.Header { return c.header }
 func (c *leavingClient) WriteHeader(int)     {}
 
+// Write walks the frames p carries — one Write may hold many — counting
+// cell frames, and lets the client leave after any frame. The stream
+// writer writes whole frames, so a frame cut by the end of p is a
+// writer bug.
 func (c *leavingClient) Write(p []byte) (int, error) {
 	if c.gone {
 		return 0, errors.New("client gone")
 	}
-	// The stream writer makes one Write per frame, so p[0] is the
-	// frame's kind byte.
-	if p[0] == frameCell {
-		c.cells++
-	}
-	if c.leave(p, c.cells) {
-		c.gone = true
-		if c.cancel != nil {
-			c.cancel()
-			return len(p), nil // the frame left before the client did
+	c.writes++
+	for off := 0; off < len(p); {
+		kind := p[off]
+		n, k := binary.Uvarint(p[off+1:])
+		if k <= 0 || off+1+k+int(n) > len(p) {
+			panic(fmt.Sprintf("write %d cuts a frame at byte %d of %d", c.writes, off, len(p)))
 		}
-		return 0, errors.New("client gone")
+		off += 1 + k + int(n)
+		if kind == frameCell {
+			c.cells++
+		}
+		if c.leave(kind, c.cells) {
+			c.gone = true
+			if c.cancel != nil {
+				c.cancel()
+				return len(p), nil // the write left before the client did
+			}
+			return 0, errors.New("client gone")
+		}
 	}
 	return len(p), nil
 }
 
 // TestStreamCommitsWhenClientLeavesAfterLastCell: a streamed batch whose
-// every cell reached the client lands in the store even when the client
+// every cell was measured lands in the store even when the client
 // leaves before the terminal done frame — the scheduler cancels a pass's
 // streams as soon as the pass's last cell arrives, and a lost commit
-// would leave the stored study one lease short.
+// would leave the stored study one lease short. A batch the cache held
+// whole is measured before anything is written, so it commits even
+// when its one write fails.
 func TestStreamCommitsWhenClientLeavesAfterLastCell(t *testing.T) {
 	body := `{"lane":"bulk","cells":[
 		{"benchmark":"jess","processor":"i5 (32)"},
@@ -404,17 +419,32 @@ func TestStreamCommitsWhenClientLeavesAfterLastCell(t *testing.T) {
 		{"benchmark":"mcf","processor":"i5 (32)"}
 	]}`
 	for _, tc := range []struct {
-		name   string
-		cancel bool
-		leave  func(frame []byte, cells int) bool
+		name     string
+		resident bool // the cache holds every cell before the request
+		cancel   bool
+		leave    func(kind byte, cells int) bool
+		seen     int // cells the client read before leaving
 	}{
-		{"cancelled after the last cell line", true,
-			func(_ []byte, cells int) bool { return cells == 3 }},
-		{"done line write fails", false,
-			func(frame []byte, _ int) bool { return frame[0] == frameDone }},
+		{"cancelled after the last cell line", false, true,
+			func(_ byte, cells int) bool { return cells == 3 }, 3},
+		{"done line write fails", false, false,
+			func(kind byte, _ int) bool { return kind == frameDone }, 3},
+		{"resident reply's one write fails", true, false,
+			func(kind byte, _ int) bool { return kind == frameHeader }, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, _, st := storeServer(t, Options{Workers: 2})
+			if tc.resident {
+				// Fill the cache outside the handler, so nothing commits.
+				_, cells, err := DecodeMeasureRequest(strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.fanOutMeasure(context.Background(), srv.opts.Seed, laneBulk, cells, nil,
+					func(int, *harness.Measurement) {}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			w := &leavingClient{header: http.Header{}, leave: tc.leave}
@@ -423,8 +453,11 @@ func TestStreamCommitsWhenClientLeavesAfterLastCell(t *testing.T) {
 			}
 			req := httptest.NewRequest(http.MethodPost, "/v1/measure?stream=1", strings.NewReader(body)).WithContext(ctx)
 			srv.Handler().ServeHTTP(w, req)
-			if !w.gone || w.cells != 3 {
-				t.Fatalf("client saw %d cells (gone %v), want all 3 before leaving", w.cells, w.gone)
+			if !w.gone || w.cells != tc.seen {
+				t.Fatalf("client saw %d cells (gone %v), want %d before leaving", w.cells, w.gone, tc.seen)
+			}
+			if tc.resident && w.writes != 1 {
+				t.Fatalf("resident reply took %d writes, want 1", w.writes)
 			}
 			srv.Drain()
 			if stats := st.Stats(); stats.Segments != 1 || stats.Rows != 3 {
@@ -450,7 +483,7 @@ func TestFanOutCompleteDespiteLateCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var sunk atomic.Int64
-	err = srv.fanOutMeasure(ctx, 42, laneBulk, cells, func(int, *harness.Measurement) {
+	err = srv.fanOutMeasure(ctx, 42, laneBulk, cells, nil, func(int, *harness.Measurement) {
 		if sunk.Add(1) == int64(len(cells)) {
 			cancel()
 		}
