@@ -60,16 +60,16 @@ func main() {
 	}
 
 	front := pareto.Frontier(points)
-	efficient := make(map[string]bool, len(front))
+	efficient := make(map[pareto.Point]bool, len(front))
 	for _, p := range front {
-		efficient[p.Label] = true
+		efficient[p] = true
 	}
 
 	fmt.Printf("Energy / performance space: %s (%d configurations)\n\n", label, len(points))
 	tbl := report.NewTable("Configuration", "Perf/ref", "Energy/ref", "Pareto")
 	for _, p := range points {
 		mark := ""
-		if efficient[p.Label] {
+		if efficient[p] {
 			mark = "x"
 		}
 		tbl.AddRow(p.Label, fmt.Sprintf("%.2f", p.Perf), fmt.Sprintf("%.3f", p.Energy), mark)
@@ -86,7 +86,7 @@ func main() {
 	}
 	for _, p := range points {
 		mark := '.'
-		if efficient[p.Label] {
+		if efficient[p] {
 			mark = '*'
 		}
 		plot.Add(p.Perf, p.Energy, mark)

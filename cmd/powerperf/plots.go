@@ -6,6 +6,7 @@ import (
 
 	powerperf "repro"
 	"repro/internal/experiments"
+	"repro/internal/pareto"
 	"repro/internal/report"
 )
 
@@ -118,13 +119,14 @@ func (r *renderer) plotFig12() error {
 		XLabel: "group performance / reference", YLabel: "normalized energy",
 		Width: 70, Height: 22,
 	}
-	front := map[string]bool{}
-	for _, l := range res.Table.Efficient["Average"] {
-		front[l] = true
+	points := res.Table.Points["Average"]
+	front := map[pareto.Point]bool{}
+	for _, p := range pareto.Frontier(points) {
+		front[p] = true
 	}
-	for _, p := range res.Table.Points["Average"] {
+	for _, p := range points {
 		mark := '.'
-		if front[p.Label] {
+		if front[p] {
 			mark = '*'
 		}
 		plot.Add(p.Perf, p.Energy, mark)

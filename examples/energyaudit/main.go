@@ -63,7 +63,7 @@ func main() {
 		fmt.Printf("  Pareto frontier (%d of 29 configurations):\n", len(frontier))
 		for _, p := range frontier {
 			marker := "  "
-			if p.Label == best.Label {
+			if p == best {
 				marker = "->"
 			}
 			fmt.Printf("  %s %-28s perf %5.2f  energy %.3f\n", marker, p.Label, p.Perf, p.Energy)

@@ -216,13 +216,8 @@ func (rv *Resolver) MeasurementFromCell(cr *service.CellResult) (*harness.Measur
 		return nil, fmt.Errorf("cluster: reconstruct cell: proc: unknown processor %q", cr.Processor)
 	}
 	m := &harness.Measurement{
-		Bench: b,
-		CP: proc.ConfiguredProcessor{Proc: p, Config: proc.Config{
-			Cores:    cr.Config.Cores,
-			SMTWays:  cr.Config.SMTWays,
-			ClockGHz: cr.Config.ClockGHz,
-			Turbo:    cr.Config.Turbo,
-		}},
+		Bench:    b,
+		CP:       proc.ConfiguredProcessor{Proc: p, Config: proc.Config(cr.Config)},
 		Runs:     make([]harness.RunSample, len(cr.Full.RunSamples)),
 		Seconds:  cr.Seconds,
 		Watts:    cr.Watts,

@@ -1,33 +1,9 @@
 package cluster
 
 import (
-	"strconv"
-
 	"repro/internal/harness"
 	"repro/internal/service"
 )
-
-// appendRouteKey appends a job's rendezvous key to b: exactly the
-// determinism tuple, so every scheduler homes a cell on the same backend
-// and a backend's cache sees a stable slice of the grid. strconv appends
-// render the same bytes the former fmt.Sprintf("%d|%s|%s|%d|%d|%.17g|%t",
-// ...) did, so homes are unchanged across versions.
-func appendRouteKey(b []byte, seed int64, j harness.Job) []byte {
-	cfg := j.CP.Config
-	b = strconv.AppendInt(b, seed, 10)
-	b = append(b, '|')
-	b = append(b, j.Bench.Name...)
-	b = append(b, '|')
-	b = append(b, j.CP.Proc.Name...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(cfg.Cores), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(cfg.SMTWays), 10)
-	b = append(b, '|')
-	b = strconv.AppendFloat(b, cfg.ClockGHz, 'g', 17, 64)
-	b = append(b, '|')
-	return strconv.AppendBool(b, cfg.Turbo)
-}
 
 // echoes reports whether a streamed cell carries the identity of the
 // job it answers. The scheduler always sends an explicit configuration,

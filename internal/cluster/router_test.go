@@ -16,7 +16,7 @@ func testMembers(n int) []string {
 	return ms
 }
 
-// routeKey is a job's rendezvous key rendered the way appendRouteKey
+// routeKey is a job's rendezvous key rendered the way harness.AppendKey
 // promises to render it, as the string Rank takes.
 func routeKey(seed int64, j harness.Job) string {
 	cfg := j.CP.Config

@@ -236,7 +236,7 @@ func newRun(s *Scheduler, jobs []harness.Job, cancel context.CancelFunc) *run {
 	open := make(map[string]*lease, len(s.backends))
 	key := make([]byte, 0, 64)
 	for i, j := range jobs {
-		key = appendRouteKey(key[:0], s.seed, j)
+		key = harness.AppendKey(key[:0], s.seed, j.Cell())
 		home := s.router.Route(key)
 		l := open[home]
 		if l == nil || len(l.idxs) == s.opts.LeaseCells {

@@ -351,7 +351,7 @@ func TestSchedulerLeasePlanHomes(t *testing.T) {
 			partial[l.home]++
 		}
 		for _, i := range l.idxs {
-			if home := router.Route(appendRouteKey(nil, 7, jobs[i])); home != l.home {
+			if home := router.Route(harness.AppendKey(nil, 7, jobs[i].Cell())); home != l.home {
 				t.Fatalf("lease %d (home %s) holds job %d, whose home is %s", id, l.home, i, home)
 			}
 			if seen[i] {

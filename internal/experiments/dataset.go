@@ -51,12 +51,12 @@ func ReferenceFrom(ctx context.Context, src Source, workers int) (*harness.Refer
 	if err != nil {
 		return nil, err
 	}
-	byCell := make(map[string]*harness.Measurement, len(ms))
+	byCell := make(map[harness.Cell]*harness.Measurement, len(ms))
 	for i, m := range ms {
-		byCell[jobs[i].Bench.Name+"|"+jobs[i].CP.String()] = m
+		byCell[jobs[i].Cell()] = m
 	}
 	return harness.BuildReference(func(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*harness.Measurement, error) {
-		m, ok := byCell[b.Name+"|"+cp.String()]
+		m, ok := byCell[harness.Job{Bench: b, CP: cp}.Cell()]
 		if !ok {
 			return nil, fmt.Errorf("experiments: %s on %s missing from reference batch", b.Name, cp)
 		}

@@ -64,7 +64,7 @@ func TestBatchBlocksGoldenAcrossSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := hb.MeasureBatchBlocks(context.Background(), jobs, 4, block)
+			got, err := hb.measureBatchBlocks(context.Background(), jobs, 4, block)
 			if err != nil {
 				t.Fatal(err)
 			}

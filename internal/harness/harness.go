@@ -70,13 +70,25 @@ type Harness struct {
 	tracer *telemetry.Tracer
 
 	mu    sync.Mutex
-	cache map[string]*cacheEntry
+	cache map[Cell]*cacheEntry
 
-	// machines memoizes validated simulator machines per configuration:
-	// the study's grid re-measures each configuration dozens of times (61
-	// benchmarks), and a Machine is immutable once built.
+	// machines memoizes validated simulator machines per configuration
+	// (a Cell without a benchmark): the study's grid re-measures each
+	// configuration 61 times, and a Machine is immutable once built.
 	mmu      sync.Mutex
-	machines map[string]*sim.Machine
+	machines map[Cell]machineEntry
+}
+
+// maxMachines bounds the machine memo; every generator plus the full
+// grid builds 52. Past it a machine is built for the call and dropped,
+// so a daemon fed arbitrary clocks cannot grow the memo without bound.
+const maxMachines = 256
+
+// machineEntry is a memoized machine and its configuration's label,
+// rendered once for the seed derivation (seedBase).
+type machineEntry struct {
+	m     *sim.Machine
+	label string
 }
 
 // cacheEntry memoizes one measurement; the Once arbitrates concurrent
@@ -102,27 +114,31 @@ func New(seed int64) (*Harness, error) {
 	return &Harness{
 		rig:      rig,
 		seed:     seed,
-		cache:    make(map[string]*cacheEntry),
-		machines: make(map[string]*sim.Machine),
+		cache:    make(map[Cell]*cacheEntry),
+		machines: make(map[Cell]machineEntry),
 	}, nil
 }
 
-// machine returns the cached simulator machine for a configuration,
-// building and validating it on first use. Machines are read-only after
-// construction, so one instance serves concurrent measurements.
-func (h *Harness) machine(cp proc.ConfiguredProcessor) (*sim.Machine, error) {
-	key := cp.String()
+// machine returns the memoized simulator machine for a configuration,
+// with its label, building and validating it on first use (on every use
+// once the memo is full). Machines are read-only after construction, so
+// one instance serves concurrent measurements.
+func (h *Harness) machine(cp proc.ConfiguredProcessor) (machineEntry, error) {
+	key := Cell{Proc: cp.Proc.Name, Config: cp.Config}
 	h.mmu.Lock()
 	defer h.mmu.Unlock()
-	if m, ok := h.machines[key]; ok {
-		return m, nil
+	if e, ok := h.machines[key]; ok {
+		return e, nil
 	}
 	m, err := sim.NewMachine(cp.Proc, cp.Config)
 	if err != nil {
-		return nil, err
+		return machineEntry{}, err
 	}
-	h.machines[key] = m
-	return m, nil
+	e := machineEntry{m: m, label: cp.Config.String()}
+	if len(h.machines) < maxMachines {
+		h.machines[key] = e
+	}
+	return e, nil
 }
 
 // Rig exposes the calibrated sensor rig (for validation reporting).
@@ -136,15 +152,17 @@ func (h *Harness) SetTracer(t *telemetry.Tracer) { h.tracer = t }
 func (h *Harness) Tracer() *telemetry.Tracer { return h.tracer }
 
 // Measure runs the full methodology for one benchmark on one configured
-// processor. Results are cached by benchmark name and configuration: the
-// same measurement is reused across experiments, as the paper's dataset
-// is. Callers constructing their own benchmark variants must therefore
-// give each variant a distinct name.
+// processor. Results are cached by Cell (benchmark name, processor name
+// and exact configuration): the same measurement is reused across
+// experiments, as the paper's dataset is. Callers constructing their own
+// benchmark variants must therefore give each variant a distinct name.
 func (h *Harness) Measure(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*Measurement, error) {
-	if b == nil {
-		return nil, errors.New("harness: nil benchmark")
+	// Validated before it is memoized: a NaN clock never equals itself,
+	// so each such call would add an entry no later call finds.
+	if err := validate(b, cp); err != nil {
+		return nil, err
 	}
-	key := b.Name + "|" + cp.String()
+	key := Cell{Bench: b.Name, Proc: cp.Proc.Name, Config: cp.Config}
 	h.mu.Lock()
 	e, ok := h.cache[key]
 	if !ok {
@@ -163,15 +181,27 @@ func (h *Harness) Measure(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*
 // results are bit-identical to Measure's because every run seeds its own
 // noise streams from its identity, not from shared state.
 func (h *Harness) MeasureUncached(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*Measurement, error) {
-	if b == nil {
-		return nil, errors.New("harness: nil benchmark")
+	if err := validate(b, cp); err != nil {
+		return nil, err
 	}
 	return h.measure(b, cp)
 }
 
-// measure runs the methodology uncached.
+// validate rejects a cell the methodology cannot run: a nil benchmark or
+// processor, or a configuration the part's BIOS would refuse.
+func validate(b *workload.Benchmark, cp proc.ConfiguredProcessor) error {
+	if b == nil {
+		return errors.New("harness: nil benchmark")
+	}
+	if cp.Proc == nil {
+		return errors.New("harness: nil processor")
+	}
+	return cp.Proc.Validate(cp.Config)
+}
+
+// measure runs the methodology uncached on a validated cell.
 func (h *Harness) measure(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*Measurement, error) {
-	machine, err := h.machine(cp)
+	me, err := h.machine(cp)
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +210,12 @@ func (h *Harness) measure(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*
 		return nil, err
 	}
 
+	base := h.seedBase(b.Name, cp.Proc.Name, me.label)
 	var runs []RunSample
 	if b.Managed() {
-		runs, err = h.measureManaged(b, machine, meter)
+		runs, err = h.measureManaged(b, me.m, meter, base)
 	} else {
-		runs, err = h.measureNative(b, machine, meter)
+		runs, err = h.measureNative(b, me.m, meter, base)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s on %s: %w", b.Name, cp, err)
@@ -217,7 +248,7 @@ func (h *Harness) measure(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*
 
 // measureNative performs the prescribed successive executions of an
 // ahead-of-time compiled benchmark.
-func (h *Harness) measureNative(b *workload.Benchmark, machine *sim.Machine, meter *sensor.Meter) ([]RunSample, error) {
+func (h *Harness) measureNative(b *workload.Benchmark, machine *sim.Machine, meter *sensor.Meter, base uint64) ([]RunSample, error) {
 	n, err := native.Runs(b)
 	if err != nil {
 		return nil, err
@@ -233,7 +264,6 @@ func (h *Harness) measureNative(b *workload.Benchmark, machine *sim.Machine, met
 		return nil, err
 	}
 	defer runner.Release()
-	base := h.seedBase(b.Name, machine)
 	runs := make([]RunSample, 0, n)
 	for r := 0; r < n; r++ {
 		seed := runSeedFrom(base, r, 0)
@@ -257,7 +287,7 @@ func (h *Harness) measureNative(b *workload.Benchmark, machine *sim.Machine, met
 
 // measureManaged performs twenty JVM invocations, each running five
 // in-process iterations and measuring the fifth (Section 2.2).
-func (h *Harness) measureManaged(b *workload.Benchmark, machine *sim.Machine, meter *sensor.Meter) ([]RunSample, error) {
+func (h *Harness) measureManaged(b *workload.Benchmark, machine *sim.Machine, meter *sensor.Meter, base uint64) ([]RunSample, error) {
 	plan, err := jvm.NewPlan(b, machine.Cfg.Contexts())
 	if err != nil {
 		return nil, err
@@ -276,7 +306,6 @@ func (h *Harness) measureManaged(b *workload.Benchmark, machine *sim.Machine, me
 		return nil, err
 	}
 	defer runner.Release()
-	base := h.seedBase(b.Name, machine)
 	runs := make([]RunSample, 0, jvm.Invocations)
 	for inv := 0; inv < jvm.Invocations; inv++ {
 		seed := runSeedFrom(base, inv, mi)
@@ -333,15 +362,17 @@ func fnvInt(h uint64, v int64) uint64 {
 
 // seedBase hashes the identity prefix shared by every run of one cell
 // ("seed|bench|proc|cfg|"), so the per-run tail hashes only the run and
-// iteration digits. Computed once per cell instead of once per run.
-func (h *Harness) seedBase(bench string, machine *sim.Machine) uint64 {
+// iteration digits. Computed once per cell instead of once per run. cfg
+// is the display label (proc.Config.String) the committed datasets were
+// seeded from, so configurations that share it share noise streams.
+func (h *Harness) seedBase(bench, processor, cfg string) uint64 {
 	f := fnvInt(fnvOffset64, h.seed)
 	f = fnvByte(f, '|')
 	f = fnvString(f, bench)
 	f = fnvByte(f, '|')
-	f = fnvString(f, machine.Proc.Name)
+	f = fnvString(f, processor)
 	f = fnvByte(f, '|')
-	f = fnvString(f, machine.Cfg.String())
+	f = fnvString(f, cfg)
 	f = fnvByte(f, '|')
 	return f
 }

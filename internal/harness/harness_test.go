@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -141,6 +142,30 @@ func TestMeasureErrors(t *testing.T) {
 	h, _ := testHarness(t)
 	if _, err := h.Measure(nil, stockCP(t, proc.I7Name)); err == nil {
 		t.Fatal("nil benchmark accepted")
+	}
+	b, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.MeasureUncached(b, proc.ConfiguredProcessor{}); err == nil {
+		t.Fatal("nil processor accepted")
+	}
+	// A NaN clock never equals itself: each call would add a cache
+	// entry no later call finds if it were memoized before validation.
+	nan := stockCP(t, proc.I7Name)
+	nan.Config.ClockGHz = math.NaN()
+	h.mu.Lock()
+	before := len(h.cache)
+	h.mu.Unlock()
+	for i := 0; i < 3; i++ {
+		if _, err := h.Measure(b, nan); !errors.Is(err, proc.ErrBadClock) {
+			t.Fatalf("NaN clock: %v, want ErrBadClock", err)
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.cache) != before {
+		t.Fatalf("NaN-clock calls grew the cache from %d to %d entries", before, len(h.cache))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -18,18 +19,42 @@ type Job struct {
 	CP    proc.ConfiguredProcessor
 }
 
-// DefaultBlockSize picks the automatic block for a batch: big enough to
-// amortize per-cell scheduling and setup, small enough that every worker
-// stays busy until the tail.
-func DefaultBlockSize(jobs, workers int) int {
-	block := jobs / (4 * workers)
-	if block > 16 {
-		block = 16
-	}
-	if block < 1 {
-		block = 1
-	}
-	return block
+// Cell is a measurement cell's identity under one seed: the benchmark,
+// the processor and the exact configuration. It is comparable, so it
+// keys every in-process memo and lookup, and AppendKey renders it for
+// the keys that must be bytes. proc.Config.String is only a display
+// label: configurations that share a 0.1 GHz label are distinct cells.
+type Cell struct {
+	Bench  string
+	Proc   string
+	Config proc.Config
+}
+
+// Cell returns the job's identity. Bench and CP.Proc must be non-nil.
+func (j Job) Cell() Cell {
+	return Cell{Bench: j.Bench.Name, Proc: j.CP.Proc.Name, Config: j.CP.Config}
+}
+
+// AppendKey appends c's determinism tuple under seed to dst,
+// "seed|bench|proc|cores|smt|clock|turbo": the daemon's cache key and the
+// scheduler's rendezvous key. The bytes are the former
+// fmt.Sprintf("%d|%s|%s|%d|%d|%.17g|%t", ...) form's, so cached cells
+// and lease homes stay put, and 17 digits render any clock round-trip
+// exact. No benchmark or processor name contains the separator.
+func AppendKey(dst []byte, seed int64, c Cell) []byte {
+	dst = strconv.AppendInt(dst, seed, 10)
+	dst = append(dst, '|')
+	dst = append(dst, c.Bench...)
+	dst = append(dst, '|')
+	dst = append(dst, c.Proc...)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(c.Config.Cores), 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(c.Config.SMTWays), 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendFloat(dst, c.Config.ClockGHz, 'g', 17, 64)
+	dst = append(dst, '|')
+	return strconv.AppendBool(dst, c.Config.Turbo)
 }
 
 // MeasureBatch runs a set of measurements across a worker pool and
@@ -44,16 +69,16 @@ func DefaultBlockSize(jobs, workers int) int {
 // batch returns ctx.Err() promptly (in-flight cells finish their current
 // measurement first — a cell is the cancellation granularity).
 func (h *Harness) MeasureBatch(ctx context.Context, jobs []Job, workers int) ([]*Measurement, error) {
-	return h.MeasureBatchBlocks(ctx, jobs, workers, 0)
+	return h.measureBatchBlocks(ctx, jobs, workers, 0)
 }
 
-// MeasureBatchBlocks is MeasureBatch with an explicit scheduling block:
+// measureBatchBlocks is MeasureBatch with an explicit scheduling block:
 // one dispatch claims `block` consecutive jobs. GridJobs order is
 // configuration-major, so a block's cells share a machine — and through
 // the machine memo and the simulator's plan cache, one set of compiled
 // segment kernels — keeping per-cell setup off the hot path. block <= 0
-// selects the automatic size.
-func (h *Harness) MeasureBatchBlocks(ctx context.Context, jobs []Job, workers, block int) ([]*Measurement, error) {
+// selects the automatic size; only tests pass another.
+func (h *Harness) measureBatchBlocks(ctx context.Context, jobs []Job, workers, block int) ([]*Measurement, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
@@ -67,7 +92,9 @@ func (h *Harness) MeasureBatchBlocks(ctx context.Context, jobs []Job, workers, b
 		workers = len(jobs)
 	}
 	if block <= 0 {
-		block = DefaultBlockSize(len(jobs), workers)
+		// Big enough to amortize per-cell scheduling and setup, small
+		// enough that every worker stays busy until the tail.
+		block = min(max(len(jobs)/(4*workers), 1), 16)
 	}
 
 	// Telemetry is a pure side channel: the span observes wall time

@@ -21,7 +21,6 @@ package proc
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -177,23 +176,15 @@ type Config struct {
 // Contexts returns the configuration's hardware contexts.
 func (c Config) Contexts() int { return c.Cores * c.SMTWays }
 
-// configStrings memoizes Config.String: the rendered notation keys the
-// harness's machine memo, the daemon's cache keys, and every CSV row, so
-// the study formats the same few dozen configurations millions of times.
-// Config is a flat value type, so it keys the memo directly.
-var configStrings sync.Map // Config -> string
-
 // String renders the paper's compact notation, e.g. "4C2T@2.7GHz" or
-// "1C1T@2.7GHz NoTB" for a turbo-capable part with turbo disabled.
+// "4C2T@2.7GHz TB" with Turbo Boost on. It is a display label (the CSVs'
+// configuration column): its clock rounds to 0.1 GHz, so it identifies
+// no configuration and keys nothing.
 func (c Config) String() string {
-	if s, ok := configStrings.Load(c); ok {
-		return s.(string)
-	}
 	s := fmt.Sprintf("%dC%dT@%.1fGHz", c.Cores, c.SMTWays, c.ClockGHz)
 	if c.Turbo {
 		s += " TB"
 	}
-	configStrings.Store(c, s)
 	return s
 }
 
@@ -228,7 +219,8 @@ func (p *Processor) Validate(c Config) error {
 		return fmt.Errorf("%w: %d on %s", ErrBadSMT, c.SMTWays, p.Name)
 	}
 	const tol = 1e-9
-	if c.ClockGHz < p.MinClock()-tol || c.ClockGHz > p.MaxClock()+tol {
+	// Negated so that a NaN clock, which compares false, fails too.
+	if !(c.ClockGHz >= p.MinClock()-tol && c.ClockGHz <= p.MaxClock()+tol) {
 		return fmt.Errorf("%w: %.2f on %s [%.2f, %.2f]",
 			ErrBadClock, c.ClockGHz, p.Name, p.MinClock(), p.MaxClock())
 	}

@@ -180,6 +180,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Config{Cores: 4, SMTWays: 3, ClockGHz: 2.67}, ErrBadSMT},
 		{Config{Cores: 4, SMTWays: 2, ClockGHz: 0.8}, ErrBadClock},
 		{Config{Cores: 4, SMTWays: 2, ClockGHz: 4.0}, ErrBadClock},
+		{Config{Cores: 4, SMTWays: 2, ClockGHz: math.NaN()}, ErrBadClock},
 		{Config{Cores: 4, SMTWays: 2, ClockGHz: 1.6, Turbo: true}, ErrBadTurbo},
 	}
 	for _, c := range cases {

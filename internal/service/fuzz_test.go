@@ -44,14 +44,14 @@ func FuzzConfigParse(f *testing.F) {
 			seed = *req.Seed
 		}
 		for i, c := range cells {
-			if c.bench == nil || c.cp.Proc == nil {
+			if c.Bench == nil || c.CP.Proc == nil {
 				t.Fatalf("cell %d resolved with nil benchmark or processor", i)
 			}
-			if c.bench.Name != req.Cells[i].Benchmark || c.cp.Proc.Name != req.Cells[i].Processor {
+			if c.Bench.Name != req.Cells[i].Benchmark || c.CP.Proc.Name != req.Cells[i].Processor {
 				t.Fatalf("cell %d out of order: %s/%s vs %s/%s",
-					i, c.bench.Name, c.cp.Proc.Name, req.Cells[i].Benchmark, req.Cells[i].Processor)
+					i, c.Bench.Name, c.CP.Proc.Name, req.Cells[i].Benchmark, req.Cells[i].Processor)
 			}
-			if err := c.cp.Proc.Validate(c.cp.Config); err != nil {
+			if err := c.CP.Proc.Validate(c.CP.Config); err != nil {
 				t.Fatalf("cell %d accepted with invalid config: %v", i, err)
 			}
 			if cellKey(seed, c) != cellKey(seed, c) {

@@ -164,7 +164,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 // pool through lane l; these goroutines mostly wait on cache fills, so
 // the cap only bounds bookkeeping, not parallelism. A batch whose every
 // cell reached sink is complete even if ctx ended afterwards.
-func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, cells []cell, keys []string, sink func(i int, m *harness.Measurement)) error {
+func (s *Server) fanOutMeasure(ctx context.Context, seed int64, l lane, cells []harness.Job, keys []string, sink func(i int, m *harness.Measurement)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var next, sunk atomic.Int64
@@ -233,12 +233,8 @@ type seedSource struct {
 }
 
 func (src seedSource) MeasureBatch(ctx context.Context, jobs []harness.Job, _ int) ([]*harness.Measurement, error) {
-	cells := make([]cell, len(jobs))
-	for i, j := range jobs {
-		cells[i] = cell{bench: j.Bench, cp: j.CP}
-	}
 	ms := make([]*harness.Measurement, len(jobs))
-	if err := src.s.fanOutMeasure(ctx, src.seed, laneBulk, cells, nil, func(i int, m *harness.Measurement) { ms[i] = m }); err != nil {
+	if err := src.s.fanOutMeasure(ctx, src.seed, laneBulk, jobs, nil, func(i int, m *harness.Measurement) { ms[i] = m }); err != nil {
 		return nil, err
 	}
 	return ms, nil
@@ -248,8 +244,8 @@ func (src seedSource) MeasureBatch(ctx context.Context, jobs []harness.Job, _ in
 // MeasureFunc.
 func (src seedSource) measure(ctx context.Context) harness.MeasureFunc {
 	return func(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*harness.Measurement, error) {
-		c := cell{bench: b, cp: cp}
-		return src.s.measureCell(ctx, src.seed, laneBulk, c, cellKey(src.seed, c))
+		j := harness.Job{Bench: b, CP: cp}
+		return src.s.measureCell(ctx, src.seed, laneBulk, j, cellKey(src.seed, j))
 	}
 }
 
@@ -271,7 +267,7 @@ func (src seedSource) measure(ctx context.Context) harness.MeasureFunc {
 //
 // A batch commits to the study store if and only if every cell was
 // measured, whatever became of the client's writes.
-func (s *Server) measureStream(w http.ResponseWriter, r *http.Request, seed int64, l lane, full bool, cells []cell, rec *studyRecorder) {
+func (s *Server) measureStream(w http.ResponseWriter, r *http.Request, seed int64, l lane, full bool, cells []harness.Job, rec *studyRecorder) {
 	ctx := r.Context()
 	w.Header().Set("Content-Type", StreamContentType)
 	sw := newStreamWriter(w, flusherOf(w))
@@ -323,7 +319,7 @@ func (s *Server) measureStream(w http.ResponseWriter, r *http.Request, seed int6
 	// cell per goroutine, which the writer coalesces into one flush.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	rest := make([]cell, len(todo))
+	rest := make([]harness.Job, len(todo))
 	for k, i := range todo {
 		rest[k] = cells[i]
 	}
@@ -491,12 +487,12 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	s.reqDataset.Add(1)
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
+// csvTable resolves ?table= (measurements by default, or aggregates) for
+// the two CSV endpoints. For any other value it writes the 400 and
+// returns nil; otherwise it returns the function that sets the download
+// headers and streams that table, committing the status line first, so a
+// mid-stream error shows only as the CSV's missing final rows.
+func csvTable(w http.ResponseWriter, r *http.Request) func(src experiments.Source, ref *harness.Reference, cps []proc.ConfiguredProcessor, workers int) {
 	table := r.URL.Query().Get("table")
 	if table == "" {
 		table = "measurements"
@@ -508,6 +504,23 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 		stream = experiments.StreamAggregatesCSVFrom
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown table %q (want measurements or aggregates)", table))
+		return nil
+	}
+	return func(src experiments.Source, ref *harness.Reference, cps []proc.ConfiguredProcessor, workers int) {
+		w.Header().Set("Content-Type", "text/csv")
+		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", table+".csv"))
+		_ = stream(r.Context(), src, ref, cps, flushWriter{w, flusherOf(w)}, workers)
+	}
+}
+
+func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
+	s.reqDataset.Add(1)
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, "draining")
+		return
+	}
+	send := csvTable(w, r)
+	if send == nil {
 		return
 	}
 	src := seedSource{s, s.opts.Seed}
@@ -520,12 +533,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", table+".csv"))
-	// The status line is committed before streaming; a mid-stream error
-	// can only abort the connection, which the CSV's missing final rows
-	// make detectable.
-	_ = stream(r.Context(), src, ref, nil, flushWriter{w, flusherOf(w)}, 0)
+	send(src, ref, nil, 0)
 }
 
 func flusherOf(w http.ResponseWriter) http.Flusher {

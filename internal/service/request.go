@@ -8,11 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 	"sync"
 
 	"repro/internal/counters"
+	"repro/internal/harness"
 	"repro/internal/proc"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -23,7 +22,8 @@ import (
 // request cannot queue unbounded work.
 const MaxCells = 2 * 45 * 61
 
-// ConfigJSON is the wire form of a BIOS-style hardware configuration.
+// ConfigJSON is the wire form of a BIOS-style hardware configuration:
+// proc.Config's fields in its order, so the two convert directly.
 type ConfigJSON struct {
 	Cores    int     `json:"cores"`
 	SMTWays  int     `json:"smt"`
@@ -129,12 +129,6 @@ type MeasureResponse struct {
 	Cells []CellResult `json:"cells"`
 }
 
-// cell is a validated, resolved measurement cell.
-type cell struct {
-	bench *workload.Benchmark
-	cp    proc.ConfiguredProcessor
-}
-
 // DecodeMeasureRequest strictly parses and validates a measure request
 // body, JSON or one request frame (stream.go), picking the codec from
 // the body's first byte rather than from a header, so a recorded body
@@ -143,7 +137,7 @@ type cell struct {
 // benchmark and processor, and explicit configurations must pass the
 // part's BIOS validation. It never panics on arbitrary input (fuzzed by
 // FuzzConfigParse).
-func DecodeMeasureRequest(r io.Reader) (*MeasureRequest, []cell, error) {
+func DecodeMeasureRequest(r io.Reader) (*MeasureRequest, []harness.Job, error) {
 	br := requestReaders.Get().(*bufio.Reader)
 	br.Reset(r)
 	req, err := readMeasureRequest(br)
@@ -383,7 +377,7 @@ var names = sync.OnceValue(func() *nameIndex {
 })
 
 // resolveCells validates request cells against the fleet and workload.
-func resolveCells(reqs []CellRequest) ([]cell, error) {
+func resolveCells(reqs []CellRequest) ([]harness.Job, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("service: request names no cells")
 	}
@@ -391,7 +385,7 @@ func resolveCells(reqs []CellRequest) ([]cell, error) {
 		return nil, errTooManyCells(uint64(len(reqs)))
 	}
 	ix := names()
-	cells := make([]cell, 0, len(reqs))
+	cells := make([]harness.Job, 0, len(reqs))
 	for i, cr := range reqs {
 		b, ok := ix.benches[cr.Benchmark]
 		if !ok {
@@ -403,20 +397,12 @@ func resolveCells(reqs []CellRequest) ([]cell, error) {
 		}
 		cfg := p.Stock()
 		if cr.Config != nil {
-			cfg = proc.Config{
-				Cores:    cr.Config.Cores,
-				SMTWays:  cr.Config.SMTWays,
-				ClockGHz: cr.Config.ClockGHz,
-				Turbo:    cr.Config.Turbo,
-			}
-			if !isFinite(cfg.ClockGHz) {
-				return nil, fmt.Errorf("service: cell %d: non-finite clock", i)
-			}
+			cfg = proc.Config(*cr.Config)
 			if err := p.Validate(cfg); err != nil {
 				return nil, fmt.Errorf("service: cell %d: %w", i, err)
 			}
 		}
-		cells = append(cells, cell{bench: b, cp: proc.ConfiguredProcessor{Proc: p, Config: cfg}})
+		cells = append(cells, harness.Job{Bench: b, CP: proc.ConfiguredProcessor{Proc: p, Config: cfg}})
 	}
 	return cells, nil
 }
@@ -425,37 +411,15 @@ func errTooManyCells(n uint64) error {
 	return fmt.Errorf("service: %d cells exceeds the %d-cell request bound", n, MaxCells)
 }
 
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// cellKey is the cache key of one cell: exactly the determinism
-// contract's tuple. The clock is rendered round-trip exact so two
-// configurations differing below the display precision cannot collide.
-// Rendered with strconv appends — byte-identical to the former
-// fmt.Sprintf("m|%d|%s|%s|%d|%d|%.17g|%t", ...) form ('g'/17 is %.17g,
-// AppendBool is %t) at one allocation instead of fmt's boxing.
-func cellKey(seed int64, c cell) string {
-	b := make([]byte, 0, 64)
-	b = append(b, 'm', '|')
-	b = strconv.AppendInt(b, seed, 10)
-	b = append(b, '|')
-	b = append(b, c.bench.Name...)
-	b = append(b, '|')
-	b = append(b, c.cp.Proc.Name...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(c.cp.Config.Cores), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(c.cp.Config.SMTWays), 10)
-	b = append(b, '|')
-	b = strconv.AppendFloat(b, c.cp.Config.ClockGHz, 'g', 17, 64)
-	b = append(b, '|')
-	b = strconv.AppendBool(b, c.cp.Config.Turbo)
-	return string(b)
+// cellKey is the cache key of one cell: "m|" and the determinism tuple
+// (harness.AppendKey), one allocation.
+func cellKey(seed int64, j harness.Job) string {
+	var buf [64]byte
+	return string(harness.AppendKey(append(buf[:0], 'm', '|'), seed, j.Cell()))
 }
 
 // ConfigToJSON converts a configuration to the wire form.
-func ConfigToJSON(cfg proc.Config) ConfigJSON {
-	return ConfigJSON{Cores: cfg.Cores, SMTWays: cfg.SMTWays, ClockGHz: cfg.ClockGHz, Turbo: cfg.Turbo}
-}
+func ConfigToJSON(cfg proc.Config) ConfigJSON { return ConfigJSON(cfg) }
 
 // CountersToJSON converts counters to the wire form.
 func CountersToJSON(c counters.Counters) CountersJSON {

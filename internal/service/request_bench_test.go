@@ -2,8 +2,11 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // BenchmarkDecodeMeasureRequest decodes the request of one 16-cell
@@ -50,4 +53,21 @@ func BenchmarkEncodeMeasureRequest(b *testing.B) {
 			buf = AppendMeasureRequest(buf[:0], req)
 		}
 	})
+}
+
+// BenchmarkCellKey is a warm lease's per-cell cache lookup: the cell's
+// key rendered, then Cache.Resident for a cell the cache holds.
+func BenchmarkCellKey(b *testing.B) {
+	j := harness.GridJobs(nil, nil)[0]
+	c := NewCache(16)
+	m := new(harness.Measurement)
+	if _, err := c.GetOrCompute(context.Background(), cellKey(42, j), func() (any, error) { return m, nil }); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if v, ok := c.Resident(cellKey(42, j)); !ok || v != m {
+			b.Fatal("cell not resident")
+		}
+	}
 }

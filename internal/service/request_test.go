@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -210,6 +211,23 @@ func TestRequestFrameTruncationIsUnexpectedEOF(t *testing.T) {
 		}
 		if _, _, err := DecodeMeasureRequest(bytes.NewReader(body)); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("%s: %v, want io.ErrUnexpectedEOF", name, err)
+		}
+	}
+}
+
+// TestCellKeyBytesPinned: the daemon's cache key is "m|" and the
+// determinism tuple in the bytes of the former
+// fmt.Sprintf("m|%d|%s|%s|%d|%d|%.17g|%t", ...) form, over the full
+// 45x61 grid at seeds 42 and 0, so a cache keyed before the tuple moved
+// into harness finds every cell where it was.
+func TestCellKeyBytesPinned(t *testing.T) {
+	for _, seed := range []int64{42, 0} {
+		for _, j := range harness.GridJobs(proc.ConfigSpace(), nil) {
+			cfg := j.CP.Config
+			want := fmt.Sprintf("m|%d|%s|%s|%d|%d|%.17g|%t", seed, j.Bench.Name, j.CP.Proc.Name, cfg.Cores, cfg.SMTWays, cfg.ClockGHz, cfg.Turbo)
+			if got := cellKey(seed, j); got != want {
+				t.Fatalf("cellKey = %q, want %q", got, want)
+			}
 		}
 	}
 }

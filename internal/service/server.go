@@ -211,7 +211,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // spent waiting for a worker lane (critical-path analytics split queue
 // wait from kernel compute with it), and feed the fill-duration
 // histogram.
-func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c cell, key string) (*harness.Measurement, error) {
+func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c harness.Job, key string) (*harness.Measurement, error) {
 	cellCtx, span := s.startCellSpan(ctx, seed, c)
 	v, outcome, err := s.cache.GetOrComputeOutcome(ctx, key, func() (any, error) {
 		fillStart := time.Now()
@@ -222,7 +222,7 @@ func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c cell, ke
 			// on this path.
 			qspan.End()
 			if s.opts.Hooks != nil && s.opts.Hooks.BeforeMeasure != nil {
-				if err := s.opts.Hooks.BeforeMeasure(seed, c.bench.Name, c.cp.Proc.Name); err != nil {
+				if err := s.opts.Hooks.BeforeMeasure(seed, c.Bench.Name, c.CP.Proc.Name); err != nil {
 					return nil, err
 				}
 			}
@@ -230,7 +230,7 @@ func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c cell, ke
 			if err != nil {
 				return nil, err
 			}
-			return h.MeasureUncached(c.bench, c.cp)
+			return h.MeasureUncached(c.Bench, c.CP)
 		})
 		// Admission failures (queue full, draining, canceled context)
 		// never run the worker fn; close the queue span on their behalf.
@@ -253,7 +253,7 @@ func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c cell, ke
 // records it as measureCell records a hit: the cache's hit counter and
 // a service.cell span with outcome=hit. Otherwise it records nothing
 // and returns nil, leaving the cell to measureCell.
-func (s *Server) residentCell(ctx context.Context, seed int64, c cell, key string) *harness.Measurement {
+func (s *Server) residentCell(ctx context.Context, seed int64, c harness.Job, key string) *harness.Measurement {
 	v, ok := s.cache.Resident(key)
 	if !ok {
 		return nil
@@ -269,10 +269,10 @@ func (s *Server) residentCell(ctx context.Context, seed int64, c cell, key strin
 // Annotate appends in place and the span keeps one 4-slot array
 // instead of growing to 6; only a failed cell's error annotation grows
 // it.
-func (s *Server) startCellSpan(ctx context.Context, seed int64, c cell) (context.Context, *telemetry.Span) {
+func (s *Server) startCellSpan(ctx context.Context, seed int64, c harness.Job) (context.Context, *telemetry.Span) {
 	attrs := make([]telemetry.Attr, 3, 4)
-	attrs[0] = telemetry.String("benchmark", c.bench.Name)
-	attrs[1] = telemetry.String("processor", c.cp.Proc.Name)
+	attrs[0] = telemetry.String("benchmark", c.Bench.Name)
+	attrs[1] = telemetry.String("processor", c.CP.Proc.Name)
 	attrs[2] = telemetry.String("seed", strconv.FormatInt(seed, 10))
 	return s.tracer.StartSpan(ctx, "service.cell", attrs...)
 }
@@ -281,13 +281,13 @@ func (s *Server) startCellSpan(ctx context.Context, seed int64, c cell) (context
 // wire form. A non-nil d selects the reconstruction-grade shape: the
 // detail is written into d, reusing its run-sample storage when that is
 // large enough, and res.Full points at it.
-func setCellResult(res *CellResult, d *CellDetail, c cell, m *harness.Measurement) {
+func setCellResult(res *CellResult, d *CellDetail, c harness.Job, m *harness.Measurement) {
 	*res = CellResult{
-		Benchmark:  c.bench.Name,
-		Processor:  c.cp.Proc.Name,
-		Config:     ConfigToJSON(c.cp.Config),
-		Suite:      string(c.bench.Suite),
-		Group:      c.bench.Group.String(),
+		Benchmark:  c.Bench.Name,
+		Processor:  c.CP.Proc.Name,
+		Config:     ConfigToJSON(c.CP.Config),
+		Suite:      string(c.Bench.Suite),
+		Group:      c.Bench.Group.String(),
 		Runs:       len(m.Runs),
 		Seconds:    m.Seconds,
 		Watts:      m.Watts,

@@ -132,6 +132,33 @@ func TestTwoServersBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSameLabelCellIndependentOfHistory: i7 4C2T at 2.60 and 2.64 GHz
+// share the label "4C2T@2.6GHz". A daemon that measured mcf at 2.60
+// serves lbm at 2.64 byte-identical to a fresh daemon, so a cell's value
+// does not depend on what its backend measured before.
+func TestSameLabelCellIndependentOfHistory(t *testing.T) {
+	cell := func(bench string, ghz float64) string {
+		return fmt.Sprintf(`{"detail":"full","cells":[{"benchmark":%q,"processor":"i7 (45)","config":{"cores":4,"smt":2,"clock_ghz":%v,"turbo":false}}]}`, bench, ghz)
+	}
+	var bodies [2][]byte
+	for i, history := range [][]string{{cell("mcf", 2.60)}, nil} {
+		srv := NewServer(Options{Seed: 42, Workers: 2})
+		ts := httptest.NewServer(srv.Handler())
+		for _, body := range append(history, cell("lbm", 2.64)) {
+			code, b := postMeasure(t, ts.URL, body)
+			if code != http.StatusOK {
+				t.Fatalf("server %d: %d %s", i, code, b)
+			}
+			bodies[i] = b
+		}
+		ts.Close()
+		srv.Drain()
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("lbm at 2.64 GHz after mcf at 2.60 GHz:\n%s\nfresh daemon:\n%s", bodies[0], bodies[1])
+	}
+}
+
 // TestMeasureMatchesHarness cross-checks the service path against a
 // direct harness measurement at the same seed: the wire numbers are the
 // measurement's numbers, bit-identical through JSON round-trip.

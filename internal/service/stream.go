@@ -497,7 +497,7 @@ func putFrameHeader(b []byte, at int, kind byte) int {
 // and detail, so the frame costs no allocation, and its bytes are the
 // ones send writes for the same CellResult. full selects the
 // reconstruction-grade shape.
-func (sw *streamWriter) sendCell(index int, c cell, m *harness.Measurement, full bool) error {
+func (sw *streamWriter) sendCell(index int, c harness.Job, m *harness.Measurement, full bool) error {
 	var d *CellDetail
 	if full {
 		d = &sw.detail
@@ -600,7 +600,7 @@ func appendCellResult(b []byte, c *CellResult) []byte {
 // handler returns, so the client reads the end of the stream with it
 // and its connection stays reusable. keepAlive <= 0 selects the default
 // heartbeat.
-func (sw *streamWriter) run(items <-chan streamItem, cells []cell, full bool, keepAlive time.Duration, errFn func() error) error {
+func (sw *streamWriter) run(items <-chan streamItem, cells []harness.Job, full bool, keepAlive time.Duration, errFn func() error) error {
 	if keepAlive <= 0 {
 		keepAlive = defaultStreamKeepAlive
 	}

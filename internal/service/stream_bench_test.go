@@ -21,7 +21,7 @@ import (
 //
 // wire-B/cell is the encoded stream size per cell.
 type grid struct {
-	cells []cell
+	cells []harness.Job
 	ms    []*harness.Measurement
 }
 
@@ -35,11 +35,7 @@ var studyGrid = sync.OnceValues(func() (*grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &grid{cells: make([]cell, len(jobs)), ms: ms}
-	for i, j := range jobs {
-		g.cells[i] = cell{bench: j.Bench, cp: j.CP}
-	}
-	return g, nil
+	return &grid{cells: jobs, ms: ms}, nil
 })
 
 func benchGrid(b *testing.B) *grid {

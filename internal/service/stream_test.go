@@ -199,7 +199,7 @@ func TestMeasureStreamError(t *testing.T) {
 // gridLease is a lease of the first n cells of the stock grid at full
 // detail on the bulk lane, as the scheduler sends one, with the cells
 // the handler resolves them to.
-func gridLease(t testing.TB, n int) ([]byte, []cell) {
+func gridLease(t testing.TB, n int) ([]byte, []harness.Job) {
 	t.Helper()
 	seed := int64(42)
 	req := &MeasureRequest{Seed: &seed, Detail: DetailFull, Lane: LaneBulk}
@@ -299,7 +299,7 @@ func TestMeasureStreamResidentLeaseIsOneWrite(t *testing.T) {
 		t.Fatalf("resident reply has %d frames, want header, %d cells, done", len(evs), len(cells))
 	}
 	for i, ev := range evs[1 : len(evs)-1] {
-		if ev.Cell == nil || ev.Cell.Index != i || ev.Cell.Result.Benchmark != cells[i].bench.Name {
+		if ev.Cell == nil || ev.Cell.Index != i || ev.Cell.Result.Benchmark != cells[i].Bench.Name {
 			t.Fatalf("frame %d is %+v, want cell %d in request order", i+1, ev, i)
 		}
 	}
@@ -326,7 +326,7 @@ func TestMeasureStreamMixedLease(t *testing.T) {
 	defer ts.Close()
 	body, cells := gridLease(t, 16)
 
-	var even []cell
+	var even []harness.Job
 	for i := 0; i < len(cells); i += 2 {
 		even = append(even, cells[i])
 	}
@@ -355,7 +355,7 @@ func TestMeasureStreamMixedLease(t *testing.T) {
 		}
 		i := ev.Cell.Index
 		seen[i] = true
-		m, err := h.MeasureUncached(cells[i].bench, cells[i].cp)
+		m, err := h.MeasureUncached(cells[i].Bench, cells[i].CP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,8 +402,8 @@ func TestMeasureStreamLargeResidentReply(t *testing.T) {
 	req := &MeasureRequest{Seed: &seed, Detail: DetailFull, Lane: LaneBulk}
 	for i := 0; i < MaxCells; i++ {
 		c := lease[i%len(lease)]
-		cfg := ConfigToJSON(c.cp.Config)
-		req.Cells = append(req.Cells, CellRequest{Benchmark: c.bench.Name, Processor: c.cp.Proc.Name, Config: &cfg})
+		cfg := ConfigToJSON(c.CP.Config)
+		req.Cells = append(req.Cells, CellRequest{Benchmark: c.Bench.Name, Processor: c.CP.Proc.Name, Config: &cfg})
 	}
 	before := srv.Stats().Cache
 
@@ -648,10 +648,10 @@ func TestStreamDecoderReuse(t *testing.T) {
 // built CellResult, and a warm writer encodes it without allocating.
 func TestStreamWriterCellAllocs(t *testing.T) {
 	ix := names()
-	c := cell{bench: ix.benches["mcf"], cp: proc.ConfiguredProcessor{Proc: ix.procs["i7 (45)"]}}
-	c.cp.Config = c.cp.Proc.Stock()
+	c := harness.Job{Bench: ix.benches["mcf"], CP: proc.ConfiguredProcessor{Proc: ix.procs["i7 (45)"]}}
+	c.CP.Config = c.CP.Proc.Stock()
 	m := func(n int) *harness.Measurement {
-		m := &harness.Measurement{Bench: c.bench, CP: c.cp, Runs: make([]harness.RunSample, n),
+		m := &harness.Measurement{Bench: c.Bench, CP: c.CP, Runs: make([]harness.RunSample, n),
 			Seconds: 1.5, Watts: 40, EnergyJ: 60, Counters: counters.Counters{Cycles: 7},
 			TimeCI: stats.CI{Mean: 1.5, Half: 0.01, Level: 0.95, N: n}, PowerCI: stats.CI{Mean: 40, Half: 0.2, Level: 0.95, N: n}}
 		for i := range m.Runs {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/store"
 	"repro/internal/trend"
@@ -477,12 +476,8 @@ func (s *Server) handleStudyExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	table := r.URL.Query().Get("table")
-	if table == "" {
-		table = "measurements"
-	}
-	if table != "measurements" && table != "aggregates" {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown table %q (want measurements or aggregates)", table))
+	send := csvTable(w, r)
+	if send == nil {
 		return
 	}
 	d := s.collectDataset(w, r)
@@ -505,16 +500,7 @@ func (s *Server) handleStudyExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "no complete configurations in the stored slice")
 		return
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", table+".csv"))
-	fw := flushWriter{w, flusherOf(w)}
-	var streamErr error
-	if table == "measurements" {
-		streamErr = experiments.StreamMeasurementsCSVFrom(r.Context(), d, ref, complete, fw, s.opts.Workers)
-	} else {
-		streamErr = experiments.StreamAggregatesCSVFrom(r.Context(), d, ref, complete, fw, s.opts.Workers)
-	}
-	_ = streamErr // status already committed; a broken stream is the signal
+	send(d, ref, complete, s.opts.Workers)
 }
 
 // handleStudyTrend replays the stored slice across technology

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -44,26 +45,37 @@ func (q Query) MatchMeta(m Meta) bool {
 	return true
 }
 
-// matchRow reports whether one row passes the per-row filters.
-func (q Query) matchRow(r *Row) bool {
-	if q.Processor != "" && r.Processor != q.Processor {
-		return false
+// matcher returns q's per-row filter for one scan. Rows arrive grouped
+// by configuration, so it renders a row's label only when the
+// configuration differs from the previous row's.
+func (q Query) matcher() func(r *Row) bool {
+	var last proc.Config
+	var seen, lastOK bool
+	return func(r *Row) bool {
+		if q.Processor != "" && r.Processor != q.Processor {
+			return false
+		}
+		if q.Benchmark != "" && r.Benchmark != q.Benchmark {
+			return false
+		}
+		if q.Config == "" {
+			return true
+		}
+		if c := r.config(); !seen || c != last {
+			last, seen, lastOK = c, true, c.String() == q.Config
+		}
+		return lastOK
 	}
-	if q.Benchmark != "" && r.Benchmark != q.Benchmark {
-		return false
-	}
-	if q.Config != "" && r.ConfigString() != q.Config {
-		return false
-	}
-	return true
+}
+
+func (r *Row) config() proc.Config {
+	return proc.Config{Cores: r.Cores, SMTWays: r.SMTWays, ClockGHz: r.ClockGHz, Turbo: r.Turbo}
 }
 
 // ConfigString renders the row's configuration in the paper's compact
 // notation — the same bytes proc.Config.String() produces, so filters
 // and CSV rows agree with the live system.
-func (r *Row) ConfigString() string {
-	return proc.Config{Cores: r.Cores, SMTWays: r.SMTWays, ClockGHz: r.ClockGHz, Turbo: r.Turbo}.String()
-}
+func (r *Row) ConfigString() string { return r.config().String() }
 
 // RowRecord is one matching row with its study identity attached.
 type RowRecord struct {
@@ -77,6 +89,7 @@ type RowRecord struct {
 // (limit <= 0 means unlimited).
 func (s *Store) Rows(q Query, limit int) ([]RowRecord, error) {
 	var out []RowRecord
+	match := q.matcher()
 	for _, m := range s.Studies() {
 		if !q.MatchMeta(m) {
 			continue
@@ -86,7 +99,7 @@ func (s *Store) Rows(q Query, limit int) ([]RowRecord, error) {
 			return nil, err
 		}
 		for i := range st.Rows {
-			if !q.matchRow(&st.Rows[i]) {
+			if !match(&st.Rows[i]) {
 				continue
 			}
 			out = append(out, RowRecord{StudyID: st.ID, Seed: st.Seed, Sealed: st.SealedUnixNano, Row: st.Rows[i]})
@@ -103,7 +116,7 @@ func (s *Store) Rows(q Query, limit int) ([]RowRecord, error) {
 var ErrMissingCell = errors.New("store: cell not in stored dataset")
 
 // Dataset is a queried slice of the store materialized as harness
-// measurements, keyed by cell identity with later studies winning on
+// measurements, keyed by harness.Cell with later studies winning on
 // duplicates (the determinism contract makes duplicates bit-identical,
 // so the choice is moot for same-seed data). It satisfies the
 // experiments.Source interface and harness.MeasureFunc, so the live
@@ -113,8 +126,8 @@ var ErrMissingCell = errors.New("store: cell not in stored dataset")
 // computed by the same code in the same order from bit-identical
 // inputs.
 type Dataset struct {
-	byCell map[string]*harness.Measurement
-	cps    []proc.ConfiguredProcessor
+	byCell map[harness.Cell]*harness.Measurement
+	cps    map[harness.Cell]proc.ConfiguredProcessor // by configuration: no benchmark
 	seeds  map[int64]int
 }
 
@@ -130,8 +143,12 @@ func (s *Store) Collect(q Query) (*Dataset, error) {
 	for _, p := range fleet {
 		procByName[p.Name] = p
 	}
-	d := &Dataset{byCell: make(map[string]*harness.Measurement), seeds: make(map[int64]int)}
-	seenCP := make(map[string]bool)
+	d := &Dataset{
+		byCell: make(map[harness.Cell]*harness.Measurement),
+		cps:    make(map[harness.Cell]proc.ConfiguredProcessor),
+		seeds:  make(map[int64]int),
+	}
+	match := q.matcher()
 	for _, m := range s.Studies() {
 		if !q.MatchMeta(m) {
 			continue
@@ -142,7 +159,7 @@ func (s *Store) Collect(q Query) (*Dataset, error) {
 		}
 		for i := range st.Rows {
 			r := &st.Rows[i]
-			if !q.matchRow(r) {
+			if !match(r) {
 				continue
 			}
 			b, ok := benchByName[r.Benchmark]
@@ -153,16 +170,10 @@ func (s *Store) Collect(q Query) (*Dataset, error) {
 			if !ok {
 				return nil, fmt.Errorf("store: proc: unknown processor %q in study %x", r.Processor, st.ID)
 			}
-			cp := proc.ConfiguredProcessor{Proc: p, Config: proc.Config{
-				Cores: r.Cores, SMTWays: r.SMTWays, ClockGHz: r.ClockGHz, Turbo: r.Turbo,
-			}}
-			key := r.Benchmark + "|" + cp.String()
-			d.byCell[key] = r.Measurement(b, cp)
+			cp := proc.ConfiguredProcessor{Proc: p, Config: r.config()}
+			d.byCell[harness.Cell{Bench: b.Name, Proc: p.Name, Config: cp.Config}] = r.Measurement(b, cp)
+			d.cps[harness.Cell{Proc: p.Name, Config: cp.Config}] = cp
 			d.seeds[st.Seed]++
-			if cpKey := cp.String(); !seenCP[cpKey] {
-				seenCP[cpKey] = true
-				d.cps = append(d.cps, cp)
-			}
 		}
 	}
 	return d, nil
@@ -199,32 +210,36 @@ func (d *Dataset) Seeds() []int64 {
 }
 
 // Configs returns the distinct configurations present, in the canonical
-// study order (proc.ConfigSpace) first, then any others sorted by
-// label. The canonical ordering keeps aggregate listings and exports in
-// the committed dataset's row order.
+// study order (proc.ConfigSpace) first, then any others sorted by label
+// and, between equal labels, by exact clock. The canonical ordering
+// keeps aggregate listings and exports in the committed dataset's row
+// order.
 func (d *Dataset) Configs() []proc.ConfiguredProcessor {
-	present := make(map[string]proc.ConfiguredProcessor, len(d.cps))
-	for _, cp := range d.cps {
-		present[cp.String()] = cp
-	}
+	present := maps.Clone(d.cps)
 	var out []proc.ConfiguredProcessor
 	for _, cp := range proc.ConfigSpace() {
-		if got, ok := present[cp.String()]; ok {
+		key := harness.Cell{Proc: cp.Proc.Name, Config: cp.Config}
+		if got, ok := present[key]; ok {
 			out = append(out, got)
-			delete(present, cp.String())
+			delete(present, key)
 		}
 	}
 	var rest []proc.ConfiguredProcessor
 	for _, cp := range present {
 		rest = append(rest, cp)
 	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i].String() < rest[j].String() })
+	sort.Slice(rest, func(i, j int) bool {
+		if a, b := rest[i].String(), rest[j].String(); a != b {
+			return a < b
+		}
+		return rest[i].Config.ClockGHz < rest[j].Config.ClockGHz
+	})
 	return append(out, rest...)
 }
 
 // Measure is the dataset's harness.MeasureFunc: a pure lookup.
 func (d *Dataset) Measure(b *workload.Benchmark, cp proc.ConfiguredProcessor) (*harness.Measurement, error) {
-	m, ok := d.byCell[b.Name+"|"+cp.String()]
+	m, ok := d.byCell[harness.Job{Bench: b, CP: cp}.Cell()]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s on %s", ErrMissingCell, b.Name, cp)
 	}
@@ -262,10 +277,9 @@ func (d *Dataset) Complete(cp proc.ConfiguredProcessor, groups []workload.Group)
 	if groups == nil {
 		groups = workload.Groups()
 	}
-	suffix := "|" + cp.String()
 	for _, g := range groups {
 		for _, b := range workload.ByGroup(g) {
-			if _, ok := d.byCell[b.Name+suffix]; !ok {
+			if _, ok := d.byCell[harness.Job{Bench: b, CP: cp}.Cell()]; !ok {
 				return false
 			}
 		}

@@ -297,10 +297,12 @@ func TestReadOnlyOpen(t *testing.T) {
 }
 
 // TestDatasetAggregateMatchesLive stores a real measured slice of the
-// study (the four reference processors plus one extra config, all 61
+// study (the four reference processors plus i7 4C2T at 2.60 and at 2.64
+// GHz, two configurations that share the label "4C2T@2.6GHz", all 61
 // benchmarks), then checks the store-side aggregation — reference
-// rebuild plus harness.AggregateConfig over stored rows — is
-// bit-identical to aggregating the live measurements directly.
+// rebuild plus harness.AggregateConfig over stored rows — keeps all six
+// configurations and is bit-identical to aggregating the live
+// measurements directly.
 func TestDatasetAggregateMatchesLive(t *testing.T) {
 	h, err := harness.New(42)
 	if err != nil {
@@ -314,7 +316,10 @@ func TestDatasetAggregateMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cps := append(refs, proc.ConfiguredProcessor{Proc: i7, Config: i7.Stock()})
+	cps := refs
+	for _, ghz := range []float64{2.60, 2.64} {
+		cps = append(cps, proc.ConfiguredProcessor{Proc: i7, Config: proc.Config{Cores: 4, SMTWays: 2, ClockGHz: ghz}})
+	}
 
 	st := &Study{Seed: 42, SealedUnixNano: time.Now().UnixNano()}
 	for _, cp := range cps {
@@ -359,7 +364,10 @@ func TestDatasetAggregateMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range got {
+	for i, res := range got {
+		if res.CP.Config != cps[i].Config {
+			t.Fatalf("aggregate %d is %s, want %s", i, res.CP, cps[i])
+		}
 		live, err := harness.AggregateConfig(res.CP, h.Measure, ref, nil)
 		if err != nil {
 			t.Fatal(err)

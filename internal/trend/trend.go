@@ -209,13 +209,15 @@ func Analyze(src Source, groups []workload.Group) (*Report, error) {
 			pps[i] = pareto.Point{Label: pt.Label, Perf: pt.Perf, Energy: pt.Energy}
 		}
 		front := pareto.Frontier(pps)
-		efficient := make(map[string]bool, len(front))
+		// Keyed by the whole point, not its label: configurations that
+		// share a 0.1 GHz label are distinct points.
+		efficient := make(map[pareto.Point]bool, len(front))
 		for _, p := range front {
-			efficient[p.Label] = true
+			efficient[p] = true
 			gen.Frontier = append(gen.Frontier, p.Label)
 		}
 		for i := range pts {
-			pts[i].Efficient = efficient[pts[i].Label]
+			pts[i].Efficient = efficient[pps[i]]
 		}
 		gen.Points = pts
 
@@ -256,19 +258,19 @@ func Analyze(src Source, groups []workload.Group) (*Report, error) {
 // order, as pareto.Frontier returns them).
 func driftBetween(prev, cur []pareto.Point) *Drift {
 	d := &Drift{}
-	prevSet := make(map[string]bool, len(prev))
+	prevSet := make(map[pareto.Point]bool, len(prev))
 	for _, p := range prev {
-		prevSet[p.Label] = true
+		prevSet[p] = true
 	}
-	curSet := make(map[string]bool, len(cur))
+	curSet := make(map[pareto.Point]bool, len(cur))
 	for _, p := range cur {
-		curSet[p.Label] = true
-		if !prevSet[p.Label] {
+		curSet[p] = true
+		if !prevSet[p] {
 			d.NewEfficient++
 		}
 	}
 	for _, p := range prev {
-		if !curSet[p.Label] {
+		if !curSet[p] {
 			d.Displaced++
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/pareto"
 	"repro/internal/proc"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -199,5 +200,17 @@ func TestAnalyzeSkipsIncomplete(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no points replayed from the reference cells")
+	}
+}
+
+// TestDriftTellsSameLabelPointsApart: i7 4C2T at 2.60 and 2.64 GHz share
+// the label "i7 (45) 4C2T@2.6GHz". A frontier that swaps one for the
+// other gains one efficient configuration and displaces one.
+func TestDriftTellsSameLabelPointsApart(t *testing.T) {
+	const label = "i7 (45) 4C2T@2.6GHz"
+	prev := []pareto.Point{{Label: label, Perf: 1, Energy: 1}}
+	cur := []pareto.Point{{Label: label, Perf: 1.01, Energy: 0.99}}
+	if d := driftBetween(prev, cur); d.NewEfficient != 1 || d.Displaced != 1 {
+		t.Fatalf("drift counts %d new efficient, %d displaced; want 1 and 1", d.NewEfficient, d.Displaced)
 	}
 }

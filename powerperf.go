@@ -157,7 +157,9 @@ func NewStudy(seed int64) (*Study, error) {
 
 // Measure runs the full methodology for one benchmark on one configured
 // processor: the prescribed invocation counts, sensor-logged power, and
-// 95% confidence intervals. Results are cached within the study.
+// 95% confidence intervals. Results are cached within the study per
+// exact configuration: clocks that share a 0.1 GHz label are measured
+// apart.
 func (s *Study) Measure(b *Benchmark, cp ConfiguredProcessor) (*Measurement, error) {
 	if s == nil || s.ctx == nil {
 		return nil, errors.New("powerperf: nil study")

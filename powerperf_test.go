@@ -98,6 +98,35 @@ func TestStudyMeasureAndAggregate(t *testing.T) {
 	}
 }
 
+// TestStudyMeasureExactClock: Study.Measure caches per exact
+// configuration, so two clocks that share the 0.1 GHz label
+// "4C2T@2.6GHz" are two measurements, each carrying its own clock.
+func TestStudyMeasureExactClock(t *testing.T) {
+	s := testingStudy(t)
+	b, err := BenchmarkByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	i7, err := ProcessorByName(I7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*Measurement
+	for _, ghz := range []float64{2.60, 2.64} {
+		m, err := s.Measure(b, ConfiguredProcessor{Proc: i7, Config: Config{Cores: 4, SMTWays: 2, ClockGHz: ghz}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.CP.Config.ClockGHz != ghz {
+			t.Fatalf("measured at %v GHz, asked for %v GHz", m.CP.Config.ClockGHz, ghz)
+		}
+		got = append(got, m)
+	}
+	if got[0] == got[1] || got[0].Seconds == got[1].Seconds {
+		t.Fatalf("2.60 and 2.64 GHz returned the same measurement (%v s)", got[0].Seconds)
+	}
+}
+
 func TestStudyNilGuards(t *testing.T) {
 	var s *Study
 	if _, err := s.Measure(nil, ConfiguredProcessor{}); err == nil {
