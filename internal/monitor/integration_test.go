@@ -145,6 +145,38 @@ func TestScrapeFederatesLiveBackend(t *testing.T) {
 	}
 }
 
+// TestScrapeRejectsDoubleDeclaredFamily: a page that declares one
+// family twice is malformed exposition, so its scrape fails
+// (scrape_ok=0) rather than merging the two declarations, while the
+// backend still reads as up.
+func TestScrapeRejectsDoubleDeclaredFamily(t *testing.T) {
+	family := "# HELP powerperfd_cache_hits_total Hits.\n# TYPE powerperfd_cache_hits_total counter\n"
+	page := family + "powerperfd_cache_hits_total 1\n" + family + "powerperfd_cache_hits_total 2\n"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/metricsz":
+			io.WriteString(w, page)
+		case "/v1/traces":
+			io.WriteString(w, "[]")
+		default:
+			io.WriteString(w, `{"status":"ok"}`)
+		}
+	}))
+	defer ts.Close()
+
+	mon := monitor.New([]string{ts.URL}, monitor.Options{Interval: time.Second, Seed: 7})
+	mon.Sweep(context.Background())
+	if v, _ := last(mon, ts.URL, "up"); v != 1 {
+		t.Errorf("up=%v, want 1", v)
+	}
+	if v, _ := last(mon, ts.URL, "scrape_ok"); v != 0 {
+		t.Errorf("scrape_ok=%v, want 0 for a page declaring a family twice", v)
+	}
+	if bs := mon.Snapshot().Backends[0]; !strings.Contains(bs.Error, "duplicate HELP") {
+		t.Errorf("snapshot error %q, want the parser's duplicate HELP error", bs.Error)
+	}
+}
+
 func last(mon *monitor.Monitor, backend, key string) (float64, bool) {
 	s := mon.Series(backend, key, 1)
 	if len(s) == 0 {

@@ -438,17 +438,18 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// experimentJSON returns the rendered artifact, cached by id: the
-// generators measure through the daemon's cell path, so each artifact is
-// computed once per daemon lifetime and its cells serve every other
-// endpoint. The generation outlives a client that leaves, as every
-// cache fill does; Drain still stops it at its next uncached cell.
+// experimentJSON returns the rendered artifact, cached by id in the
+// experiments cache: the generators measure through the daemon's cell
+// path, so each artifact is computed once per daemon lifetime and its
+// cells serve every other endpoint. The generation outlives a client
+// that leaves, as every cache fill does; Drain still stops it at its
+// next uncached cell.
 func (s *Server) experimentJSON(ctx context.Context, id string) ([]byte, error) {
 	gen, ok := experimentRegistry[id]
 	if !ok {
 		return nil, errNotFound
 	}
-	v, err := s.cache.GetOrCompute(ctx, "exp|"+id, func() (any, error) {
+	v, err := s.experiments.GetOrCompute(ctx, id, func() (any, error) {
 		ctx := context.WithoutCancel(ctx)
 		src := seedSource{s, s.opts.Seed}
 		ref, err := experiments.ReferenceFrom(ctx, src, 0)

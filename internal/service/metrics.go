@@ -10,12 +10,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// registry holds the daemon's latency histograms (cell fills and HTTP
-// requests by endpoint family). It is this package's own, so /metricsz
-// carries only families the service registers, whatever else shares the
-// process.
-var registry = telemetry.NewRegistry()
-
 // handleMetricsz renders the server counters in the Prometheus text
 // exposition format, the one page the fleet monitor scrapes. Families
 // are emitted in a fixed order.
@@ -73,7 +67,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 
 	// Latency distributions: the cell-fill and per-endpoint HTTP
 	// histograms render as Prometheus histograms after the counters.
-	registry.WritePrometheus(&b)
+	s.registry.WritePrometheus(&b)
 
 	// SLO state last: error budgets, burn rates, and alert states per
 	// objective, which the fleet monitor federates onto the dashboard.

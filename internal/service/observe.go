@@ -10,12 +10,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Per-endpoint-family HTTP latency distributions, the server-side view
-// of what the cluster client measures per backend.
-var httpHistName = "powerperfd_http_request_seconds"
-
-func httpHist(endpoint string) *telemetry.Histogram {
-	return registry.LabeledHistogram(httpHistName,
+// httpHist is the server's HTTP latency distribution for one endpoint
+// family, the server-side view of what the cluster client measures per
+// backend.
+func (s *Server) httpHist(endpoint string) *telemetry.Histogram {
+	return s.registry.LabeledHistogram("powerperfd_http_request_seconds",
 		"Wall time of HTTP requests by endpoint family.", "endpoint", endpoint)
 }
 
@@ -141,9 +140,9 @@ func (s *Server) observe(next http.Handler) http.Handler {
 			// Exemplar-linked observation: the histogram bucket this
 			// request lands in remembers the trace, so a burn-rate page
 			// reached from /metricsz links straight to /v1/traces.
-			httpHist(family).ObserveWithExemplar(dur, trace)
+			s.httpHist(family).ObserveWithExemplar(dur, trace)
 		} else {
-			httpHist(family).Observe(dur)
+			s.httpHist(family).Observe(dur)
 		}
 		if s.sloEng != nil && !plane {
 			s.sloEng.Observe(SLOAvailability, sw.status < 500)

@@ -234,6 +234,51 @@ func TestMetricszLintsClean(t *testing.T) {
 	}
 }
 
+// TestServersOwnTheirHistograms runs two servers in one process and
+// measures through one of them: each /metricsz must render only its own
+// server's fill and request latencies, as an in-process fleet's
+// latency-regression rules assume.
+func TestServersOwnTheirHistograms(t *testing.T) {
+	a, b := NewServer(Options{Seed: 42, Workers: 1}), NewServer(Options{Seed: 42, Workers: 1})
+	tsA, tsB := httptest.NewServer(a.Handler()), httptest.NewServer(b.Handler())
+	defer tsA.Close()
+	defer tsB.Close()
+	defer a.Drain()
+	defer b.Drain()
+	if code, body := postMeasure(t, tsA.URL, `{"cells":[{"benchmark":"mcf","processor":"i7 (45)"}]}`); code != http.StatusOK {
+		t.Fatalf("measure: %d %s", code, body)
+	}
+
+	for _, c := range []struct {
+		name string
+		url  string
+		want float64
+	}{{"A", tsA.URL, 1}, {"B", tsB.URL, 0}} {
+		_, page := get(t, c.url+"/metricsz")
+		fams, err := telemetry.ParsePrometheus(string(page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fills, measures float64
+		for _, f := range fams {
+			switch f.Name {
+			case "powerperfd_cell_fill_seconds":
+				if p := f.Sample("powerperfd_cell_fill_seconds_count", nil); p != nil {
+					fills = p.Value
+				}
+			case "powerperfd_http_request_seconds":
+				if p := f.Sample("powerperfd_http_request_seconds_count", []telemetry.Label{{Key: "endpoint", Value: "measure"}}); p != nil {
+					measures = p.Value
+				}
+			}
+		}
+		if fills != c.want || measures != c.want {
+			t.Errorf("server %s: %v cell fills and %v measure requests on /metricsz, want %v of each",
+				c.name, fills, measures, c.want)
+		}
+	}
+}
+
 // TestEndpointFamilyBounded pins the cardinality guard: arbitrary
 // request paths must collapse into the fixed label set.
 func TestEndpointFamilyBounded(t *testing.T) {

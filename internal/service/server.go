@@ -21,12 +21,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Fill-duration distribution: how long uncached cell computations take
-// on this backend, the latency the cache exists to amortize. Exported
-// through /metricsz.
-var fillHist = registry.Histogram("powerperfd_cell_fill_seconds",
-	"Wall time of uncached measurement cell fills (cache misses only).")
-
 // Options configures a Server. The zero value selects sane defaults.
 type Options struct {
 	// Seed is the daemon's study seed: the default for measure requests,
@@ -98,6 +92,11 @@ type Server struct {
 	cache *Cache
 	pool  *workPool
 
+	// experiments holds rendered /v1/experiments documents by id, apart
+	// from the cell cache: its counters and LRU slots are cells' alone.
+	// The registry's ids bound it.
+	experiments *Cache
+
 	harnesses *harnessCache
 
 	// tracer retains recent request spans for /v1/traces; logger is the
@@ -105,6 +104,14 @@ type Server struct {
 	// and a span is two clock reads plus a ring slot.
 	tracer *telemetry.Tracer
 	logger *slog.Logger
+
+	// registry holds this server's latency histograms, rendered on its
+	// /metricsz: fillHist, how long uncached cell computations take (the
+	// latency the cache exists to amortize), and the HTTP request
+	// histograms by endpoint family (httpHist). Each server owns its
+	// own, so in-process fleets do not pool their backends' latencies.
+	registry *telemetry.Registry
+	fillHist *telemetry.Histogram
 
 	start    time.Time
 	draining atomic.Bool
@@ -132,14 +139,18 @@ type Server struct {
 func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:      opts,
-		cache:     NewCache(opts.CacheCapacity),
-		pool:      newWorkPool(opts.Workers, opts.QueueDepth),
-		harnesses: newHarnessCache(harnessCapacity),
-		tracer:    telemetry.NewTracer(opts.TraceBuffer),
-		logger:    telemetry.Logger("powerperfd"),
-		start:     time.Now(),
+		opts:        opts,
+		cache:       NewCache(opts.CacheCapacity),
+		experiments: NewCache(0),
+		pool:        newWorkPool(opts.Workers, opts.QueueDepth),
+		harnesses:   newHarnessCache(harnessCapacity),
+		tracer:      telemetry.NewTracer(opts.TraceBuffer),
+		logger:      telemetry.Logger("powerperfd"),
+		registry:    telemetry.NewRegistry(),
+		start:       time.Now(),
 	}
+	s.fillHist = s.registry.Histogram("powerperfd_cell_fill_seconds",
+		"Wall time of uncached measurement cell fills (cache misses only).")
 	if opts.Store != nil {
 		s.ingest = newStudyIngest(opts.Store, s.logger)
 	}
@@ -235,7 +246,7 @@ func (s *Server) measureCell(ctx context.Context, seed int64, l lane, c harness.
 		// Admission failures (queue full, draining, canceled context)
 		// never run the worker fn; close the queue span on their behalf.
 		qspan.End()
-		fillHist.Observe(time.Since(fillStart))
+		s.fillHist.Observe(time.Since(fillStart))
 		return v, err
 	})
 	span.Annotate(telemetry.String("outcome", outcome.String()))

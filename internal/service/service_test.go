@@ -439,6 +439,27 @@ func TestExperimentEndpoints(t *testing.T) {
 	}
 }
 
+// TestExperimentsCachedApartFromCells pins the cell-cache counters to
+// cells: rendering an experiment on a fresh daemon fills the 244
+// normalisation-reference cells and nothing else, and fetching it again
+// moves no cell counter.
+func TestExperimentsCachedApartFromCells(t *testing.T) {
+	srv := NewServer(Options{Seed: 42, Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	for i := 1; i <= 2; i++ {
+		if code, b := get(t, ts.URL+"/v1/experiments/table3"); code != http.StatusOK {
+			t.Fatalf("table3: %d %s", code, b)
+		}
+		if c := srv.Stats().Cache; c.Hits != 0 || c.Misses != 244 || c.Entries != 244 {
+			t.Fatalf("after GET %d: cell cache hits %d, misses %d, entries %d; want 0, 244, 244",
+				i, c.Hits, c.Misses, c.Entries)
+		}
+	}
+}
+
 // TestDatasetEndpointMatchesCommittedDataset pins the acceptance
 // criterion: the dataset regenerated through the service path is
 // byte-identical to the committed seed-42 companion files.

@@ -22,11 +22,12 @@ import (
 // dropped (and counted) rather than blocking the serving path.
 const ingestBuffer = 64
 
-// ingestSyncDelay is the group-commit window: after a seal, the writer
-// holds the fsync open this long for further studies to share it (a
-// cluster study arrives as several batches in quick succession). It
-// bounds the durability lag of a sealed study; drain and close always
-// force the sync regardless.
+// ingestSyncDelay is the group-commit window: the writer syncs this
+// long after the first seal the last sync did not cover, so studies
+// landing meanwhile (a cluster study arrives as several batches in
+// quick succession) share one fsync. Later seals do not extend the
+// window, so it bounds the durability lag of a sealed study however
+// steadily seals arrive; drain and close always force the sync.
 const ingestSyncDelay = 25 * time.Millisecond
 
 // studyIngest is the asynchronous write path from completed /v1/measure
@@ -52,6 +53,7 @@ type studyIngest struct {
 	recorded atomic.Int64
 	dropped  atomic.Int64
 	writeErr atomic.Int64
+	syncs    atomic.Int64 // store syncs the ingest ran
 }
 
 func newStudyIngest(st *store.Store, logger *slog.Logger) *studyIngest {
@@ -66,57 +68,63 @@ func newStudyIngest(st *store.Store, logger *slog.Logger) *studyIngest {
 }
 
 // run is the single writer goroutine. Seals group-commit: each study
-// is encoded and written as its own segment the moment it arrives, but
-// the fsync is held open for ingestSyncDelay so studies landing in
-// quick succession share one journal flush instead of paying one per
-// seal. An idle ingest therefore syncs every seal within the window,
-// and close() syncs whatever a shutdown left unforced.
+// is encoded and written as its own segment the moment it arrives, and
+// the first seal after a sync opens an ingestSyncDelay window at whose
+// end one fsync covers every seal that landed in it. The fsync runs on
+// a goroutine of its own, so the writer keeps draining the queue while
+// it does: under load one fsync can take tens of milliseconds, long
+// enough for the seals behind it to fill the queue and be dropped.
+// close() syncs whatever a shutdown left unforced.
 func (ing *studyIngest) run() {
 	defer close(ing.done)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	dirty := false
-	sync := func() {
-		if !dirty {
-			return
+	// kick holds at most one pending sync; one that starts after a seal
+	// was written covers it, so a window that closes while a sync is
+	// pending needs no second one.
+	kick := make(chan struct{}, 1)
+	synced := make(chan struct{})
+	go func() {
+		defer close(synced)
+		for range kick {
+			ing.syncs.Add(1)
+			if err := ing.store.Sync(); err != nil {
+				ing.writeErr.Add(1)
+				ing.logger.Error("study store sync failed", slog.String("error", err.Error()))
+			}
 		}
-		dirty = false
-		if err := ing.store.Sync(); err != nil {
-			ing.writeErr.Add(1)
-			ing.logger.Error("study store sync failed", slog.String("error", err.Error()))
+	}()
+	defer func() {
+		close(kick)
+		<-synced
+	}()
+	var window <-chan time.Time // nil while no seal awaits a sync
+	sync := func() {
+		window = nil
+		select {
+		case kick <- struct{}{}:
+		default:
 		}
 	}
 	for {
-		var st *store.Study
-		var ok bool
-		if dirty {
-			timer.Reset(ingestSyncDelay)
-			select {
-			case st, ok = <-ing.ch:
-				if !timer.Stop() {
-					<-timer.C
+		select {
+		case st, ok := <-ing.ch:
+			if !ok {
+				if window != nil {
+					sync()
 				}
-			case <-timer.C:
-				sync()
+				return
+			}
+			if _, err := ing.store.AppendDeferSync(st); err != nil {
+				ing.writeErr.Add(1)
+				ing.logger.Error("study store append failed", slog.String("error", err.Error()))
 				continue
 			}
-		} else {
-			st, ok = <-ing.ch
-		}
-		if !ok {
+			ing.recorded.Add(1)
+			if window == nil {
+				window = time.After(ingestSyncDelay)
+			}
+		case <-window:
 			sync()
-			return
 		}
-		if _, err := ing.store.AppendDeferSync(st); err != nil {
-			ing.writeErr.Add(1)
-			ing.logger.Error("study store append failed", slog.String("error", err.Error()))
-			continue
-		}
-		dirty = true
-		ing.recorded.Add(1)
 	}
 }
 

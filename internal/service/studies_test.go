@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -507,5 +508,28 @@ func TestStudiesRoutesAbsentWithoutStore(t *testing.T) {
 	}
 	if _, page := get(t, ts.URL+"/metricsz"); strings.Contains(string(page), "powerperfd_store_") {
 		t.Fatal("storeless /metricsz grew a store block")
+	}
+}
+
+// TestIngestSyncWindowBoundsLag pins the group-commit window to the
+// first unsynced seal: a steady stream of seals, each arriving well
+// inside the window of the one before, must still be synced every
+// ingestSyncDelay rather than only once the stream pauses.
+func TestIngestSyncWindowBoundsLag(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ing := newStudyIngest(st, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); <-tick.C {
+		ing.enqueue(&store.Study{Seed: 42, Rows: []store.Row{{Benchmark: "db", Processor: "i7 (45)"}}})
+	}
+	syncs := ing.syncs.Load()
+	ing.close()
+	if syncs < 4 {
+		t.Fatalf("%d syncs during 200 ms of seals every 5 ms, want at least 4 (one per %v window)", syncs, ingestSyncDelay)
 	}
 }

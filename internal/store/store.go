@@ -13,11 +13,11 @@
 //   - Appends write the whole segment in one Write call and fsync on
 //     seal, so a sealed segment is durable and a crash can only tear
 //     the segment being written.
-//   - There is no memory-mapped or authoritative index file: Open
-//     rebuilds the index by scanning segment footers from the front of
-//     the log, truncates a torn tail (and only the tail — every sealed
-//     segment before it is untouched), and then rewrites the advisory
-//     index file for humans and tooling.
+//   - There is no index file: Open rebuilds the in-memory index by
+//     scanning segment footers from the front of the log and truncates
+//     a torn tail (and only the tail — every sealed segment before it
+//     is untouched). An INDEX file an older build left in the directory
+//     is stale and ignored; `powerperf query` lists a store's studies.
 //
 // Fidelity contract: floats are stored as raw IEEE-754 bits, so a row
 // queried back is bit-identical to the measurement that produced it.
@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -41,12 +40,6 @@ import (
 
 // LogName is the append-only segment log inside the store directory.
 const LogName = "segments.log"
-
-// IndexName is the advisory index file: one line per sealed segment,
-// rebuilt on every open by scanning the log's segment footers. It is
-// never read back — the log is the single source of truth — but it
-// makes a store directory inspectable with cat.
-const IndexName = "INDEX"
 
 // CI is the persisted form of a confidence interval; identical field
 // semantics to stats.CI.
@@ -144,21 +137,20 @@ type Store struct {
 	dir      string
 	readOnly bool
 
-	mu       sync.Mutex
-	f        *os.File
-	size     int64
-	segs     []Meta
-	rows     int64
-	torn     int64 // bytes truncated (writer) or ignored (read-only) at open
-	buf      []byte
-	idxDirty bool // seals since the advisory index was last rewritten
-	close    sync.Once
+	mu    sync.Mutex
+	f     *os.File
+	size  int64
+	segs  []Meta
+	rows  int64
+	torn  int64 // bytes truncated (writer) or ignored (read-only) at open
+	buf   []byte
+	close sync.Once
 }
 
 // Open opens (creating if needed) the store in dir for writing: it
 // scans the segment log from the front, verifying each footer checksum,
-// rebuilds the in-memory index, truncates a torn tail back to the last
-// sealed segment, and rewrites the advisory index file.
+// rebuilds the in-memory index, and truncates a torn tail back to the
+// last sealed segment.
 func Open(dir string) (*Store, error) { return open(dir, false) }
 
 // OpenReadOnly opens an existing store for querying without modifying
@@ -184,9 +176,6 @@ func open(dir string, readOnly bool) (*Store, error) {
 	if err := s.recover(); err != nil {
 		f.Close()
 		return nil, err
-	}
-	if !readOnly {
-		s.writeIndexLocked()
 	}
 	return s, nil
 }
@@ -236,30 +225,6 @@ func (s *Store) recover() error {
 		}
 	}
 	return nil
-}
-
-// writeIndexLocked rewrites the advisory index file from the in-memory
-// index. Best-effort: the index is rebuilt from footers on every open,
-// so a failed write costs nothing but inspectability.
-func (s *Store) writeIndexLocked() {
-	b := make([]byte, 0, 64*(len(s.segs)+1))
-	b = append(b, "# powerperf study store index — advisory, rebuilt on open from segment footers\n"...)
-	b = append(b, "# id seed sealed_unix_nano rows offset bytes\n"...)
-	for _, m := range s.segs {
-		b = strconv.AppendUint(b, m.ID, 16)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, m.Seed, 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, m.Sealed, 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(m.Rows), 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, m.Offset, 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, m.Bytes, 10)
-		b = append(b, '\n')
-	}
-	_ = os.WriteFile(filepath.Join(s.dir, IndexName), b, 0o644)
 }
 
 // fnv1a over the study identity for content-derived IDs.
@@ -344,10 +309,6 @@ func (s *Store) append(st *Study, sync bool) (uint64, error) {
 	})
 	s.size += int64(len(buf))
 	s.rows += int64(len(st.Rows))
-	// The advisory index is deferred to Sync/Close: rewriting a file
-	// per seal is measurable on the serving path's ingest writer, and
-	// the log is the source of truth anyway.
-	s.idxDirty = true
 	return st.ID, nil
 }
 
@@ -411,20 +372,18 @@ func (s *Store) Scan(fn func(*Study) error) error {
 	return nil
 }
 
-// Sync flushes the log to stable storage (appends already fsync per
-// seal; Sync exists for shutdown belt-and-braces) and rewrites the
-// advisory index if seals landed since the last rewrite.
+// Sync flushes the log to stable storage: Append already fsyncs per
+// seal, AppendDeferSync leaves the fsync to Sync, which covers every
+// seal that returned before it was called. The fsync runs outside the
+// store's lock, so appends proceed while it does.
 func (s *Store) Sync() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil || s.readOnly {
+	f := s.f
+	s.mu.Unlock()
+	if f == nil || s.readOnly {
 		return nil
 	}
-	if s.idxDirty {
-		s.writeIndexLocked()
-		s.idxDirty = false
-	}
-	return s.f.Sync()
+	return f.Sync()
 }
 
 // Close syncs and closes the log. Idempotent.
@@ -437,10 +396,6 @@ func (s *Store) Close() error {
 			return
 		}
 		if !s.readOnly {
-			if s.idxDirty {
-				s.writeIndexLocked()
-				s.idxDirty = false
-			}
 			err = s.f.Sync()
 		}
 		if cerr := s.f.Close(); err == nil {

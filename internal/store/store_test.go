@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -121,21 +120,11 @@ func TestAppendQueryRoundTrip(t *testing.T) {
 	if st.LastSealUnix == 0 {
 		t.Fatal("stats missing last seal time")
 	}
-
-	// The advisory index file exists and lists both segments.
-	idx, err := os.ReadFile(filepath.Join(dir, IndexName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(idx), "\n"); lines != 4 { // 2 comments + 2 segments
-		t.Fatalf("index file has %d lines, want 4:\n%s", lines, idx)
-	}
 }
 
 // TestAppendDeferSyncGroupCommit covers the ingest writer's group
 // commit: deferred-sync seals are immediately readable and survive a
-// reopen once Sync ran, with the advisory index rewritten at the sync
-// rather than per seal.
+// reopen once Sync ran.
 func TestAppendDeferSyncGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -167,21 +156,8 @@ func TestAppendDeferSyncGroupCommit(t *testing.T) {
 		t.Fatal("deferred-sync study not bit-identical on read-back")
 	}
 
-	// The advisory index is deferred with the fsync.
-	if _, err := os.Stat(filepath.Join(dir, IndexName)); err == nil {
-		if idx, _ := os.ReadFile(filepath.Join(dir, IndexName)); strings.Count(string(idx), "\n") > 2 {
-			t.Fatal("index rewritten per deferred seal, want deferred to Sync")
-		}
-	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
-	}
-	idx, err := os.ReadFile(filepath.Join(dir, IndexName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(idx), "\n"); lines != 4 { // 2 comments + 2 segments
-		t.Fatalf("index after Sync has %d lines, want 4:\n%s", lines, idx)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -194,6 +170,36 @@ func TestAppendDeferSyncGroupCommit(t *testing.T) {
 	defer s2.Close()
 	if st := s2.Stats(); st.Segments != 2 || st.Rows != 16 || st.TruncatedTail != 0 {
 		t.Fatalf("stats after reopen = %+v, want 2 clean segments", st)
+	}
+}
+
+// TestStoreDirHoldsOnlyTheLog pins the store to one file: the segment
+// log is the only thing Open, Append, Sync and Close write.
+func TestStoreDirHoldsOnlyTheLog(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(testStudy(42, 1700000000000000001, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != LogName {
+		t.Fatalf("store directory holds %v, want only %s", names, LogName)
 	}
 }
 

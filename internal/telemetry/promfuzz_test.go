@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzParsePrometheus drives the exposition parser with arbitrary
@@ -155,4 +156,35 @@ func TestEscapedLabelRoundTrip(t *testing.T) {
 			t.Fatalf("value %q drifted:\nwant %+v\ngot  %+v\npage:\n%s", v, in, out, page.String())
 		}
 	}
+}
+
+// FuzzRegistryPageLints is the exposition contract between the
+// histogram writer, the parser and the linter: a Registry page with one
+// labelled histogram, holding a plain observation and an exemplar
+// observation, lints clean for any label value and duration, and
+// ParsePrometheus reads the label value back exactly from every sample.
+func FuzzRegistryPageLints(f *testing.F) {
+	for _, v := range []string{`a\`, `x"y\z`, `"new` + "\n" + `line"`, `#}{`} {
+		f.Add(v, int64(3*time.Millisecond))
+	}
+	f.Fuzz(func(t *testing.T, value string, ns int64) {
+		reg := NewRegistry()
+		h := reg.LabeledHistogram("fuzz_seconds", "Fuzzed histogram.", "path", value)
+		h.Observe(time.Duration(ns))
+		h.ObserveWithExemplar(time.Duration(ns)/2, TraceID(0xfeed))
+		var page strings.Builder
+		reg.WritePrometheus(&page)
+		if problems := LintPrometheus(page.String()); len(problems) != 0 {
+			t.Fatalf("label %q, duration %d: lint problems %v\n%s", value, ns, problems, page.String())
+		}
+		fams, err := ParsePrometheus(page.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range fams[0].Samples {
+			if got, _ := s.Label("path"); got != value {
+				t.Fatalf("%s read label %q, want %q", s.Name, got, value)
+			}
+		}
+	})
 }

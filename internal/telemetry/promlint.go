@@ -2,10 +2,12 @@ package telemetry
 
 // Prometheus text-exposition linter. /metricsz is consumed by scrapers
 // that silently drop malformed families, so the test suite lints the
-// rendered output instead of trusting the writer: every sample must
-// belong to a family with HELP and TYPE metadata, families must not be
-// declared twice, and histogram series must have monotone, cumulative
-// buckets whose +Inf count equals the _count sample.
+// rendered output instead of trusting the writer. The linter judges the
+// families ParsePrometheus reads — the bytes the fleet monitor
+// federates — rather than reading the page a second way: every family
+// must carry HELP text and a TYPE, exemplars may sit only on counters
+// and histogram buckets, and histogram series must have monotone,
+// cumulative buckets whose +Inf count equals the _count sample.
 
 import (
 	"fmt"
@@ -16,189 +18,115 @@ import (
 	"unicode/utf8"
 )
 
-// promSample is one parsed exposition line: name{labels} value, plus
-// whether the line carried an OpenMetrics exemplar suffix.
-type promSample struct {
-	name     string
-	labels   map[string]string
-	value    float64
-	line     int
-	exemplar bool
-}
-
 // LintPrometheus parses Prometheus text exposition and returns a list
-// of problems, empty when the text is well-formed.
+// of problems, empty when the text is well-formed. A page
+// ParsePrometheus rejects has its parse error as the one problem.
 func LintPrometheus(text string) []string {
+	fams, err := ParsePrometheus(text)
+	if err != nil {
+		return []string{err.Error()}
+	}
 	var problems []string
 	report := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}
-
-	helpFor := map[string]bool{}
-	typeFor := map[string]string{}
-	var samples []promSample
-	sawEOF := false
-
-	for i, line := range strings.Split(text, "\n") {
-		n := i + 1
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+	for i := range fams {
+		f := &fams[i]
+		if f.Help == "" {
+			report("family %s has no # HELP text", f.Name)
 		}
-		if sawEOF {
-			report("line %d: content after # EOF: %s", n, line)
-			continue
+		if f.Type == "" {
+			report("family %s has no # TYPE", f.Name)
 		}
-		if line == "# EOF" {
-			sawEOF = true
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
-			fields := strings.SplitN(strings.TrimPrefix(line, "# HELP "), " ", 2)
-			if len(fields) < 2 || fields[1] == "" {
-				report("line %d: HELP without text: %s", n, line)
-			}
-			if helpFor[fields[0]] {
-				report("line %d: duplicate HELP for family %s", n, fields[0])
-			}
-			helpFor[fields[0]] = true
-			continue
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
-			if len(fields) != 2 {
-				report("line %d: malformed TYPE: %s", n, line)
+		for _, s := range f.Samples {
+			if s.Exemplar == nil {
 				continue
 			}
-			if _, dup := typeFor[fields[0]]; dup {
-				report("line %d: duplicate TYPE for family %s", n, fields[0])
+			// OpenMetrics allows exemplars only on counters and histogram
+			// buckets, and bounds their label set at 128 runes.
+			if f.Type != "counter" && !(f.Type == "histogram" && strings.HasSuffix(s.Name, "_bucket")) {
+				report("exemplar on %s, which is neither a counter nor a histogram bucket", s.Key())
 			}
-			switch fields[1] {
-			case "counter", "gauge", "histogram", "summary", "untyped":
-			default:
-				report("line %d: unknown TYPE %q", n, fields[1])
+			runes := 0
+			for _, l := range s.Exemplar.Labels {
+				runes += utf8.RuneCountInString(l.Key) + utf8.RuneCountInString(l.Value)
 			}
-			typeFor[fields[0]] = fields[1]
-			continue
+			if runes > 128 {
+				report("exemplar on %s: label set is %d runes, over the OpenMetrics 128 limit", s.Key(), runes)
+			}
 		}
-		if strings.HasPrefix(line, "#") {
-			continue // other comments are legal
-		}
-		s, err := parsePromLine(line)
-		if err != nil {
-			report("line %d: %v", n, err)
-			continue
-		}
-		s.line = n
-		samples = append(samples, s)
-	}
-
-	// Every sample must belong to a declared family. Histogram samples
-	// carry the _bucket/_sum/_count suffix; strip it to find the family.
-	for _, s := range samples {
-		fam := histogramFamily(s.name, typeFor)
-		if !helpFor[fam] {
-			report("line %d: sample %s has no # HELP for family %s", s.line, s.name, fam)
-		}
-		if _, ok := typeFor[fam]; !ok {
-			report("line %d: sample %s has no # TYPE for family %s", s.line, s.name, fam)
-		}
-		// OpenMetrics allows exemplars only on counters and histogram
-		// buckets; anything else is a writer bug.
-		if s.exemplar && typeFor[fam] != "counter" &&
-			!(typeFor[fam] == "histogram" && strings.HasSuffix(s.name, "_bucket")) {
-			report("line %d: exemplar on %s, which is neither a counter nor a histogram bucket", s.line, s.name)
+		if f.Type == "histogram" {
+			lintHistogram(f, report)
 		}
 	}
 
-	problems = append(problems, lintHistograms(samples, typeFor)...)
+	// ParsePrometheus stops reading at # EOF; only blank lines may follow.
+	lines := strings.Split(text, "\n")
+	for i, line := range lines {
+		if strings.TrimSpace(line) != "# EOF" {
+			continue
+		}
+		for j := i + 1; j < len(lines); j++ {
+			if rest := strings.TrimSpace(lines[j]); rest != "" {
+				report("line %d: content after # EOF: %s", j+1, rest)
+			}
+		}
+		break
+	}
 	return problems
 }
 
-// histogramFamily maps a sample name to its metric family: histogram
-// sample names are the family plus a _bucket/_sum/_count suffix.
-func histogramFamily(name string, typeFor map[string]string) string {
-	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-		base := strings.TrimSuffix(name, suffix)
-		if base != name && typeFor[base] == "histogram" {
-			return base
-		}
-	}
-	return name
-}
-
-// seriesKey identifies one histogram series: family plus its labels
-// minus le, in sorted order.
-func seriesKey(fam string, labels map[string]string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		if k != "le" {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(fam)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "|%s=%s", k, labels[k])
-	}
-	return b.String()
-}
-
-func lintHistograms(samples []promSample, typeFor map[string]string) []string {
-	var problems []string
-	report := func(format string, args ...any) {
-		problems = append(problems, fmt.Sprintf(format, args...))
-	}
-
+// lintHistogram checks each series of histogram family f — its samples
+// grouped by every label but le — for strictly increasing le bounds,
+// cumulative bucket counts, and a +Inf bucket equal to _count.
+func lintHistogram(f *MetricFamily, report func(format string, args ...any)) {
 	type series struct {
-		bounds []float64 // parsed le values, in exposition order
+		bounds []float64 // le values, in exposition order
 		counts []float64
 		count  float64
 		hasCnt bool
 	}
 	byKey := map[string]*series{}
-	get := func(key string) *series {
-		s := byKey[key]
-		if s == nil {
-			s = &series{}
-			byKey[key] = s
-		}
-		return s
-	}
-
-	for _, s := range samples {
-		fam := histogramFamily(s.name, typeFor)
-		if typeFor[fam] != "histogram" {
+	var keys []string // page order
+	for _, s := range f.Samples {
+		bucket := strings.HasSuffix(s.Name, "_bucket")
+		if !bucket && !strings.HasSuffix(s.Name, "_count") {
 			continue
 		}
-		key := seriesKey(fam, s.labels)
-		switch {
-		case strings.HasSuffix(s.name, "_bucket"):
-			le, ok := s.labels["le"]
-			if !ok {
-				report("line %d: %s bucket without le label", s.line, s.name)
-				continue
+		le, hasLe := "", false
+		rest := make([]Label, 0, len(s.Labels))
+		for _, l := range s.Labels {
+			if l.Key == "le" {
+				le, hasLe = l.Value, true
+			} else {
+				rest = append(rest, l)
 			}
-			bound, err := parseLe(le)
-			if err != nil {
-				report("line %d: %s: %v", s.line, s.name, err)
-				continue
-			}
-			sr := get(key)
-			sr.bounds = append(sr.bounds, bound)
-			sr.counts = append(sr.counts, s.value)
-		case strings.HasSuffix(s.name, "_count"):
-			sr := get(key)
-			sr.count, sr.hasCnt = s.value, true
 		}
+		sort.Slice(rest, func(i, j int) bool { return rest[i].Key < rest[j].Key })
+		key := MetricPoint{Name: f.Name, Labels: rest}.Key()
+		sr := byKey[key]
+		if sr == nil {
+			sr = &series{}
+			byKey[key] = sr
+			keys = append(keys, key)
+		}
+		if !bucket {
+			sr.count, sr.hasCnt = s.Value, true
+			continue
+		}
+		if !hasLe {
+			report("%s bucket without le label", s.Key())
+			continue
+		}
+		bound, err := strconv.ParseFloat(le, 64) // reads "+Inf" too
+		if err != nil {
+			report("%s: unparseable le %q", s.Key(), le)
+			continue
+		}
+		sr.bounds = append(sr.bounds, bound)
+		sr.counts = append(sr.counts, s.Value)
 	}
 
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	for _, key := range keys {
 		sr := byKey[key]
 		if len(sr.bounds) == 0 {
@@ -214,7 +142,7 @@ func lintHistograms(samples []promSample, typeFor map[string]string) []string {
 			}
 		}
 		last := len(sr.bounds) - 1
-		if sr.bounds[last] != infBound {
+		if sr.bounds[last] != math.Inf(1) {
 			report("histogram series %s missing +Inf bucket", key)
 		}
 		if !sr.hasCnt {
@@ -223,193 +151,4 @@ func lintHistograms(samples []promSample, typeFor map[string]string) []string {
 			report("histogram series %s: +Inf bucket %v != _count %v", key, sr.counts[last], sr.count)
 		}
 	}
-	return problems
-}
-
-var infBound = math.Inf(1)
-
-func parseLe(s string) (float64, error) {
-	if s == "+Inf" {
-		return infBound, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("unparseable le %q", s)
-	}
-	return v, nil
-}
-
-// parsePromLine splits `name{k="v",...} value [# exemplar]` (labels
-// and exemplar optional) into a sample, validating the metric-name
-// charset, label quoting, and exemplar shape.
-func parsePromLine(line string) (promSample, error) {
-	s := promSample{labels: map[string]string{}}
-	rest, exText := splitExemplarText(line)
-	if exText != "" {
-		if err := lintExemplar(exText); err != nil {
-			return s, err
-		}
-		s.exemplar = true
-	}
-	brace := strings.IndexByte(rest, '{')
-	if brace >= 0 {
-		end := strings.LastIndexByte(rest, '}')
-		if end < brace {
-			return s, fmt.Errorf("unbalanced braces: %s", line)
-		}
-		s.name = rest[:brace]
-		labelText := rest[brace+1 : end]
-		rest = strings.TrimSpace(rest[end+1:])
-		for _, pair := range splitLabels(labelText) {
-			eq := strings.IndexByte(pair, '=')
-			if eq < 0 {
-				return s, fmt.Errorf("malformed label %q", pair)
-			}
-			k := strings.TrimSpace(pair[:eq])
-			v := strings.TrimSpace(pair[eq+1:])
-			if len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
-				return s, fmt.Errorf("unquoted label value %q", pair)
-			}
-			s.labels[k] = v[1 : len(v)-1]
-		}
-	} else {
-		fields := strings.Fields(rest)
-		if len(fields) != 2 {
-			return s, fmt.Errorf("want `name value`: %s", line)
-		}
-		s.name, rest = fields[0], fields[1]
-	}
-	if !validMetricName(s.name) {
-		return s, fmt.Errorf("invalid metric name %q", s.name)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-	if err != nil {
-		return s, fmt.Errorf("unparseable value in %q", line)
-	}
-	s.value = v
-	return s, nil
-}
-
-// splitExemplarText splits a sample line at the first unquoted '#',
-// which by the exposition grammar can only open an exemplar: label
-// values were quoted, and floats cannot contain '#'. Returns the
-// sample text and the exemplar text ("" when none).
-func splitExemplarText(line string) (sample, exemplar string) {
-	inQuote := false
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if inQuote {
-			// Consume escape pairs whole: checking only the previous byte
-			// misreads `\\"` (escaped backslash, then a real closing
-			// quote) as an escaped quote and never leaves the string.
-			switch c {
-			case '\\':
-				i++
-			case '"':
-				inQuote = false
-			}
-			continue
-		}
-		switch c {
-		case '"':
-			inQuote = true
-		case '#':
-			return strings.TrimSpace(line[:i]), strings.TrimSpace(line[i+1:])
-		}
-	}
-	return line, ""
-}
-
-// lintExemplar validates the text after an exemplar's '#' marker:
-// `{labels} value [timestamp]`, with the OpenMetrics 128-character
-// bound on the label set.
-func lintExemplar(s string) error {
-	if !strings.HasPrefix(s, "{") {
-		return fmt.Errorf("exemplar must open with '{': %q", s)
-	}
-	end := -1
-	inQuote := false
-	for i := 1; i < len(s) && end < 0; i++ {
-		switch s[i] {
-		case '"':
-			if s[i-1] != '\\' {
-				inQuote = !inQuote
-			}
-		case '}':
-			if !inQuote {
-				end = i
-			}
-		}
-	}
-	if end < 0 {
-		return fmt.Errorf("unterminated exemplar label set: %q", s)
-	}
-	labelText := s[1:end]
-	var setLen int
-	for _, pair := range splitLabels(labelText) {
-		eq := strings.IndexByte(pair, '=')
-		if eq < 0 {
-			return fmt.Errorf("malformed exemplar label %q", pair)
-		}
-		v := strings.TrimSpace(pair[eq+1:])
-		if len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
-			return fmt.Errorf("unquoted exemplar label value %q", pair)
-		}
-		setLen += utf8.RuneCountInString(strings.TrimSpace(pair[:eq])) + utf8.RuneCountInString(v[1:len(v)-1])
-	}
-	if setLen > 128 {
-		return fmt.Errorf("exemplar label set is %d runes, over the OpenMetrics 128 limit", setLen)
-	}
-	fields := strings.Fields(s[end+1:])
-	if len(fields) < 1 || len(fields) > 2 {
-		return fmt.Errorf("exemplar wants `{labels} value [timestamp]`: %q", s)
-	}
-	if _, err := strconv.ParseFloat(fields[0], 64); err != nil {
-		return fmt.Errorf("unparseable exemplar value %q", fields[0])
-	}
-	if len(fields) == 2 {
-		if _, err := strconv.ParseFloat(fields[1], 64); err != nil {
-			return fmt.Errorf("unparseable exemplar timestamp %q", fields[1])
-		}
-	}
-	return nil
-}
-
-// splitLabels splits a label body on commas outside quotes.
-func splitLabels(s string) []string {
-	var out []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				if p := strings.TrimSpace(s[start:i]); p != "" {
-					out = append(out, p)
-				}
-				start = i + 1
-			}
-		}
-	}
-	if p := strings.TrimSpace(s[start:]); p != "" {
-		out = append(out, p)
-	}
-	return out
-}
-
-func validMetricName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		alpha := r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-		if !alpha && (i == 0 || r < '0' || r > '9') {
-			return false
-		}
-	}
-	return true
 }

@@ -116,3 +116,28 @@ func TestLintAcceptsWellFormedHandwritten(t *testing.T) {
 		t.Fatalf("false positives: %v", problems)
 	}
 }
+
+// TestLintJudgesWhatTheParserReads pins the linter to the parser's
+// reading of a page: a label value ending in a backslash is legal
+// exposition the parser reads back, so its histogram lints clean; a
+// sample of a family the page never declares lints as untyped, while a
+// declared untyped family does not.
+func TestLintJudgesWhatTheParserReads(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.LabeledHistogram("h_seconds", "H.", "path", `a\`)
+	h.Observe(time.Millisecond)
+	h.ObserveWithExemplar(time.Second, TraceID(0xbeef))
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	if problems := LintPrometheus(b.String()); len(problems) != 0 {
+		t.Fatalf("backslash-valued histogram fails lint: %v\n%s", problems, b.String())
+	}
+
+	problems := LintPrometheus("undeclared_total 1\n")
+	if !strings.Contains(strings.Join(problems, "\n"), "no # TYPE") {
+		t.Fatalf("undeclared family: got %v, want a no # TYPE problem", problems)
+	}
+	if problems := LintPrometheus("# HELP u U.\n# TYPE u untyped\nu 1\n"); len(problems) != 0 {
+		t.Fatalf("declared untyped family: %v", problems)
+	}
+}

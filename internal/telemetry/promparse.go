@@ -1,11 +1,12 @@
 package telemetry
 
 // Prometheus text-exposition parser, the inverse of the writer behind
-// /metricsz. The linter (promlint.go) judges a page; this parser reads
-// one back into typed families so the fleet monitor can federate
-// scrapes, and RenderPrometheus closes the loop: parse(render(parse(page)))
-// is the identity, which the round-trip tests pin against every
-// exposition writer in the repository.
+// /metricsz and the repository's one reader of the format: it reads a
+// page back into typed families so the fleet monitor can federate
+// scrapes, the linter (promlint.go) judges the families it returns, and
+// RenderPrometheus closes the loop: parse(render(parse(page))) is the
+// identity, which the round-trip tests pin against every exposition
+// writer in the repository.
 
 import (
 	"fmt"
@@ -68,7 +69,7 @@ func (p MetricPoint) Key() string {
 type MetricFamily struct {
 	Name    string
 	Help    string
-	Type    string // counter, gauge, histogram, summary, untyped
+	Type    string // counter, gauge, histogram, summary, untyped; "" when undeclared
 	Samples []MetricPoint
 }
 
@@ -103,10 +104,12 @@ func (f *MetricFamily) Sample(name string, labels []Label) *MetricPoint {
 
 // ParsePrometheus parses a Prometheus text-exposition page into metric
 // families in page order. Samples attach to the family they belong to
-// (histogram/summary suffixes resolve to their base family); a sample
-// with no declared family gets an implicit untyped one. Malformed lines
-// are errors — the monitor must not silently drop a backend's series
-// the way stock scrapers do.
+// (histogram/summary suffixes resolve to their base family); a family
+// with no TYPE line has an empty Type, so a declared untyped family is
+// told apart from an undeclared one. Malformed lines are errors — the
+// monitor must not silently drop a backend's series the way stock
+// scrapers do — and so is a second HELP or TYPE line for one family,
+// which the reference Prometheus text parser rejects as well.
 func ParsePrometheus(text string) ([]MetricFamily, error) {
 	var fams []MetricFamily
 	index := map[string]int{} // family name -> fams index
@@ -114,12 +117,12 @@ func ParsePrometheus(text string) ([]MetricFamily, error) {
 		if i, ok := index[name]; ok {
 			return &fams[i]
 		}
-		fams = append(fams, MetricFamily{Name: name, Type: "untyped"})
+		fams = append(fams, MetricFamily{Name: name})
 		index[name] = len(fams) - 1
 		return &fams[len(fams)-1]
 	}
 	typeFor := map[string]string{}
-	declared := map[string]bool{} // families declared via HELP/TYPE
+	helped := map[string]bool{}
 
 	for i, line := range strings.Split(text, "\n") {
 		n := i + 1
@@ -133,11 +136,14 @@ func ParsePrometheus(text string) ([]MetricFamily, error) {
 			if fields[0] == "" || !validMetricName(fields[0]) {
 				return nil, fmt.Errorf("telemetry: line %d: malformed HELP: %s", n, line)
 			}
+			if helped[fields[0]] {
+				return nil, fmt.Errorf("telemetry: line %d: duplicate HELP for family %s", n, fields[0])
+			}
+			helped[fields[0]] = true
 			f := get(fields[0])
 			if len(fields) == 2 {
 				f.Help = promUnescapeHelp(fields[1])
 			}
-			declared[fields[0]] = true
 		case strings.HasPrefix(line, "# TYPE "):
 			fields := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
 			if len(fields) != 2 || !validMetricName(fields[0]) {
@@ -148,10 +154,11 @@ func ParsePrometheus(text string) ([]MetricFamily, error) {
 			default:
 				return nil, fmt.Errorf("telemetry: line %d: unknown TYPE %q", n, fields[1])
 			}
-			f := get(fields[0])
-			f.Type = fields[1]
+			if _, dup := typeFor[fields[0]]; dup {
+				return nil, fmt.Errorf("telemetry: line %d: duplicate TYPE for family %s", n, fields[0])
+			}
+			get(fields[0]).Type = fields[1]
 			typeFor[fields[0]] = fields[1]
-			declared[fields[0]] = true
 		case line == "# EOF":
 			// OpenMetrics terminator. Everything after it is outside the
 			// exposition by definition, so parsing stops here — a page
@@ -189,9 +196,8 @@ func sampleFamily(name string, typeFor map[string]string) string {
 }
 
 // parsePromPoint parses one sample line with full label-value
-// unescaping (\" \\ \n), which the promlint parser — a validator, not a
-// reader — skips. An OpenMetrics exemplar suffix (` # {labels} value
-// [timestamp]`) parses into the point's Exemplar field.
+// unescaping (\" \\ \n). An OpenMetrics exemplar suffix (` # {labels}
+// value [timestamp]`) parses into the point's Exemplar field.
 func parsePromPoint(line string) (MetricPoint, error) {
 	var p MetricPoint
 	// Split any exemplar off first — its own '{' must not be mistaken
@@ -231,6 +237,36 @@ func parsePromPoint(line string) (MetricPoint, error) {
 	}
 	p.Value = v
 	return p, nil
+}
+
+// splitExemplarText splits a sample line at the first unquoted '#',
+// which by the exposition grammar can only open an exemplar: label
+// values were quoted, and floats cannot contain '#'. Returns the
+// sample text and the exemplar text ("" when none).
+func splitExemplarText(line string) (sample, exemplar string) {
+	inQuote := false
+	for i := 0; i < len(line); i++ {
+		c := line[i]
+		if inQuote {
+			// Consume escape pairs whole: checking only the previous byte
+			// misreads `\\"` (escaped backslash, then a real closing
+			// quote) as an escaped quote and never leaves the string.
+			switch c {
+			case '\\':
+				i++
+			case '"':
+				inQuote = false
+			}
+			continue
+		}
+		switch c {
+		case '"':
+			inQuote = true
+		case '#':
+			return strings.TrimSpace(line[:i]), strings.TrimSpace(line[i+1:])
+		}
+	}
+	return line, ""
 }
 
 // parseExemplar parses the text after an exemplar's '#' marker:
@@ -324,6 +360,19 @@ func parseLabelBody(s string) ([]Label, string, error) {
 		}
 		labels = append(labels, Label{Key: key, Value: b.String()})
 	}
+}
+
+func validMetricName(name string) bool {
+	if name == "" {
+		return false
+	}
+	for i, r := range name {
+		alpha := r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
+		if !alpha && (i == 0 || r < '0' || r > '9') {
+			return false
+		}
+	}
+	return true
 }
 
 // RenderPrometheus writes families back in the canonical exposition

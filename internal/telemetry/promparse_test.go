@@ -110,6 +110,8 @@ func TestParsePrometheusRejectsMalformed(t *testing.T) {
 		"metric{a=\"v\\\"} 1",         // dangling escape at end of quote
 		"# HELP 1bad text\n",          // invalid family name in HELP
 		"# TYPE onlyname\nonlyname 1", // malformed type
+		"# HELP m A.\n# TYPE m gauge\nm 1\n# HELP m A.\n",    // duplicate HELP
+		"# HELP m A.\n# TYPE m gauge\nm 1\n# TYPE m gauge\n", // duplicate TYPE
 	} {
 		if _, err := ParsePrometheus(page); err == nil {
 			t.Errorf("ParsePrometheus(%q) = nil error, want failure", page)
