@@ -42,19 +42,16 @@ const Version = "0.4.0"
 // scheduler binary.
 var userAgent = "powerperf-cluster/" + Version + " " + telemetry.BuildInfo().UserAgentToken()
 
-// backendLatency holds one measure-exchange latency histogram per
-// backend URL, shared by every client of that URL in the process.
-var backendLatency = telemetry.NewRegistry()
-
 // Client is a typed HTTP client for one powerperfd backend.
 type Client struct {
 	base    string
 	hc      *http.Client
 	timeout time.Duration // per-request deadline; <= 0 means none
 
-	// lat is this backend's measure-exchange latency distribution; it
-	// surfaces in the scheduler's Stats.
-	lat *telemetry.Histogram
+	// lat is this client's measure-exchange latency distribution; it
+	// surfaces in its scheduler's Stats, so schedulers of one backend
+	// count only their own exchanges.
+	lat telemetry.Histogram
 }
 
 // NewClient builds a client for the backend at base (e.g.
@@ -72,8 +69,6 @@ func NewClient(base string, hc *http.Client, timeout time.Duration) *Client {
 		base:    base,
 		hc:      hc,
 		timeout: timeout,
-		lat: backendLatency.LabeledHistogram("powerperf_cluster_backend_request_seconds",
-			"Wall time of measure exchanges per backend.", "backend", base),
 	}
 }
 

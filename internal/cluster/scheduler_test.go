@@ -38,6 +38,31 @@ func chaosBackend(t *testing.T, sopts service.Options, copts chaoshttp.Options) 
 	return p, front
 }
 
+// TestSchedulerLatencyIsItsOwn: each scheduler's clients own their
+// latency histograms, so after scheduler A runs a batch against a
+// backend it counts one exchange per lease it issued, and a scheduler B
+// built for the same backend that never ran counts none.
+func TestSchedulerLatencyIsItsOwn(t *testing.T) {
+	ts := newBackend(t, service.Options{Seed: 42})
+	a, err := NewScheduler([]string{ts.URL}, SchedulerOptions{Seed: seedPtr(42)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewScheduler([]string{ts.URL}, SchedulerOptions{Seed: seedPtr(42)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.MeasureBatch(context.Background(), stockJobs(t, 1)[:2], 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.LeasesIssued == 0 || st.Backends[0].Requests != st.LeasesIssued {
+		t.Errorf("scheduler A: %d requests for %d leases, want one per lease", st.Backends[0].Requests, st.LeasesIssued)
+	}
+	if got := b.Stats().Backends[0].Requests; got != 0 {
+		t.Errorf("scheduler B never ran but counts %d requests to the backend", got)
+	}
+}
+
 // TestSchedulerMatchesLocalHarness is the scheduler's contract test: a
 // single-backend work-stealing run returns measurements deeply equal
 // to a local harness at the same seed.

@@ -42,7 +42,7 @@ const requestCellBytes = 64
 // only until onCell returns.
 //
 // The exchange's wall time, to the end of the stream, feeds the
-// backend's latency histogram.
+// client's latency histogram.
 func (c *Client) MeasureStream(ctx context.Context, req *service.MeasureRequest, onCell func(sc *service.StreamCell) error) error {
 	if c.timeout > 0 {
 		var cancel context.CancelFunc

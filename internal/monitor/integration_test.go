@@ -185,41 +185,61 @@ func last(mon *monitor.Monitor, backend, key string) (float64, bool) {
 	return s[0].V, true
 }
 
-// TestMetricszRoundTrips is the exposition round-trip guard on a live
-// daemon: the /metricsz page must lint clean, parse, and survive
-// render→parse with every family intact.
+// TestMetricszRoundTrips is the exposition round-trip guard on live
+// daemons, a plain one and a deployed one (store, SLO engine and tail
+// sampling, one sealed study, exemplars): each /metricsz page must lint
+// clean, parse, and survive render→parse with every family intact.
+// RenderPrometheus writes the page, so re-rendering what the parser
+// read gives the served bytes back.
 func TestMetricszRoundTrips(t *testing.T) {
-	_, ts, _ := newBackend(t, service.Options{Seed: 42})
+	_, plainTS, _ := newBackend(t, service.Options{Seed: 42})
+	deployed, deployedTS := deployedBackend(t, nil)
 	body := `{"cells":[{"benchmark":"mcf","processor":"i7 (45)"}]}`
-	resp, err := http.Post(ts.URL+"/v1/measure", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	for _, ts := range []*httptest.Server{plainTS, deployedTS} {
+		if code, b := postMeasureBody(t, ts.URL, body); code != http.StatusOK {
+			t.Fatalf("measure: %d %s", code, b)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	text := string(getBody(t, ts.URL+"/metricsz"))
-	if problems := telemetry.LintPrometheus(text); len(problems) != 0 {
-		t.Fatalf("/metricsz lint problems: %v", problems)
-	}
-	fams, err := telemetry.ParsePrometheus(text)
-	if err != nil {
-		t.Fatalf("/metricsz does not parse: %v", err)
-	}
-	if f := findFamily(fams, "powerperf_build_info"); f == nil {
-		t.Fatalf("/metricsz missing powerperf_build_info")
-	} else if len(f.Samples) != 1 || f.Samples[0].Value != 1 {
-		t.Fatalf("build_info samples %+v, want one sample of value 1", f.Samples)
+	// The ingest is async: wait for the deployed study to seal.
+	deadline := time.Now().Add(10 * time.Second)
+	for deployed.Stats().Store.Segments < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("study never sealed into the store")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
-	var rendered bytes.Buffer
-	telemetry.RenderPrometheus(&rendered, fams)
-	again, err := telemetry.ParsePrometheus(rendered.String())
-	if err != nil {
-		t.Fatalf("rendered /metricsz does not re-parse: %v", err)
-	}
-	if !reflect.DeepEqual(fams, again) {
-		t.Fatalf("/metricsz round-trip lost information: %d vs %d families", len(fams), len(again))
+	for _, ts := range []*httptest.Server{plainTS, deployedTS} {
+		text := string(getBody(t, ts.URL+"/metricsz"))
+		if problems := telemetry.LintPrometheus(text); len(problems) != 0 {
+			t.Fatalf("/metricsz lint problems: %v", problems)
+		}
+		fams, err := telemetry.ParsePrometheus(text)
+		if err != nil {
+			t.Fatalf("/metricsz does not parse: %v", err)
+		}
+		if f := findFamily(fams, "powerperf_build_info"); f == nil {
+			t.Fatalf("/metricsz missing powerperf_build_info")
+		} else if len(f.Samples) != 1 || f.Samples[0].Value != 1 {
+			t.Fatalf("build_info samples %+v, want one sample of value 1", f.Samples)
+		}
+		if ts == deployedTS && (findFamily(fams, "powerperfd_store_last_seal_timestamp_seconds") == nil ||
+			findFamily(fams, "slo_burn_rate") == nil || !strings.Contains(text, "# {trace_id=")) {
+			t.Fatalf("deployed /metricsz lacks its store block, SLO gauges or an exemplar:\n%s", text)
+		}
+
+		var rendered bytes.Buffer
+		telemetry.RenderPrometheus(&rendered, fams)
+		if got := rendered.String(); got != text {
+			t.Fatalf("render(parse(/metricsz)) differs from the served page\nserved:\n%s\nrendered:\n%s", text, got)
+		}
+		again, err := telemetry.ParsePrometheus(rendered.String())
+		if err != nil {
+			t.Fatalf("rendered /metricsz does not re-parse: %v", err)
+		}
+		if !reflect.DeepEqual(fams, again) {
+			t.Fatalf("/metricsz round-trip lost information: %d vs %d families", len(fams), len(again))
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/monitor"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -30,6 +31,8 @@ import (
 //	metricsz:FAMILY  the /metricsz family a Stats field renders into
 //	studybench:NAME  a studybench metric
 //	ci:TEXT          a CI step (.github/workflows/ci.yml) that checks it
+//	cmd:TEXT         a cmd/ program that logs or prints it, by the
+//	                 non-test source text that reads it
 //	test:NAME        a named test that asserts the signal's value
 //
 // A presence or lint check is not a reader. Signals are keyed by family:
@@ -104,6 +107,38 @@ var statsReaders = map[string][]string{
 	"Store.WriteErrors":       {"metricsz:powerperfd_store_write_errors_total", "studybench:store.write_errors"},
 }
 
+// schedulerReaders covers every leaf field of cluster.SchedulerStats,
+// its BackendStats elements' fields included.
+var schedulerReaders = map[string][]string{
+	"Backends.URL":           {"cmd:be.URL"},
+	"Backends.State":         {"test:TestClusterBreakerFedByHealthz"},
+	"Backends.Opens":         {"test:TestSchedulerStudyByteIdenticalUnderChaos", "test:TestSLOBurnLifecycleUnderChaos"},
+	"Backends.Requests":      {"cmd:be.Requests", "test:TestSchedulerLatencyIsItsOwn"},
+	"Backends.P50Ms":         {"cmd:be.P50Ms"},
+	"Backends.P90Ms":         {"cmd:be.P90Ms"},
+	"Backends.P99Ms":         {"cmd:be.P99Ms"},
+	"Backends.StolenFrom":    {"test:TestSchedulerCompletionCancelChargesNoFailure", "test:TestSLOBurnLifecycleUnderChaos"},
+	"Backends.LeaseFailures": {"test:TestSchedulerRejectsSwappedCells", "test:TestSchedulerRejectsForeignStreamType"},
+	"LeasesIssued":           {"studybench:cluster.leases", "cmd:st.LeasesIssued"},
+	"Steals":                 {"studybench:cluster.steals", "cmd:st.Steals"},
+	"Redispatches":           {"studybench:cluster.redispatches", "cmd:st.Redispatches"},
+	"CellsMeasured":          {"cmd:st.CellsMeasured", "test:TestSchedulerMatchesLocalHarness"},
+	"CellsRequested":         {"studybench:cluster.cells_requested"},
+	"CellsDiscarded":         {"studybench:cluster.cells_discarded", "cmd:st.CellsDiscarded"},
+	"StreamTruncations":      {"cmd:st.StreamTruncations", "test:TestSchedulerRejectsForeignStreamType"},
+	"DispatchFailures":       {"cmd:st.DispatchFailures", "test:TestCoordinatorTraceStitchesAcrossBackends"},
+	"BreakerOpens":           {"cmd:st.BreakerOpens", "test:TestClusterBreakerFedByHealthz"},
+}
+
+// storeReaders covers every leaf field of store.Stats.
+var storeReaders = map[string][]string{
+	"Segments":      {"metricsz:powerperfd_store_segments", "cmd:sst.Segments"},
+	"Rows":          {"metricsz:powerperfd_store_rows", "cmd:sst.Rows"},
+	"Bytes":         {"metricsz:powerperfd_store_bytes", "cmd:st.Bytes"},
+	"LastSealUnix":  {"metricsz:powerperfd_store_last_seal_timestamp_seconds"},
+	"TruncatedTail": {"cmd:sst.TruncatedTail", "test:TestCrashRecoveryCorruptTail"},
+}
+
 // deployedBackend serves a backend configured as powerperfd deploys it:
 // study store, SLO engine and 5% tail sampling. count, when non-nil,
 // receives the path of every request the monitor sends it.
@@ -145,7 +180,7 @@ func family(key string) string {
 }
 
 // statsLeaves lists the leaf fields of a struct type as dotted paths,
-// through pointers and nested structs.
+// through pointers, nested structs and the elements of struct slices.
 func statsLeaves(t reflect.Type, prefix string, out *[]string) {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
@@ -153,7 +188,7 @@ func statsLeaves(t reflect.Type, prefix string, out *[]string) {
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		ft := f.Type
-		for ft.Kind() == reflect.Pointer {
+		for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
 			ft = ft.Elem()
 		}
 		if ft.Kind() == reflect.Struct {
@@ -201,11 +236,14 @@ func TestEverySignalHasAReader(t *testing.T) {
 			}
 		}
 	}
-	var leaves []string
-	statsLeaves(reflect.TypeOf(srv.Stats()), "", &leaves)
-	fields := map[string]bool{}
-	for _, l := range leaves {
-		fields[l] = true
+	fields := func(stats any) map[string]bool {
+		var leaves []string
+		statsLeaves(reflect.TypeOf(stats), "", &leaves)
+		out := map[string]bool{}
+		for _, l := range leaves {
+			out[l] = true
+		}
+		return out
 	}
 
 	reconcile := func(kind string, seen map[string]bool, ledger map[string][]string) {
@@ -222,7 +260,9 @@ func TestEverySignalHasAReader(t *testing.T) {
 	}
 	reconcile("/metricsz family", pageFamilies, metricszReaders)
 	reconcile("monitor series", stored, seriesReaders)
-	reconcile("service.Stats field", fields, statsReaders)
+	reconcile("service.Stats field", fields(srv.Stats()), statsReaders)
+	reconcile("cluster.SchedulerStats field", fields(cluster.SchedulerStats{}), schedulerReaders)
+	reconcile("store.Stats field", fields(store.Stats{}), storeReaders)
 
 	rules := map[string]string{}
 	for _, r := range monitor.DefaultRules() {
@@ -250,6 +290,8 @@ func TestEverySignalHasAReader(t *testing.T) {
 				ok = strings.Contains(corpus.studybench, `"`+name+`"`)
 			case "ci":
 				ok = strings.Contains(corpus.ci, name)
+			case "cmd":
+				ok = strings.Contains(corpus.cmd, name)
 			case "test":
 				ok = corpus.tests[name]
 			}
@@ -258,7 +300,7 @@ func TestEverySignalHasAReader(t *testing.T) {
 			}
 		}
 	}
-	for _, ledger := range []map[string][]string{metricszReaders, seriesReaders, statsReaders} {
+	for _, ledger := range []map[string][]string{metricszReaders, seriesReaders, statsReaders, schedulerReaders, storeReaders} {
 		for _, s := range sortedKeys(ledger) {
 			check(s, ledger[s])
 		}
@@ -302,6 +344,7 @@ func sortedKeys[V any](m map[string]V) []string {
 type corpus struct {
 	studybench string          // studybench's Go source
 	ci         string          // the CI workflow
+	cmd        string          // the cmd/ programs' non-test Go source
 	tests      map[string]bool // test function names across the repository
 }
 
@@ -314,7 +357,7 @@ func readerCorpus(t *testing.T) corpus {
 		t.Fatal(err)
 	}
 	c.ci = string(ci)
-	var sb strings.Builder
+	var sb, cmd strings.Builder
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -335,6 +378,9 @@ func readerCorpus(t *testing.T) corpus {
 		if filepath.Base(filepath.Dir(path)) == "studybench" {
 			sb.Write(src)
 		}
+		if strings.HasPrefix(path, filepath.Join(root, "cmd")+string(filepath.Separator)) && !strings.HasSuffix(path, "_test.go") {
+			cmd.Write(src)
+		}
 		if strings.HasSuffix(path, "_test.go") {
 			for _, line := range strings.Split(string(src), "\n") {
 				if name, ok := strings.CutPrefix(line, "func Test"); ok {
@@ -350,5 +396,6 @@ func readerCorpus(t *testing.T) corpus {
 		t.Fatalf("read the reader corpus: %v", err)
 	}
 	c.studybench = sb.String()
+	c.cmd = cmd.String()
 	return c
 }

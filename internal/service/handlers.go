@@ -367,8 +367,9 @@ func (s *Server) commitStudy(ctx context.Context, rec *studyRecorder) {
 }
 
 // experimentRegistry maps URL ids to the paper's artifact generators.
-// Table 3 is static specification data; everything else measures through
-// the daemon's cell cache at the daemon seed.
+// Table 3 is static specification data, generated without a context so
+// that it fills no cell; everything else measures through the daemon's
+// cell cache at the daemon seed.
 var experimentRegistry = map[string]func(*experiments.Context) (any, error){
 	"table2":   func(c *experiments.Context) (any, error) { return experiments.Table2(c, nil) },
 	"table3":   func(*experiments.Context) (any, error) { return experiments.Table3(), nil },
@@ -450,13 +451,17 @@ func (s *Server) experimentJSON(ctx context.Context, id string) ([]byte, error) 
 		return nil, errNotFound
 	}
 	v, err := s.experiments.GetOrCompute(ctx, id, func() (any, error) {
-		ctx := context.WithoutCancel(ctx)
-		src := seedSource{s, s.opts.Seed}
-		ref, err := experiments.ReferenceFrom(ctx, src, 0)
-		if err != nil {
-			return nil, err
+		var c *experiments.Context
+		if id != "table3" {
+			ctx := context.WithoutCancel(ctx)
+			src := seedSource{s, s.opts.Seed}
+			ref, err := experiments.ReferenceFrom(ctx, src, 0)
+			if err != nil {
+				return nil, err
+			}
+			c = &experiments.Context{Measure: src.measure(ctx), Ref: ref}
 		}
-		res, err := gen(&experiments.Context{Measure: src.measure(ctx), Ref: ref})
+		res, err := gen(c)
 		if err != nil {
 			return nil, err
 		}

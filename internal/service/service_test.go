@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -440,9 +441,9 @@ func TestExperimentEndpoints(t *testing.T) {
 }
 
 // TestExperimentsCachedApartFromCells pins the cell-cache counters to
-// cells: rendering an experiment on a fresh daemon fills the 244
-// normalisation-reference cells and nothing else, and fetching it again
-// moves no cell counter.
+// cells: Table 3, which measures nothing, fills no cell on a fresh
+// daemon; rendering an artifact that measures fills one entry per cell
+// miss, and fetching it again moves no cell counter.
 func TestExperimentsCachedApartFromCells(t *testing.T) {
 	srv := NewServer(Options{Seed: 42, Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
@@ -453,9 +454,24 @@ func TestExperimentsCachedApartFromCells(t *testing.T) {
 		if code, b := get(t, ts.URL+"/v1/experiments/table3"); code != http.StatusOK {
 			t.Fatalf("table3: %d %s", code, b)
 		}
-		if c := srv.Stats().Cache; c.Hits != 0 || c.Misses != 244 || c.Entries != 244 {
-			t.Fatalf("after GET %d: cell cache hits %d, misses %d, entries %d; want 0, 244, 244",
+		if c := srv.Stats().Cache; c.Hits != 0 || c.Misses != 0 || c.Entries != 0 {
+			t.Fatalf("after GET %d of table3: cell cache hits %d, misses %d, entries %d; want 0, 0, 0",
 				i, c.Hits, c.Misses, c.Entries)
+		}
+	}
+	var first CacheStats
+	for i := 1; i <= 2; i++ {
+		if code, b := get(t, ts.URL+"/v1/experiments/table4"); code != http.StatusOK {
+			t.Fatalf("table4: %d %s", code, b)
+		}
+		c := srv.Stats().Cache
+		if i == 1 {
+			if c.Misses == 0 || c.Entries != int(c.Misses) {
+				t.Fatalf("after GET 1 of table4: cell cache misses %d, entries %d; want equal and positive", c.Misses, c.Entries)
+			}
+			first = c
+		} else if !reflect.DeepEqual(c, first) {
+			t.Fatalf("GET 2 of table4 moved the cell cache: %+v, then %+v", first, c)
 		}
 	}
 }

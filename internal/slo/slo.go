@@ -24,9 +24,7 @@ package slo
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -609,53 +607,41 @@ func rank(s monitor.AlertState) int {
 // Alerts returns the detector's live alerts (firing first).
 func (e *Engine) Alerts() []monitor.Alert { return e.det.Alerts() }
 
-// WriteMetrics renders the engine's state as Prometheus gauges for
+// Families returns the engine's state as Prometheus gauge families for
 // /metricsz, which is how the fleet monitor federates SLO state onto
 // the dashboard: budget gauges per objective, burn rates per window
-// pair, and a numeric alert state per rule.
-func (e *Engine) WriteMetrics(w io.Writer, now time.Time) {
+// pair, and a numeric alert state per rule. Reading advances the
+// engine, so scrapes double as its clock.
+func (e *Engine) Families(now time.Time) []telemetry.MetricFamily {
 	snap := e.Snapshot(now)
-	var b strings.Builder
-	b.WriteString("# HELP slo_error_budget_remaining Fraction of the rolling error budget left (1 untouched, <=0 exhausted).\n# TYPE slo_error_budget_remaining gauge\n")
-	for _, o := range snap.Objectives {
-		fmt.Fprintf(&b, "slo_error_budget_remaining{objective=%s} %s\n",
-			telemetry.PromQuote(o.Name), formatGauge(o.BudgetRemaining))
+	budget := telemetry.MetricFamily{Name: "slo_error_budget_remaining", Type: "gauge",
+		Help: "Fraction of the rolling error budget left (1 untouched, <=0 exhausted)."}
+	compliance := telemetry.MetricFamily{Name: "slo_compliance", Type: "gauge",
+		Help: "Good fraction over the budget window."}
+	burn := telemetry.MetricFamily{Name: "slo_burn_rate", Type: "gauge",
+		Help: "Error-budget burn rate, min of each multi-window pair."}
+	alert := telemetry.MetricFamily{Name: "slo_alert_state", Type: "gauge",
+		Help: "Burn-rate alert state per objective and rule (0 inactive, 1 resolved, 2 pending, 3 firing)."}
+	add := func(f *telemetry.MetricFamily, v float64, labels ...telemetry.Label) {
+		// Clamp pathological negatives so the exposition stays
+		// readable; the JSON snapshot carries the raw value.
+		f.Samples = append(f.Samples, telemetry.MetricPoint{Name: f.Name, Labels: labels, Value: max(v, -1e6)})
 	}
-	b.WriteString("# HELP slo_compliance Good fraction over the budget window.\n# TYPE slo_compliance gauge\n")
 	for _, o := range snap.Objectives {
-		fmt.Fprintf(&b, "slo_compliance{objective=%s} %s\n",
-			telemetry.PromQuote(o.Name), formatGauge(o.Compliance))
-	}
-	b.WriteString("# HELP slo_burn_rate Error-budget burn rate, min of each multi-window pair.\n# TYPE slo_burn_rate gauge\n")
-	for _, o := range snap.Objectives {
-		fmt.Fprintf(&b, "slo_burn_rate{objective=%s,window=\"fast\"} %s\n",
-			telemetry.PromQuote(o.Name), formatGauge(o.Burn.Fast))
-		fmt.Fprintf(&b, "slo_burn_rate{objective=%s,window=\"slow\"} %s\n",
-			telemetry.PromQuote(o.Name), formatGauge(o.Burn.Slow))
-	}
-	b.WriteString("# HELP slo_alert_state Burn-rate alert state per objective and rule (0 inactive, 1 resolved, 2 pending, 3 firing).\n# TYPE slo_alert_state gauge\n")
-	alerts := snap.Alerts
-	for _, o := range snap.Objectives {
+		obj := telemetry.Label{Key: "objective", Value: o.Name}
+		add(&budget, o.BudgetRemaining, obj)
+		add(&compliance, o.Compliance, obj)
+		add(&burn, o.Burn.Fast, obj, telemetry.Label{Key: "window", Value: "fast"})
+		add(&burn, o.Burn.Slow, obj, telemetry.Label{Key: "window", Value: "slow"})
 		for _, rule := range []string{RuleFastBurn, RuleSlowBurn} {
 			state := 0
-			for _, a := range alerts {
+			for _, a := range snap.Alerts {
 				if a.Backend == o.Name && a.Rule == rule {
 					state = rank(a.State)
 				}
 			}
-			fmt.Fprintf(&b, "slo_alert_state{objective=%s,rule=%q} %d\n",
-				telemetry.PromQuote(o.Name), rule, state)
+			add(&alert, float64(state), obj, telemetry.Label{Key: "rule", Value: rule})
 		}
 	}
-	_, _ = io.WriteString(w, b.String())
-}
-
-func formatGauge(v float64) string {
-	// Clamp pathological negatives so the exposition stays readable;
-	// the JSON snapshot carries the raw value.
-	if v < -1e6 {
-		v = -1e6
-	}
-	s := fmt.Sprintf("%.6g", v)
-	return s
+	return []telemetry.MetricFamily{budget, compliance, burn, alert}
 }

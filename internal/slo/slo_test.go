@@ -308,7 +308,7 @@ func TestWriteMetricsLintsAndParses(t *testing.T) {
 		e.Advance(clk.t)
 	}
 	var b strings.Builder
-	e.WriteMetrics(&b, clk.t)
+	telemetry.RenderPrometheus(&b, e.Families(clk.t))
 	page := b.String()
 
 	if problems := telemetry.LintPrometheus(page); len(problems) != 0 {

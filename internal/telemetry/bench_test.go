@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"os"
 	"testing"
 	"time"
 )
@@ -86,5 +87,24 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, s := tr.StartSpan(ctx, "bench")
 		s.End()
+	}
+}
+
+// BenchmarkParsePrometheus is the monitor's per-scrape read cost: one
+// parse of a /metricsz page recorded from a deployed daemon (store, SLO
+// engine, 5% tail sampling, one sealed study, exemplars on five
+// endpoint families), 121 lines and about 8 KB.
+func BenchmarkParsePrometheus(b *testing.B) {
+	page, err := os.ReadFile("testdata/metricsz_deployed.txt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	text := string(page)
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParsePrometheus(text); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -46,14 +45,6 @@ func (e *Exemplar) TraceID() string {
 	return ""
 }
 
-// exemplars is the per-histogram exemplar store, separate from the
-// count arrays so histograms without exemplars pay nothing at render
-// time and the zero value stays ready to use.
-type exemplars struct {
-	slots [histBuckets]atomic.Pointer[Exemplar]
-	any   atomic.Bool // fast-path skip for render when nothing stored
-}
-
 // ObserveWithExemplar records one duration exactly as Observe does and
 // additionally retains (trace, attrs) as the bucket's exemplar. A zero
 // trace id degrades to plain Observe — callers need no branch for the
@@ -79,8 +70,7 @@ func (h *Histogram) ObserveWithExemplar(d time.Duration, trace TraceID, attrs ..
 		TS:     float64(time.Now().UnixNano()) / 1e9,
 		HasTS:  true,
 	}
-	h.ex.slots[idx].Store(ex)
-	h.ex.any.Store(true)
+	h.ex[idx].Store(ex)
 }
 
 // Exemplar returns the retained exemplar for bucket i, nil when none.
@@ -88,7 +78,7 @@ func (h *Histogram) Exemplar(i int) *Exemplar {
 	if i < 0 || i >= histBuckets {
 		return nil
 	}
-	return h.ex.slots[i].Load()
+	return h.ex[i].Load()
 }
 
 // bucketIndex maps a duration to its log2 bucket, the indexing rule
@@ -109,16 +99,9 @@ func bucketIndex(d time.Duration) int {
 // parse/render cycle reproduces the float exactly without exponent
 // notation.
 func appendExemplar(b *strings.Builder, e *Exemplar) {
-	b.WriteString(" # {")
-	for i, l := range e.Labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString("=")
-		b.WriteString(promQuote(l.Value))
-	}
-	b.WriteString("} ")
+	b.WriteString(" # ")
+	writeLabels(b, e.Labels)
+	b.WriteByte(' ')
 	b.WriteString(formatPromValue(e.Value))
 	if e.HasTS {
 		b.WriteByte(' ')

@@ -2,11 +2,9 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +24,7 @@ type Histogram struct {
 	counts [histBuckets]atomic.Int64
 	count  atomic.Int64
 	sumNS  atomic.Int64
-	ex     exemplars
+	ex     [histBuckets]atomic.Pointer[Exemplar] // each bucket's latest exemplar, nil when none
 }
 
 // Observe records one duration. Non-positive durations land in the
@@ -128,13 +126,13 @@ func (s HistogramSnapshot) Summary() Summary {
 // Summary digests the histogram's current state.
 func (h *Histogram) Summary() Summary { return h.Snapshot().Summary() }
 
-// Registry maps metric family names to histograms and renders them in
-// the Prometheus text exposition format. A family is either unlabeled
-// (one histogram) or labeled (one histogram per label value, e.g. one
-// per backend). Register calls are idempotent: the first caller of a
-// name creates the family, later callers get the same histogram. Each
-// package that exports histograms owns its registry, so a page renders
-// only its own families.
+// Registry maps metric family names to histograms and returns them as
+// Prometheus histogram families for RenderPrometheus. A family is
+// either unlabeled (one histogram) or labeled (one histogram per label
+// value, e.g. one per backend). Register calls are idempotent: the
+// first caller of a name creates the family, later callers get the
+// same histogram. Each package that exports histograms owns its
+// registry, so a page holds only its own families.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
@@ -204,12 +202,14 @@ func (r *Registry) histogram(name, help, labelKey, labelValue string) *Histogram
 	return h
 }
 
-// WritePrometheus renders every family as a Prometheus histogram:
-// cumulative _bucket series with le in seconds, then _sum and _count.
-// Families and label values are emitted in sorted order so scrapes are
-// diffable; empty buckets above a series' maximum observation are
-// elided to keep the page proportional to observed range.
-func (r *Registry) WritePrometheus(w io.Writer) {
+// Families returns every family as a Prometheus histogram: cumulative
+// _bucket samples with le in seconds, then _sum and _count, the bucket
+// sum standing for the +Inf bucket and the count. Families and label
+// values come in sorted order so scrapes are diffable; empty buckets
+// below a series' top observed bucket are skipped and those above it
+// elided, keeping the page proportional to the observed range. A
+// bucket's exemplar rides on its sample.
+func (r *Registry) Families() []MetricFamily {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.fams))
 	for name := range r.fams {
@@ -224,12 +224,21 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	r.mu.Unlock()
 
-	var b strings.Builder
+	out := make([]MetricFamily, len(fams))
 	for fi, f := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", f.name, f.help, f.name)
+		mf := MetricFamily{Name: f.name, Help: f.help, Type: "histogram"}
+		bucketName, sumName, countName := f.name+"_bucket", f.name+"_sum", f.name+"_count"
 		for _, sr := range series[fi] {
-			lv, h := sr.value, sr.h
-			s := h.Snapshot()
+			var labels []Label
+			if f.labelKey != "" {
+				labels = []Label{{Key: f.labelKey, Value: sr.value}}
+			}
+			bucket := func(le string, cum int64, ex *Exemplar) {
+				mf.Samples = append(mf.Samples, MetricPoint{Name: bucketName,
+					Labels: append(labels[:len(labels):len(labels)], Label{Key: "le", Value: le}),
+					Value:  float64(cum), Exemplar: ex})
+			}
+			s := sr.h.Snapshot()
 			top := 0
 			for i, c := range s.Counts {
 				if c > 0 {
@@ -237,45 +246,19 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				}
 			}
 			var cum int64
-			var bucketSum int64
-			for i := 0; i <= top; i++ {
-				bucketSum += s.Counts[i]
-			}
-			withExemplars := h.ex.any.Load()
 			for i := 0; i <= top; i++ {
 				if s.Counts[i] == 0 && i != top {
 					continue
 				}
 				cum += s.Counts[i]
-				le := strconv.FormatFloat(float64(BucketBound(i))/1e9, 'g', -1, 64)
-				fmt.Fprintf(&b, "%s_bucket{%s} %d", f.name, labelPairs(f.labelKey, lv, le), cum)
-				if withExemplars {
-					if e := h.ex.slots[i].Load(); e != nil {
-						appendExemplar(&b, e)
-					}
-				}
-				b.WriteByte('\n')
+				bucket(strconv.FormatFloat(float64(BucketBound(i))/1e9, 'g', -1, 64), cum, sr.h.ex[i].Load())
 			}
-			fmt.Fprintf(&b, "%s_bucket{%s} %d\n", f.name, labelPairs(f.labelKey, lv, "+Inf"), bucketSum)
-			suffix := ""
-			if f.labelKey != "" {
-				suffix = "{" + f.labelKey + "=" + promQuote(lv) + "}"
-			}
-			fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, suffix,
-				strconv.FormatFloat(float64(s.SumNS)/1e9, 'g', -1, 64))
-			fmt.Fprintf(&b, "%s_count%s %d\n", f.name, suffix, bucketSum)
+			bucket("+Inf", cum, nil)
+			mf.Samples = append(mf.Samples,
+				MetricPoint{Name: sumName, Labels: labels, Value: float64(s.SumNS) / 1e9},
+				MetricPoint{Name: countName, Labels: labels, Value: float64(cum)})
 		}
+		out[fi] = mf
 	}
-	_, _ = io.WriteString(w, b.String())
-}
-
-// labelPairs renders the label set of one _bucket sample: the family
-// label (if any) then le, Prometheus-quoted. promQuote, not
-// strconv.Quote: Go escapes control and non-ASCII bytes in forms stock
-// Prometheus parsers read literally.
-func labelPairs(labelKey, labelValue, le string) string {
-	if labelKey == "" {
-		return `le="` + le + `"`
-	}
-	return labelKey + "=" + promQuote(labelValue) + `,le="` + le + `"`
+	return out
 }

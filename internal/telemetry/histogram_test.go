@@ -141,7 +141,7 @@ func TestRegistryPrometheusShape(t *testing.T) {
 	lb.Observe(10 * time.Millisecond)
 
 	var b strings.Builder
-	r.WritePrometheus(&b)
+	RenderPrometheus(&b, r.Families())
 	out := b.String()
 	for _, want := range []string{
 		"# HELP demo_seconds A demo histogram.",
@@ -176,11 +176,11 @@ func TestRegistryScrapeDuringRegistration(t *testing.T) {
 	var b strings.Builder
 	for i := 0; i < 50; i++ {
 		b.Reset()
-		r.WritePrometheus(&b)
+		RenderPrometheus(&b, r.Families())
 	}
 	wg.Wait()
 	b.Reset()
-	r.WritePrometheus(&b)
+	RenderPrometheus(&b, r.Families())
 	if got := strings.Count(b.String(), "\nx_seconds_count{"); got != 201 {
 		t.Fatalf("%d series on the page after registration, want 201", got)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 )
 
 // FuzzParsePrometheus drives the exposition parser with arbitrary
@@ -161,25 +162,35 @@ func TestEscapedLabelRoundTrip(t *testing.T) {
 // FuzzRegistryPageLints is the exposition contract between the
 // histogram writer, the parser and the linter: a Registry page with one
 // labelled histogram, holding a plain observation and an exemplar
-// observation, lints clean for any label value and duration, and
-// ParsePrometheus reads the label value back exactly from every sample.
+// observation, lints clean for any label value, HELP text and duration,
+// and ParsePrometheus reads the HELP text and the label value back
+// exactly. A HELP text that is empty or ends in white space is skipped:
+// the parser trims each line's trailing white space.
 func FuzzRegistryPageLints(f *testing.F) {
 	for _, v := range []string{`a\`, `x"y\z`, `"new` + "\n" + `line"`, `#}{`} {
-		f.Add(v, int64(3*time.Millisecond))
+		f.Add(v, "Fuzzed histogram.", int64(3*time.Millisecond))
 	}
-	f.Fuzz(func(t *testing.T, value string, ns int64) {
+	f.Add("v", "two\nlines", int64(time.Millisecond))
+	f.Add("v", `lit\nx`, int64(time.Millisecond))
+	f.Fuzz(func(t *testing.T, value, help string, ns int64) {
+		if help == "" || strings.TrimRightFunc(help, unicode.IsSpace) != help {
+			t.Skip("the parser trims a line's trailing white space")
+		}
 		reg := NewRegistry()
-		h := reg.LabeledHistogram("fuzz_seconds", "Fuzzed histogram.", "path", value)
+		h := reg.LabeledHistogram("fuzz_seconds", help, "path", value)
 		h.Observe(time.Duration(ns))
 		h.ObserveWithExemplar(time.Duration(ns)/2, TraceID(0xfeed))
 		var page strings.Builder
-		reg.WritePrometheus(&page)
+		RenderPrometheus(&page, reg.Families())
 		if problems := LintPrometheus(page.String()); len(problems) != 0 {
-			t.Fatalf("label %q, duration %d: lint problems %v\n%s", value, ns, problems, page.String())
+			t.Fatalf("label %q, help %q, duration %d: lint problems %v\n%s", value, help, ns, problems, page.String())
 		}
 		fams, err := ParsePrometheus(page.String())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if fams[0].Help != help {
+			t.Fatalf("read help %q, want %q\n%s", fams[0].Help, help, page.String())
 		}
 		for _, s := range fams[0].Samples {
 			if got, _ := s.Label("path"); got != value {

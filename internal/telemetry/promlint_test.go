@@ -8,8 +8,9 @@ import (
 )
 
 // TestLintCleanRegistryOutput is the contract between the histogram
-// writer and the linter: whatever WritePrometheus renders must lint
-// clean, labeled and unlabeled families alike, empty and populated.
+// writer and the linter: whatever RenderPrometheus renders of a
+// registry's Families must lint clean, labeled and unlabeled families
+// alike, empty and populated.
 func TestLintCleanRegistryOutput(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("test_plain_seconds", "Plain histogram.")
@@ -24,7 +25,7 @@ func TestLintCleanRegistryOutput(t *testing.T) {
 	reg.Histogram("test_empty_seconds", "Never observed.")
 
 	var buf bytes.Buffer
-	reg.WritePrometheus(&buf)
+	RenderPrometheus(&buf, reg.Families())
 	if problems := LintPrometheus(buf.String()); len(problems) != 0 {
 		t.Fatalf("registry output fails its own lint:\n%s\n--- exposition ---\n%s",
 			strings.Join(problems, "\n"), buf.String())
@@ -128,7 +129,7 @@ func TestLintJudgesWhatTheParserReads(t *testing.T) {
 	h.Observe(time.Millisecond)
 	h.ObserveWithExemplar(time.Second, TraceID(0xbeef))
 	var b strings.Builder
-	reg.WritePrometheus(&b)
+	RenderPrometheus(&b, reg.Families())
 	if problems := LintPrometheus(b.String()); len(problems) != 0 {
 		t.Fatalf("backslash-valued histogram fails lint: %v\n%s", problems, b.String())
 	}

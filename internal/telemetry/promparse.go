@@ -1,12 +1,12 @@
 package telemetry
 
-// Prometheus text-exposition parser, the inverse of the writer behind
-// /metricsz and the repository's one reader of the format: it reads a
-// page back into typed families so the fleet monitor can federate
-// scrapes, the linter (promlint.go) judges the families it returns, and
-// RenderPrometheus closes the loop: parse(render(parse(page))) is the
-// identity, which the round-trip tests pin against every exposition
-// writer in the repository.
+// The Prometheus text exposition format, read and written here alone.
+// ParsePrometheus is the repository's one reader: it reads a page back
+// into typed families so the fleet monitor can federate scrapes, and
+// the linter (promlint.go) judges the families it returns.
+// RenderPrometheus is the one writer, /metricsz included, and the
+// parser's inverse: parse(render(fams)) gives fams back, so a rendered
+// page is a fixpoint of render∘parse, which the round-trip tests pin.
 
 import (
 	"fmt"
@@ -49,18 +49,23 @@ func (p MetricPoint) Key() string {
 	}
 	var b strings.Builder
 	b.WriteString(p.Name)
+	writeLabels(&b, p.Labels)
+	return b.String()
+}
+
+// writeLabels writes a label set in exposition form, {k="v",...}, with
+// each value Prometheus-quoted.
+func writeLabels(b *strings.Builder, labels []Label) {
 	b.WriteByte('{')
-	for i, l := range p.Labels {
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}
 		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(promEscape(l.Value))
-		b.WriteByte('"')
+		b.WriteByte('=')
+		b.WriteString(promQuote(l.Value))
 	}
 	b.WriteByte('}')
-	return b.String()
 }
 
 // MetricFamily is one metric family: HELP/TYPE metadata plus its
@@ -229,8 +234,8 @@ func parsePromPoint(line string) (MetricPoint, error) {
 	if !validMetricName(p.Name) {
 		return p, fmt.Errorf("invalid metric name %q", p.Name)
 	}
-	// Exposition values may carry a trailing timestamp; the writers in
-	// this repository never emit one, so reject it rather than guess.
+	// Exposition values may carry a trailing timestamp; RenderPrometheus
+	// never emits one, so reject it rather than guess.
 	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 	if err != nil {
 		return p, fmt.Errorf("unparseable value in %q", line)
@@ -375,10 +380,11 @@ func validMetricName(name string) bool {
 	return true
 }
 
-// RenderPrometheus writes families back in the canonical exposition
-// shape the repository's writers produce: HELP then TYPE then samples,
-// label values Prometheus-escaped, values in shortest round-trip form.
-// Parsing the output reproduces the input families exactly.
+// RenderPrometheus writes families in the canonical exposition shape,
+// the one every page in the repository has: HELP (escaped) then TYPE
+// then samples, label values Prometheus-escaped, values in shortest
+// round-trip form. Parsing the output reproduces the input families
+// exactly.
 func RenderPrometheus(w io.Writer, fams []MetricFamily) {
 	var b strings.Builder
 	for _, f := range fams {
@@ -389,7 +395,10 @@ func RenderPrometheus(w io.Writer, fams []MetricFamily) {
 			b.WriteString("# TYPE " + f.Name + " " + f.Type + "\n")
 		}
 		for _, s := range f.Samples {
-			b.WriteString(s.Key())
+			b.WriteString(s.Name)
+			if len(s.Labels) > 0 {
+				writeLabels(&b, s.Labels)
+			}
 			b.WriteByte(' ')
 			b.WriteString(formatPromValue(s.Value))
 			if s.Exemplar != nil {
@@ -410,8 +419,8 @@ func RenderOpenMetrics(w io.Writer, fams []MetricFamily) {
 	_, _ = io.WriteString(w, "# EOF\n")
 }
 
-// formatPromValue renders a sample value the way the repository's
-// writers do: shortest float64 round-trip form, integers undecorated.
+// formatPromValue renders a sample value in shortest float64
+// round-trip form, integers undecorated.
 func formatPromValue(v float64) string {
 	if v == float64(int64(v)) && v >= -1e15 && v <= 1e15 {
 		return strconv.FormatInt(int64(v), 10)
@@ -445,10 +454,6 @@ func promEscape(v string) string {
 
 // promQuote renders a label value quoted and escaped for exposition.
 func promQuote(v string) string { return `"` + promEscape(v) + `"` }
-
-// PromQuote is promQuote for exposition writers outside this package
-// (/metricsz renders build identity as label values).
-func PromQuote(v string) string { return promQuote(v) }
 
 // promEscapeHelp escapes HELP text: backslash and newline only (quotes
 // are legal in HELP).

@@ -44,7 +44,7 @@ func TestParsePrometheusHistogramFamilies(t *testing.T) {
 	h.Observe(3 * time.Millisecond)
 	h.Observe(70 * time.Millisecond)
 	var b strings.Builder
-	reg.WritePrometheus(&b)
+	RenderPrometheus(&b, reg.Families())
 
 	fams, err := ParsePrometheus(b.String())
 	if err != nil {
@@ -160,7 +160,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	h.Observe(40 * time.Millisecond)
 
 	var b strings.Builder
-	reg.WritePrometheus(&b)
+	RenderPrometheus(&b, reg.Families())
 	if problems := LintPrometheus(b.String()); len(problems) != 0 {
 		t.Fatalf("registry page not lint-clean: %v", problems)
 	}
@@ -197,8 +197,8 @@ func TestPromQuote(t *testing.T) {
 		"new\nline":   `"new\nline"`,
 		"tab\there":   "\"tab\there\"", // tabs pass through, unlike strconv.Quote
 	} {
-		if got := PromQuote(in); got != want {
-			t.Errorf("PromQuote(%q) = %s, want %s", in, got, want)
+		if got := promQuote(in); got != want {
+			t.Errorf("promQuote(%q) = %s, want %s", in, got, want)
 		}
 	}
 }
@@ -299,7 +299,7 @@ func TestHistogramExemplarExposition(t *testing.T) {
 	}
 
 	var b strings.Builder
-	reg.WritePrometheus(&b)
+	RenderPrometheus(&b, reg.Families())
 	page := b.String()
 	if !strings.Contains(page, `# {trace_id="00000000deadbeef",endpoint="measure"} 0.2`) {
 		t.Fatalf("exposition lost the exemplar:\n%s", page)
